@@ -69,12 +69,22 @@ def _load_line_instance(text: str):
     return target
 
 
+def _print_vertices(trace) -> None:
+    for v in trace:
+        print(f"vertex y=({v.y}) s=({v.s}) z={lcp.format_rational(v.z)}", flush=True)
+
+
 def cmd_solve_lcp(args) -> int:
     inst = lcp.load_lcp(_read(args.file), paper_sign=args.paper_sign)
-    result = lcp.lemke_solve(inst, lexicographic=args.lex, budget=args.budget)
+    try:
+        result = lcp.lemke_solve(inst, lexicographic=args.lex, budget=args.budget)
+    except BudgetExceededError as exc:
+        if args.trace:
+            _print_vertices(exc.trace)
+        print(f"budget exhausted after {len(exc.trace) - 1} pivots")
+        return EXIT_VERIFY_FAIL
     if args.trace:
-        for v in result.trace:
-            print(f"vertex y=({v.y}) s=({v.s}) z={lcp.format_rational(v.z)}", flush=True)
+        _print_vertices(result.trace)
     print(lcp.format_outcome(result.outcome))
     return EXIT_OK
 
@@ -160,7 +170,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_follow(args) -> int:
     inst = _load_line_instance(_read(args.file))
-    max_steps = args.max_steps if args.max_steps else 1 << min(inst.n, 20)
+    max_steps = 1 << min(inst.n, 20) if args.max_steps is None else args.max_steps
     try:
         sol, trace = lines.follow_line(inst, max_steps)
     except BudgetExceededError as exc:
@@ -269,7 +279,7 @@ def cmd_pipeline(args) -> int:
         return EXIT_OK
     direct = lcp.lemke_solve(inst, budget=args.budget)
     target = reductions.plcp_to_eopl(inst)
-    budget = args.budget if args.budget else 2 ** target.n + 1
+    budget = 2 ** target.n + 1 if args.budget is None else args.budget
     sol, trace = lines.follow_line(target, budget)
     if args.trace:
         for x, v in trace:

@@ -5,11 +5,14 @@ with slack ``s >= 0``, ``y_i s_i = 0``, where ``z`` is the covering variable
 driven to zero by the pivoting path.  The positive-principal-minor property
 of the stored ``M`` is what makes ``z`` strictly decrease along that path.
 
-Vertices of the augmented polytope carry their coordinates exactly.  The
-optional lexicographic mode runs the same pivot rules on a symbolically
-perturbed right-hand side ``q_i + eps^i``, where every coordinate becomes a
-short tuple of rationals ordered lexicographically; exact ties then cannot
-occur, and the answer is read off at ``eps = 0``.
+Every pivot runs on one fraction-free integer tableau (``_Tableau``): the
+rows are scaled to integers and the basis inverse is kept as integers over
+the basis determinant, so a pivot is O(d^2) exact integer updates and
+vertices are read off as exact rationals.  The optional lexicographic mode
+runs the same pivot rules as if the right-hand side were ``q_i + eps^i``:
+ratio-test ties are broken by comparing the tableau rows of ``[q | B^-1]``
+lexicographically, so exact ties cannot occur, and the answer is the
+vertex at ``eps = 0``.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import (
+    BudgetExceededError,
     DegeneracyError,
     DimensionError,
     InvariantViolationError,
@@ -31,6 +34,7 @@ from .qlinalg import (
     Q,
     QMatrix,
     QVector,
+    _scaled_int_rows,
     data_lines,
     format_rational,
     principal_minor,
@@ -40,10 +44,6 @@ from .qlinalg import (
 
 FORWARD = "forward"
 BACKWARD = "backward"
-
-# A coordinate is a tuple of rationals compared lexicographically: plain mode
-# uses 1-tuples, perturbed mode uses (d+1)-tuples (constant term first).
-Coord = tuple[Fraction, ...]
 
 
 # ----------------------------------------------------------------------------
@@ -144,101 +144,154 @@ def _parse_var(name: str, d: int) -> int:
     raise PreconditionError(f"unknown variable {name!r} for dimension {d}")
 
 
-# lexicographic coordinate helpers
-
-
-def _c_add(a: Coord, b: Coord) -> Coord:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _c_scale(a: Coord, c: Fraction) -> Coord:
-    return tuple(c * x for x in a)
-
-
-def _c_zero(width: int) -> Coord:
-    return (Q(0),) * width
-
-
-def _c_is_zero(a: Coord) -> bool:
-    return all(x == 0 for x in a)
-
-
-def _c_neg(a: Coord) -> Coord:
-    return tuple(-x for x in a)
-
-
 # ----------------------------------------------------------------------------
-# tight-system machinery
+# the integer tableau
 
 
-def _equality_rows(inst: LcpInstance) -> list[tuple[Fraction, ...]]:
-    """Rows of ``-M y + s - z 1 = q`` over variables (y, s, z)."""
-    d = inst.d
-    rows = []
-    for i in range(d):
-        row = [-inst.m[i, j] for j in range(d)]
-        row += [Q(1) if j == i else Q(0) for j in range(d)]
-        row.append(Q(-1))
-        rows.append(tuple(row))
-    return rows
+class _Tableau:
+    """Fraction-free tableau of ``-M y + s - z 1 = q`` over one basis.
+
+    Row i is scaled by the lcm ``L_i`` of its denominators and written over
+    the scaled slack ``s'_i = L_i s_i``, so the slack basis is integral with
+    determinant 1.  Columns are (y, s', z | rhs) and ``basis[i]`` is the
+    variable basic in row i.  The rows hold ``det * B^-1 [A | q]`` with
+    ``det = |det B|``: every entry is an integer (a minor), and one pivot
+    updates them all with exact divisions by the old determinant (Edmonds
+    1967, Bareiss 1968), so no rational is formed until a vertex is read.
+    """
+
+    __slots__ = ("d", "scale", "rows", "basis", "det")
+
+    def __init__(self, inst: LcpInstance):
+        d = inst.d
+        self.d = d
+        ints, self.scale = _scaled_int_rows([inst.m.row(i) + (inst.q[i],) for i in range(d)])
+        self.rows: list[list[int]] = []
+        for i, (a, scale) in enumerate(zip(ints, self.scale)):
+            row = [-x for x in a[:d]] + [0] * d + [-scale, a[d]]
+            row[d + i] = 1
+            self.rows.append(row)
+        self.basis = list(range(d, 2 * d))
+        self.det = 1
+
+    def pivot(self, r: int, e: int) -> None:
+        """Make variable ``e`` basic in row ``r``; the pivot entry must be nonzero."""
+        prow = self.rows[r]
+        p = prow[e]
+        # negating the new rows along with a negative pivot keeps det > 0
+        div = self.det if p > 0 else -self.det
+        for i, row in enumerate(self.rows):
+            if i != r:
+                f = row[e]
+                self.rows[i] = [(x * p - f * y) // div for x, y in zip(row, prow)]
+        if p < 0:
+            self.rows[r] = [-x for x in prow]
+        self.basis[r] = e
+        self.det = abs(p)
+
+    def tight(self) -> frozenset[int]:
+        return frozenset(range(2 * self.d + 1)).difference(self.basis)
+
+    def _unscale(self, var: int) -> int:
+        """Factor from the tableau's units of ``var`` to the instance's."""
+        return self.scale[var - self.d] if self.d <= var < 2 * self.d else 1
+
+    def values(self) -> list[Fraction]:
+        """Coordinates of (y, s, z) at this basis, in the instance's units."""
+        vals = [Q(0)] * (2 * self.d + 1)
+        for row, var in zip(self.rows, self.basis):
+            vals[var] = Fraction(row[-1], self.det * self._unscale(var))
+        return vals
+
+    def point(self) -> tuple[QVector, QVector, Fraction]:
+        return _split(self.values(), self.d)
+
+    def vertex(self) -> LemkeVertex:
+        y, s, z = self.point()
+        tight = self.tight()
+        return LemkeVertex(
+            y=y,
+            s=s,
+            z=z,
+            tight=frozenset(_var_name(v, self.d) for v in tight),
+            dup_label=_dup_of_tight(tight, self.d),
+        )
+
+    def ray(self, e: int) -> Ray:
+        """The edge relaxing nonbasic ``e``, normalized to unit speed in ``e``."""
+        sigma = [Q(0)] * (2 * self.d + 1)
+        sigma[e] = Q(1)
+        for row, var in zip(self.rows, self.basis):
+            sigma[var] = Fraction(-row[e] * self._unscale(e), self.det * self._unscale(var))
+        return Ray(*_split(sigma, self.d))
+
+    def ratio_row(self, e: int, lexicographic: bool) -> Optional[int]:
+        """Row of the variable that blocks ``e`` from entering; None on a ray.
+
+        The basic variable in row i moves at rate ``-rows[i][e] / det``, so its
+        ratio ``rhs_i / rows[i][e]`` no longer involves ``det``.  In the
+        lexicographic mode ties fall through to the s'-columns: row i of
+        ``[rhs | s']`` holds the coefficients of (1, eps^1, ..., eps^d) in the
+        variable's value on the perturbed right-hand side ``q_i + eps^i``, up to
+        a positive factor per column, which leaves the order unchanged.
+        """
+        rows = self.rows
+        cand = [i for i, row in enumerate(rows) if row[e] > 0]
+        if not cand:
+            return None
+        for c in self._ratio_cols(lexicographic):
+            best = [cand[0]]
+            for i in cand[1:]:
+                lhs = rows[i][c] * rows[best[0]][e]
+                rhs = rows[best[0]][c] * rows[i][e]
+                if lhs < rhs:
+                    best = [i]
+                elif lhs == rhs:
+                    best.append(i)
+            cand = best
+            if len(cand) == 1:
+                return cand[0]
+        names = tuple(_var_name(v, self.d) for v in sorted(self.basis[i] for i in cand))
+        raise DegeneracyError(f"ratio-test tie between {', '.join(names)}", ties=names)
+
+    def _ratio_cols(self, lexicographic: bool) -> list[int]:
+        """The rhs column, then the s'-columns that break ties lexicographically."""
+        d = self.d
+        return [2 * d + 1] + (list(range(d, 2 * d)) if lexicographic else [])
+
+    def z_trend(self, r: int, e: int, lexicographic: bool) -> int:
+        """Sign of the change in z when ``e`` enters at row ``r``.
+
+        z moves by ``t * sigma_z``, where the step ``t`` has the sign of row r's
+        right-hand side (of its first nonzero entry in ``[rhs | s']`` in the
+        lexicographic mode).
+        """
+        z = 2 * self.d
+        if e == z:
+            rate = 1
+        elif z in self.basis:
+            rate = -self.rows[self.basis.index(z)][e]
+        else:
+            return 0
+        row = self.rows[r]
+        step = next((row[c] for c in self._ratio_cols(lexicographic) if row[c] != 0), 0)
+        return ((step > 0) - (step < 0)) * ((rate > 0) - (rate < 0))
+
+    def orientation(self, e: int) -> int:
+        """Raw edge sign: +1 when the first nonzero of (z, y, s) along the edge
+        relaxing ``e`` falls, -1 when it rises."""
+        d = self.d
+        col = {var: row[e] for row, var in zip(self.rows, self.basis)}
+        for var in [2 * d] + list(range(2 * d)):
+            if var == e:  # e rises at unit speed; the loop always reaches it
+                return -1
+            if col.get(var, 0) != 0:
+                return 1 if col[var] > 0 else -1
 
 
-def _unit_row(var: int, width: int) -> tuple[Fraction, ...]:
-    return tuple(Q(1) if j == var else Q(0) for j in range(width))
-
-
-def _tight_system(inst: LcpInstance, tight: frozenset[int]) -> QMatrix:
-    """Equality rows followed by tight-bound unit rows sorted by variable index."""
-    width = 2 * inst.d + 1
-    rows = _equality_rows(inst)
-    rows.extend(_unit_row(v, width) for v in sorted(tight))
-    return QMatrix(tuple(rows))
-
-
-def _rhs_columns(inst: LcpInstance, tight_count: int, perturbed: bool) -> list[tuple[Fraction, ...]]:
-    """Right-hand side columns [q;0], plus one unit column per eps power if perturbed."""
-    d = inst.d
-    cols = [tuple(inst.q) + (Q(0),) * tight_count]
-    if perturbed:
-        for k in range(d):
-            cols.append(tuple(Q(1) if i == k else Q(0) for i in range(d)) + (Q(0),) * tight_count)
-    return cols
-
-
-def _coords_from_tight(inst: LcpInstance, tight: frozenset[int], perturbed: bool) -> Optional[list[Coord]]:
-    """Solve the tight system; coordinates per variable, or None if singular."""
-    if len(tight) != inst.d + 1:
-        raise InvariantViolationError("tight set must have d+1 members")
-    a = _tight_system(inst, tight)
-    cols = solve_columns(a, _rhs_columns(inst, len(tight), perturbed))
-    if cols is None:
-        return None
-    width = 2 * inst.d + 1
-    return [tuple(col[i] for col in cols) for i in range(width)]
-
-
-def _direction(inst: LcpInstance, tight: frozenset[int], entering: int) -> list[Fraction]:
-    """Edge direction when ``entering`` leaves the tight set, normalized to 1."""
-    width = 2 * inst.d + 1
-    rows = _equality_rows(inst)
-    rows.extend(_unit_row(v, width) for v in sorted(tight) if v != entering)
-    rows.append(_unit_row(entering, width))
-    rhs = (Q(0),) * (width - 1) + (Q(1),)
-    cols = solve_columns(QMatrix(tuple(rows)), [rhs])
-    if cols is None:
-        raise InvariantViolationError("edge direction undefined; vertex is degenerate")
-    return cols[0]
-
-
-@dataclass(frozen=True)
-class _State:
-    """Internal pivot state: exact coordinates plus the tight set."""
-
-    coords: tuple[Coord, ...]
-    tight: frozenset[int]
-
-    def zvalue(self) -> Coord:
-        return self.coords[-1]
+def _split(vals: list[Fraction], d: int) -> tuple[QVector, QVector, Fraction]:
+    """(y, s, z) from one list over the variable ids."""
+    return QVector(tuple(vals[:d])), QVector(tuple(vals[d : 2 * d])), vals[2 * d]
 
 
 def _dup_of_tight(tight: frozenset[int], d: int) -> Optional[int]:
@@ -250,93 +303,58 @@ def _dup_of_tight(tight: frozenset[int], d: int) -> Optional[int]:
     return dups[0] + 1 if dups else None
 
 
-def _vertex_of_state(inst: LcpInstance, state: _State) -> LemkeVertex:
-    d = inst.d
-    vals = [c[0] for c in state.coords]
-    return LemkeVertex(
-        y=QVector(tuple(vals[:d])),
-        s=QVector(tuple(vals[d : 2 * d])),
-        z=vals[2 * d],
-        tight=frozenset(_var_name(v, d) for v in state.tight),
-        dup_label=_dup_of_tight(state.tight, d),
-    )
-
-
-def _state_of_vertex(inst: LcpInstance, v: LemkeVertex) -> _State:
-    d = inst.d
-    coords = [(x,) for x in v.y] + [(x,) for x in v.s] + [(v.z,)]
-    tight = frozenset(_parse_var(name, d) for name in v.tight)
-    return _State(tuple(coords), tight)
-
-
-def _pivot_state(
-    inst: LcpInstance, state: _State, entering: int
-) -> Union[Ray, tuple[_State, int]]:
-    """Minimum-ratio pivot relaxing ``entering``; returns Ray or (state, blocker)."""
-    d = inst.d
-    width = 2 * d + 1
-    if entering not in state.tight:
-        raise PreconditionError(f"{_var_name(entering, d)} is not tight at this vertex")
-    sigma = _direction(inst, state.tight, entering)
-    best_t: Optional[Coord] = None
-    best_j: list[int] = []
-    for j in range(width):
-        if j in state.tight or sigma[j] >= 0:
-            continue
-        t = _c_scale(state.coords[j], Q(-1) / sigma[j])
-        if best_t is None or t < best_t:
-            best_t, best_j = t, [j]
-        elif t == best_t:
-            best_j.append(j)
-    if best_t is None:
-        return Ray(
-            dir_y=QVector(tuple(sigma[:d])),
-            dir_s=QVector(tuple(sigma[d : 2 * d])),
-            dir_z=sigma[2 * d],
-        )
-    if len(best_j) > 1:
-        names = tuple(_var_name(j, d) for j in best_j)
-        raise DegeneracyError(f"ratio-test tie between {', '.join(names)}", ties=names)
-    blocker = best_j[0]
-    wcount = len(state.coords[0])
-    new_coords = []
-    for j in range(width):
-        if j == blocker or (j in state.tight and j != entering):
-            new_coords.append(_c_zero(wcount))
-        else:
-            new_coords.append(_c_add(state.coords[j], _c_scale(best_t, sigma[j])))
-    new_tight = (state.tight - {entering}) | {blocker}
-    return _State(tuple(new_coords), new_tight), blocker
-
-
-def _start_state(inst: LcpInstance, perturbed: bool) -> _State:
+def _start_tableau(inst: LcpInstance, lexicographic: bool) -> _Tableau:
     """The vertex where y = 0, z = |min q| and the minimal slack is tight."""
     d = inst.d
-    width = d + 1 if perturbed else 1
-    qs: list[Coord] = []
-    for i in range(d):
-        c = [Q(0)] * width
-        c[0] = inst.q[i]
-        if perturbed:
-            c[i + 1] = Q(1)
-        qs.append(tuple(c))
-    if min(x[0] for x in qs) >= 0:
+    low = min(inst.q)
+    if low >= 0:
         raise PreconditionError("q >= 0: y = 0 solves the instance directly")
-    if not perturbed:
-        low = min(qs)
-        ties = [i for i in range(d) if qs[i] == low]
-        if len(ties) > 1:
-            raise DegeneracyError(
-                "tied minimum in q at indices " + ", ".join(str(i + 1) for i in ties),
-                ties=tuple(i + 1 for i in ties),
-            )
-    argmin = min(range(d), key=lambda i: qs[i])
-    z0 = _c_neg(qs[argmin])
-    coords = [_c_zero(width) for _ in range(d)]
-    coords += [_c_add(qs[i], z0) if i != argmin else _c_zero(width) for i in range(d)]
-    coords.append(z0)
-    tight = frozenset(range(d)) | {d + argmin}
-    return _State(tuple(coords), tight)
+    ties = [i for i in range(d) if inst.q[i] == low]
+    if len(ties) > 1 and not lexicographic:
+        raise DegeneracyError(
+            "tied minimum in q at indices " + ", ".join(str(i + 1) for i in ties),
+            ties=tuple(i + 1 for i in ties),
+        )
+    tab = _Tableau(inst)
+    # q_i + eps^i is smallest at the last tied index
+    tab.pivot(ties[-1], 2 * d)
+    return tab
+
+
+def _tableau_of_tight(inst: LcpInstance, tight: frozenset[int]) -> Optional[_Tableau]:
+    """Pivot from the slack basis onto the complement of the d+1 ids in ``tight``;
+    None when that basis is singular."""
+    d = inst.d
+    tab = _Tableau(inst)
+    for e in range(2 * d + 1):
+        if e in tight or e in tab.basis:
+            continue
+        rows = tab.rows
+        r = next((i for i in range(d) if rows[i][e] != 0 and tab.basis[i] in tight), None)
+        if r is None:
+            return None
+        tab.pivot(r, e)
+    return tab
+
+
+def _vertex_tableau(inst: LcpInstance, v: LemkeVertex, entering: str) -> tuple[_Tableau, int]:
+    """Tableau at a vertex plus the id of ``entering``, which must be tight there."""
+    d = inst.d
+    var = _parse_var(entering, d)
+    tight = frozenset(_parse_var(name, d) for name in v.tight)
+    if len(tight) != d + 1:
+        raise PreconditionError(f"a vertex has d+1 = {d + 1} tight constraints, not {len(tight)}")
+    if var not in tight:
+        raise PreconditionError(f"{entering} is not tight at this vertex")
+    tab = _tableau_of_tight(inst, tight)
+    if tab is None:
+        raise InvariantViolationError("edge direction undefined; vertex is degenerate")
+    return tab, var
+
+
+def _calibration(start: _Tableau) -> int:
+    """The raw sign that reads forward: that of the start vertex's pivot edge."""
+    return start.orientation(_dup_of_tight(start.tight(), start.d) - 1)
 
 
 # ----------------------------------------------------------------------------
@@ -402,16 +420,17 @@ def is_p_matrix(m: QMatrix) -> bool:
 
 def lemke_start(inst: LcpInstance) -> LemkeVertex:
     """Start vertex: y = 0, z = |min q|, s = q + z*1."""
-    return _vertex_of_state(inst, _start_state(inst, perturbed=False))
+    return _start_tableau(inst, lexicographic=False).vertex()
 
 
 def lemke_pivot(inst: LcpInstance, v: LemkeVertex, entering: str) -> Union[LemkeVertex, Ray]:
     """Move to the adjacent vertex along the edge that relaxes ``entering``."""
-    state = _state_of_vertex(inst, v)
-    result = _pivot_state(inst, state, _parse_var(entering, inst.d))
-    if isinstance(result, Ray):
-        return result
-    return _vertex_of_state(inst, result[0])
+    tab, var = _vertex_tableau(inst, v, entering)
+    r = tab.ratio_row(var, lexicographic=False)
+    if r is None:
+        return tab.ray(var)
+    tab.pivot(r, var)
+    return tab.vertex()
 
 
 def duplicate_label(v: LemkeVertex) -> Optional[int]:
@@ -428,36 +447,11 @@ def duplicate_label(v: LemkeVertex) -> Optional[int]:
 # forward.
 
 
-def _raw_sign(sigma: Sequence[Fraction], d: int) -> int:
-    order = [2 * d] + list(range(2 * d))
-    for var in order:
-        if sigma[var] != 0:
-            return 1 if sigma[var] < 0 else -1
-    raise InvariantViolationError("zero edge direction")
-
-
-@lru_cache(maxsize=None)
-def _orientation_calibration(inst: LcpInstance) -> int:
-    state = _start_state(inst, perturbed=False)
-    dup = _dup_of_tight(state.tight, inst.d)
-    if dup is None:
-        raise InvariantViolationError("start vertex has no duplicate label")
-    sigma = _direction(inst, state.tight, dup - 1)
-    return _raw_sign(sigma, inst.d)
-
-
-def _oriented_forward(inst: LcpInstance, tight: frozenset[int], entering: int) -> bool:
-    sigma = _direction(inst, tight, entering)
-    return _raw_sign(sigma, inst.d) * _orientation_calibration(inst) == 1
-
-
 def todd_orientation(inst: LcpInstance, v: LemkeVertex, entering: str) -> str:
     """Direction label of the edge that relaxes ``entering`` at v."""
-    state = _state_of_vertex(inst, v)
-    var = _parse_var(entering, inst.d)
-    if var not in state.tight:
-        raise PreconditionError(f"{entering} is not tight at this vertex")
-    return FORWARD if _oriented_forward(inst, state.tight, var) else BACKWARD
+    tab, var = _vertex_tableau(inst, v, entering)
+    forward = tab.orientation(var) == _calibration(_start_tableau(inst, lexicographic=False))
+    return FORWARD if forward else BACKWARD
 
 
 def q2_witness_at(inst: LcpInstance, y: QVector) -> Q2:
@@ -480,6 +474,8 @@ def lemke_solve(
 
     Returns Q1(y) when z reaches zero, or a verified Q2 witness when a
     secondary ray is hit or z fails to strictly decrease at some pivot.
+    Raises BudgetExceededError, carrying the trace so far, when the path
+    needs more than ``budget`` pivots.
     """
     d = inst.d
     if budget is None:
@@ -487,30 +483,26 @@ def lemke_solve(
     if all(x >= 0 for x in inst.q):
         return LemkeResult(Q1(QVector.zero(d)), ())
 
-    state = _start_state(inst, perturbed=lexicographic)
-    trace = [_vertex_of_state(inst, state)]
-    dup = _dup_of_tight(state.tight, d)
-    entering = dup - 1  # relax y at the duplicate label first
+    tab = _start_tableau(inst, lexicographic)
+    trace = [tab.vertex()]
+    entering = trace[0].dup_label - 1  # relax y at the duplicate label first
 
     while True:
         if len(trace) > budget:
-            raise InvariantViolationError(f"pivot budget {budget} exceeded; cycling bug")
-        result = _pivot_state(inst, state, entering)
-        if isinstance(result, Ray):
+            raise BudgetExceededError(f"no solution within {budget} pivots", trace=tuple(trace))
+        r = tab.ratio_row(entering, lexicographic)
+        if r is None or tab.z_trend(r, entering, lexicographic) >= 0:
             outcome = q2_witness_at(inst, trace[-1].y)
             return LemkeResult(outcome, tuple(trace))
-        nstate, blocker = result
-        if not nstate.zvalue() < state.zvalue():
-            outcome = q2_witness_at(inst, trace[-1].y)
-            return LemkeResult(outcome, tuple(trace))
-        trace.append(_vertex_of_state(inst, nstate))
+        blocker = tab.basis[r]
+        tab.pivot(r, entering)
+        trace.append(tab.vertex())
         if blocker == 2 * d:
             y = trace[-1].y
             if not verify_lcp_solution(inst, y):
                 raise InvariantViolationError("pivoting produced an infeasible answer")
             return LemkeResult(Q1(y), tuple(trace))
         entering = blocker + d if blocker < d else blocker - d
-        state = nstate
 
 
 def brute_force_lcp(inst: LcpInstance) -> list[QVector]:

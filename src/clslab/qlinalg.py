@@ -152,7 +152,7 @@ def _scaled_int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]
         scale = 1
         for a in row:
             scale = scale * a.denominator // math.gcd(scale, a.denominator)
-        out.append([int(a * scale) for a in row])
+        out.append([a.numerator * (scale // a.denominator) for a in row])
         scales.append(scale)
     return out, scales
 

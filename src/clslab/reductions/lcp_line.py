@@ -3,16 +3,18 @@
 A configuration's first d bits pick which of y_i = 0 / s_i = 0 is tight
 (bit set means the slack side), and the second d bits carry at most one set
 bit marking the duplicate label; all second-half-empty configs sit at z = 0.
-Valid configs decode to vertices of the augmented polytope by solving their
-tight system exactly.  The successor follows the pivot edge the orientation
-rule points along, but only when the covering variable z strictly drops, so
-the potential floor(Delta^2 (Delta - z)) strictly climbs along the line.
+Valid configs decode to vertices of the augmented polytope by pivoting the
+integer tableau from the slack basis onto the config's basic columns; the
+same tableau gives the edge orientations and the next vertex.  The successor
+follows the pivot edge the orientation rule points along, but only when the
+covering variable z strictly drops, so the potential
+floor(Delta^2 (Delta - z)) strictly climbs along the line.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -22,13 +24,11 @@ from ..lcp import (
     LcpInstance,
     LcpOutcome,
     Q1,
-    Ray,
-    _coords_from_tight,
+    _calibration,
     _dup_of_tight,
-    _oriented_forward,
-    _pivot_state,
-    _start_state,
-    _State,
+    _split,
+    _start_tableau,
+    _tableau_of_tight,
     q2_witness_at,
     verify_lcp_solution,
 )
@@ -38,13 +38,20 @@ from ..qlinalg import Q, QVector, principal_minor
 
 @dataclass(frozen=True)
 class PlcpEoplContext:
-    """Derived constants: config width n = 2d, entry bound, potential scale."""
+    """Derived constants: config width n = 2d, entry bound, potential scale.
+
+    ``start`` is the start vertex (y, s, z) and ``calibration`` the raw edge
+    sign that reads forward, both read off the start tableau; they follow
+    from ``inst`` and take no part in equality or hashing.
+    """
 
     inst: LcpInstance
     n: int
     i_max: Fraction
     delta: Fraction
     m: int
+    start: tuple[QVector, QVector, Fraction] = field(compare=False)
+    calibration: int = field(compare=False)
 
 
 def _ceil_log2(value: Fraction) -> int:
@@ -62,13 +69,21 @@ def make_context(inst: LcpInstance) -> PlcpEoplContext:
     d = inst.d
     if all(x >= 0 for x in inst.q):
         raise PreconditionError("q >= 0 is solved by y = 0; nothing to reduce")
-    _start_state(inst, perturbed=False)  # raises DegeneracyError on a tied minimum
+    start = _start_tableau(inst, lexicographic=False)  # raises DegeneracyError on a tied minimum
     entries = [abs(inst.m[i, j]) for i in range(d) for j in range(d)]
     entries += [abs(x) for x in inst.q]
     i_max = max(entries)
     delta = Fraction(math.factorial(2 * d)) * i_max ** (2 * d + 1) + 1
     m = _ceil_log2(2 * delta**3)
-    return PlcpEoplContext(inst=inst, n=2 * d, i_max=i_max, delta=delta, m=m)
+    return PlcpEoplContext(
+        inst=inst,
+        n=2 * d,
+        i_max=i_max,
+        delta=delta,
+        m=m,
+        start=start.point(),
+        calibration=_calibration(start),
+    )
 
 
 def _invalid_sentinel(d: int) -> BitConfig:
@@ -102,14 +117,12 @@ def _config_tight(ctx: PlcpEoplContext, u: BitConfig) -> Optional[frozenset[int]
 
 @lru_cache(maxsize=None)
 def _config_point(ctx: PlcpEoplContext, u: BitConfig) -> Optional[tuple[Fraction, ...]]:
-    """Coordinates of the tight system's solution, or None when singular."""
+    """Coordinates of the config's basis, or None when it is singular."""
     tight = _config_tight(ctx, u)
     if tight is None:
         return None
-    coords = _coords_from_tight(ctx.inst, tight, perturbed=False)
-    if coords is None:
-        return None
-    return tuple(c[0] for c in coords)
+    tab = _tableau_of_tight(ctx.inst, tight)
+    return None if tab is None else tuple(tab.values())
 
 
 @lru_cache(maxsize=None)
@@ -134,14 +147,6 @@ def is_valid_config(ctx: PlcpEoplContext, u: BitConfig) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _start_point(ctx: PlcpEoplContext) -> tuple[QVector, QVector, Fraction]:
-    state = _start_state(ctx.inst, perturbed=False)
-    d = ctx.inst.d
-    vals = [c[0] for c in state.coords]
-    return QVector(tuple(vals[:d])), QVector(tuple(vals[d : 2 * d])), vals[2 * d]
-
-
 def etoi(ctx: PlcpEoplContext, u: BitConfig) -> tuple[QVector, QVector, Fraction]:
     """Decode a config to polytope coordinates (y, s, z).
 
@@ -150,13 +155,13 @@ def etoi(ctx: PlcpEoplContext, u: BitConfig) -> tuple[QVector, QVector, Fraction
     """
     d = ctx.inst.d
     if u.is_zero():
-        _, _, z0 = _start_point(ctx)
+        z0 = ctx.start[2]
         bumped = QVector(tuple(q_i + z0 + 1 for q_i in ctx.inst.q))
         return QVector.zero(d), bumped, z0 + 1
     if not is_valid_config(ctx, u):
         return QVector.zero(d), QVector.zero(d), Q(0)
     point = _config_point(ctx, u)
-    return QVector(point[:d]), QVector(point[d : 2 * d]), point[2 * d]
+    return _split(point, d)
 
 
 def itoe(ctx: PlcpEoplContext, y: QVector, s: QVector, z: Fraction) -> BitConfig:
@@ -176,16 +181,28 @@ def itoe(ctx: PlcpEoplContext, y: QVector, s: QVector, z: Fraction) -> BitConfig
     return BitConfig(tuple(bits))
 
 
-def _state_of_config(ctx: PlcpEoplContext, u: BitConfig) -> _State:
-    tight = _config_tight(ctx, u)
-    point = _config_point(ctx, u)
-    return _State(tuple((x,) for x in point), tight)
+def _step(ctx: PlcpEoplContext, u: BitConfig, ahead: bool) -> BitConfig:
+    """Pivot along the edge oriented out of (ahead) or into a valid nonzero u.
 
-
-def _itoe_state(ctx: PlcpEoplContext, state: _State) -> BitConfig:
+    Stays at u unless z strictly drops going ahead, or strictly rises going
+    back.
+    """
     d = ctx.inst.d
-    vals = [c[0] for c in state.coords]
-    return itoe(ctx, QVector(tuple(vals[:d])), QVector(tuple(vals[d : 2 * d])), vals[2 * d])
+    tight = _config_tight(ctx, u)
+    tab = _tableau_of_tight(ctx.inst, tight)
+    if 2 * d in tight:  # z = 0: the only edge relaxes z
+        entering = 2 * d
+        if (tab.orientation(entering) == ctx.calibration) != ahead:
+            return u
+    else:
+        label = _dup_of_tight(tight, d) - 1
+        forward = tab.orientation(label) == ctx.calibration
+        entering = label if forward == ahead else d + label
+    r = tab.ratio_row(entering, lexicographic=False)
+    if r is None or tab.z_trend(r, entering, lexicographic=False) != (-1 if ahead else 1):
+        return u
+    tab.pivot(r, entering)
+    return itoe(ctx, *tab.point())
 
 
 @lru_cache(maxsize=None)
@@ -194,62 +211,18 @@ def successor(ctx: PlcpEoplContext, u: BitConfig) -> BitConfig:
     if not is_valid_config(ctx, u):
         return u
     if u.is_zero():
-        return itoe(ctx, *_start_point(ctx))
-    inst = ctx.inst
-    d = inst.d
-    state = _state_of_config(ctx, u)
-    z = state.coords[2 * d][0]
-    if z == 0:
-        entering = 2 * d
-        if not _oriented_forward(inst, state.tight, entering):
-            return u
-    else:
-        label = _dup_of_tight(state.tight, d) - 1
-        if _oriented_forward(inst, state.tight, label):
-            entering = label
-        else:
-            entering = d + label
-    result = _pivot_state(inst, state, entering)
-    if isinstance(result, Ray):
-        return u
-    nstate, _ = result
-    if z > nstate.coords[2 * d][0]:
-        return _itoe_state(ctx, nstate)
-    return u
+        return itoe(ctx, *ctx.start)
+    return _step(ctx, u, ahead=True)
 
 
 @lru_cache(maxsize=None)
 def predecessor(ctx: PlcpEoplContext, u: BitConfig) -> BitConfig:
     """Step back along the edge oriented into this config if z strictly rises."""
-    if not is_valid_config(ctx, u):
+    if not is_valid_config(ctx, u) or u.is_zero():
         return u
-    if u.is_zero():
-        return u
-    inst = ctx.inst
-    d = inst.d
-    state = _state_of_config(ctx, u)
-    vals = [c[0] for c in state.coords]
-    y0, s0, z0 = _start_point(ctx)
-    if vals[:d] == list(y0) and vals[d : 2 * d] == list(s0) and vals[2 * d] == z0:
+    if etoi(ctx, u) == ctx.start:
         return BitConfig.zeros(ctx.n)
-    z = vals[2 * d]
-    if z == 0:
-        entering = 2 * d
-        if _oriented_forward(inst, state.tight, entering):
-            return u
-    else:
-        label = _dup_of_tight(state.tight, d) - 1
-        if _oriented_forward(inst, state.tight, label):
-            entering = d + label
-        else:
-            entering = label
-    result = _pivot_state(inst, state, entering)
-    if isinstance(result, Ray):
-        return u
-    nstate, _ = result
-    if z < nstate.coords[2 * d][0]:
-        return _itoe_state(ctx, nstate)
-    return u
+    return _step(ctx, u, ahead=False)
 
 
 @lru_cache(maxsize=None)

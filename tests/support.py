@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from typing import Optional
 
 from clslab import (
     CircuitBuilder,
@@ -21,6 +22,7 @@ from clslab import (
 from clslab.circuits import identity_circuit, norm_distance_circuit
 from clslab.lcp import Q1, Q2
 from clslab.lines import BitConfig, all_configs, table_instance
+from clslab.qlinalg import solve_columns
 from clslab.reductions.lcp_line import (
     is_valid_config,
     make_context,
@@ -101,6 +103,60 @@ def gen_reduction_safe_lcp(rng: random.Random, d: int) -> LcpInstance:
         except DegeneracyError:
             continue
         return inst
+
+
+# ----------------------------------------------------------------------------
+# tight-system oracle for the pivoting tableau: variable ids 0..d-1 are y,
+# d..2d-1 are s and 2d is z; a vertex is the solution of the (2d+1)-square
+# system of the d equality rows plus one unit row per tight variable
+
+
+def var_id(name: str, d: int) -> int:
+    """Id of a constraint name from ``LemkeVertex.tight`` ("y3", "s1", "z")."""
+    if name == "z":
+        return 2 * d
+    return (0 if name[0] == "y" else d) + int(name[1:]) - 1
+
+
+def _tight_system(inst: LcpInstance, tight: frozenset[int]) -> QMatrix:
+    """Rows of ``-M y + s - z 1 = q``, then tight unit rows sorted by id."""
+    d = inst.d
+    rows = [
+        tuple([-inst.m[i, j] for j in range(d)] + [F(int(j == i)) for j in range(d)] + [F(-1)])
+        for i in range(d)
+    ]
+    rows += [tuple(F(int(j == v)) for j in range(2 * d + 1)) for v in sorted(tight)]
+    return QMatrix(tuple(rows))
+
+
+def tight_point(inst: LcpInstance, tight: frozenset[int]) -> Optional[list[F]]:
+    """Coordinates (y, s, z) of the vertex with this tight set; None when singular."""
+    rhs = tuple(inst.q) + (F(0),) * len(tight)
+    cols = solve_columns(_tight_system(inst, tight), [rhs])
+    return None if cols is None else cols[0]
+
+
+def tight_direction(inst: LcpInstance, tight: frozenset[int], entering: int) -> Optional[list[F]]:
+    """Edge direction that relaxes ``entering`` at unit speed, keeping the rest tight."""
+    rhs = (F(0),) * inst.d + tuple(F(int(v == entering)) for v in sorted(tight))
+    cols = solve_columns(_tight_system(inst, tight), [rhs])
+    return None if cols is None else cols[0]
+
+
+def oracle_orientation(inst: LcpInstance, tight: frozenset[int], entering: int) -> str:
+    """Todd's label from oracle directions: the sign of the first nonzero of
+    (z, y, s), calibrated so the start vertex's pivot edge reads forward."""
+    d = inst.d
+
+    def raw_sign(sigma):
+        first = next(sigma[v] for v in [2 * d] + list(range(2 * d)) if sigma[v] != 0)
+        return 1 if first < 0 else -1
+
+    low = min(range(d), key=lambda i: inst.q[i])
+    start = frozenset(range(d)) | {d + low}
+    calibration = raw_sign(tight_direction(inst, start, low))
+    forward = raw_sign(tight_direction(inst, tight, entering)) == calibration
+    return "forward" if forward else "backward"
 
 
 # ----------------------------------------------------------------------------

@@ -37,6 +37,27 @@ def test_solve_lcp_and_exit_codes(tmp_path, capsys):
     assert main(["solve-lcp", str(tmp_path / "absent.lcp")]) == 4
 
 
+def test_budget_exhaustion_exits_1_with_partial_trace(tmp_path, capsys):
+    path = write(tmp_path, "a.lcp", DIAG_LCP)
+    assert main(["solve-lcp", path, "--budget", "0"]) == 1
+    assert capsys.readouterr().out == "budget exhausted after 0 pivots\n"
+    assert main(["solve-lcp", path, "--budget", "1", "--trace"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "vertex y=(0 0) s=(2 0) z=6",
+        "vertex y=(0 2/3) s=(0 0) z=4",
+        "budget exhausted after 1 pivots",
+    ]
+    assert main(["solve-lcp", path, "--budget", "2"]) == 0
+    assert main(["pipeline", "plcp", path, "--budget", "0"]) == 1
+
+
+def test_explicit_zero_is_not_the_default(tmp_path, capsys):
+    path = write(tmp_path, "a.eoml", EOML_TABLE)
+    assert main(["follow", path, "--max-steps", "0"]) == 4
+    assert "max_steps must be at least 1" in capsys.readouterr().err
+
+
 def test_check_pmatrix(tmp_path, capsys):
     assert main(["check-pmatrix", write(tmp_path, "a.lcp", DIAG_LCP)]) == 0
     assert "ok" in capsys.readouterr().out

@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from clslab import (
+    BudgetExceededError,
     DegeneracyError,
     PreconditionError,
     QMatrix,
@@ -28,7 +30,16 @@ from clslab.lcp import (
     load_lcp,
     parse_outcome,
 )
-from support import gen_nonp_lcp, gen_p_lcp, make_lcp
+from support import (
+    gen_nonp_lcp,
+    gen_p_lcp,
+    make_lcp,
+    oracle_orientation,
+    random_lcp,
+    tight_direction,
+    tight_point,
+    var_id,
+)
 
 
 def test_verify_solution_examples():
@@ -79,6 +90,8 @@ def test_lemke_pivot_examples():
     assert tuple(nxt.y) == (F(1),) and nxt.z == 0 and nxt.dup_label is None
     with pytest.raises(PreconditionError):
         lemke_pivot(inst, nxt, "y1")  # y1 is basic there
+    with pytest.raises(PreconditionError):
+        lemke_pivot(inst, replace(start, tight=frozenset({"y1"})), "y1")  # d+1 = 2 needed
     ray = lemke_pivot(make_lcp([[0]], [-1]), lemke_start(make_lcp([[0]], [-1])), "y1")
     assert isinstance(ray, Ray)
 
@@ -244,3 +257,99 @@ def test_solver_budget_guard():
     inst = gen_p_lcp(rng, 3)
     res = lemke_solve(inst, budget=2 ** 6 + 1)
     assert isinstance(res.outcome, Q1)
+    # a budget of k allows k pivots; running out keeps the path so far
+    pivots = len(res.trace) - 1
+    assert lemke_solve(inst, budget=pivots) == res
+    for k in range(pivots):
+        with pytest.raises(BudgetExceededError) as info:
+            lemke_solve(inst, budget=k)
+        assert info.value.trace == res.trace[: k + 1]
+
+
+def _tight_ids(inst, v):
+    return frozenset(var_id(name, inst.d) for name in v.tight)
+
+
+def _coords(v):
+    return list(v.y) + list(v.s) + [v.z]
+
+
+def _differential_instances():
+    """Seeded P and non-P instances, plus tie-prone ones only lex mode can run.
+
+    Each comes twice: as drawn, and with row i of (M, q) scaled by a positive
+    rational, which keeps every solution y and gives the tableau rows
+    denominators to clear.
+    """
+    rng = random.Random(97)
+    out = [gen_p_lcp(rng, rng.randint(1, 6)) for _ in range(14)]
+    out += [gen_nonp_lcp(rng, rng.randint(1, 5)) for _ in range(10)]
+    out += [random_lcp(rng, rng.randint(2, 5), span=1) for _ in range(24)]
+    out = [inst for inst in out if min(inst.q) < 0]
+    scaled = []
+    for inst in out:
+        c = [F(rng.randint(1, 4), rng.randint(1, 5)) for _ in range(inst.d)]
+        rows = [[c[i] * a for a in inst.m.row(i)] for i in range(inst.d)]
+        scaled.append(make_lcp(rows, [c[i] * inst.q[i] for i in range(inst.d)]))
+    return out + scaled
+
+
+def test_trace_vertices_match_tight_system_oracle():
+    checked = {False: 0, True: 0}
+    for inst in _differential_instances():
+        for lex in (False, True):
+            try:
+                res = lemke_solve(inst, lexicographic=lex)
+            except DegeneracyError as exc:
+                assert not lex
+                ids = [var_id(name, inst.d) for name in exc.ties if not isinstance(name, int)]
+                assert ids == sorted(ids)  # ratio-test ties are named in variable order
+                continue
+            for v in res.trace:
+                assert _coords(v) == tight_point(inst, _tight_ids(inst, v))
+                checked[lex] += 1
+    assert checked[False] >= 60 and checked[True] > checked[False]
+
+
+def test_pivots_and_orientation_match_oracle_directions():
+    # every edge at every traced vertex: the pivot lands on the oracle's
+    # vertex (or ray direction) and Todd's label is the oracle direction's sign
+    rays = edges = 0
+    for inst in _differential_instances():
+        try:
+            trace = lemke_solve(inst).trace
+        except DegeneracyError:
+            continue
+        for v in trace:
+            tight = _tight_ids(inst, v)
+            for name in sorted(v.tight):
+                entering = var_id(name, inst.d)
+                label = todd_orientation(inst, v, name)
+                assert label == oracle_orientation(inst, tight, entering)
+                try:
+                    w = lemke_pivot(inst, v, name)
+                except DegeneracyError:
+                    continue
+                if isinstance(w, Ray):
+                    sigma = tight_direction(inst, tight, entering)
+                    assert list(w.dir_y) + list(w.dir_s) + [w.dir_z] == sigma
+                    rays += 1
+                else:
+                    assert _coords(w) == tight_point(inst, _tight_ids(inst, w))
+                    edges += 1
+    assert rays >= 20 and edges >= 50
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_plain_and_lexicographic_agree_without_ties(d, data):
+    entries = [[data.draw(st.integers(-3, 3)) for _ in range(d)] for _ in range(d)]
+    q = [data.draw(st.integers(-3, 3)) for _ in range(d)]
+    inst = make_lcp(entries, q)
+    try:
+        plain = lemke_solve(inst)
+    except DegeneracyError:
+        return
+    lex = lemke_solve(inst, lexicographic=True)
+    assert lex.outcome == plain.outcome
+    assert lex.trace == plain.trace

@@ -24,8 +24,8 @@ from clslab.reductions import (
     make_context,
     plcp_to_eopl,
 )
-from clslab.reductions.lcp_line import potential, predecessor, successor
-from support import bits, gen_reduction_safe_lcp, make_lcp
+from clslab.reductions.lcp_line import _config_point, _config_tight, potential, predecessor, successor
+from support import bits, gen_reduction_safe_lcp, make_lcp, random_lcp, tight_point
 
 
 def d1_instance():
@@ -176,3 +176,28 @@ def test_nonp_line_end_maps_to_verified_witness():
 
             assert principal_minor(inst.m, mapped.index_set) == mapped.minor <= 0
             found += 1
+
+
+def test_config_decoding_matches_tight_system_oracle():
+    # every config of small instances, singular tight sets included, decodes
+    # to the oracle's solution of its tight system (None when singular)
+    rng = random.Random(23)
+    decoded = singular = 0
+    for _ in range(60):
+        inst = random_lcp(rng, rng.randint(2, 3), span=2)
+        if min(inst.q) >= 0:
+            continue
+        try:
+            ctx = make_context(inst)
+        except DegeneracyError:
+            continue
+        for u in all_configs(ctx.n):
+            tight = _config_tight(ctx, u)
+            if tight is None:
+                continue
+            want = tight_point(inst, tight)
+            point = _config_point(ctx, u)
+            assert point == (None if want is None else tuple(want))
+            decoded += 1
+            singular += want is None
+    assert decoded >= 500 and singular >= 50
