@@ -19,7 +19,6 @@ from .qlinalg import (
     Q,
     QMatrix,
     QVector,
-    det_cofactor,
     format_rational,
     mat_det,
     principal_minor,

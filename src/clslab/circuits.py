@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .qlinalg import Q, QVector, data_lines, format_rational, rational
+from .qlinalg import Q, QVector, data_lines, format_rational, integer, rational
 
 INF = float("inf")
 NormOrder = Union[int, float]
@@ -404,6 +404,15 @@ def _check_domain(inst, *points: QVector):
 # verifiers
 
 
+def _lipschitz_verdict(label: str, g: ArithCircuit, k: Fraction, inst, cand) -> Verdict:
+    """Whether |g(x) - g(y)| > k * |x - y| in the instance norm, for a pair (x, y)."""
+    _check_domain(inst, cand.x, cand.y)
+    gx = circuit_eval(g, cand.x)
+    gy = circuit_eval(g, cand.y)
+    ok = norm_gt(gx - gy, k, cand.x - cand.y, inst.r)
+    return _ineq(label, norm_pow(gx - gy, inst.r), ">", k * norm_pow(cand.x - cand.y, inst.r), ok)
+
+
 def clo_verify(inst: CloInstance, cand: CloSolution) -> Verdict:
     """C1: f fails to improve p by eps; C2a/C2b: exact Lipschitz violations."""
     if isinstance(cand, C1):
@@ -412,29 +421,9 @@ def clo_verify(inst: CloInstance, cand: CloSolution) -> Verdict:
         pfx = circuit_eval(inst.p, circuit_eval(inst.f, cand.x))[0]
         return _ineq("p(f(x)) >= p(x) - eps", pfx, ">=", px - inst.eps, pfx >= px - inst.eps)
     if isinstance(cand, C2a):
-        _check_domain(inst, cand.x, cand.y)
-        fx = circuit_eval(inst.f, cand.x)
-        fy = circuit_eval(inst.f, cand.y)
-        ok = norm_gt(fx - fy, inst.lam, cand.x - cand.y, inst.r)
-        return _ineq(
-            "|f(x)-f(y)| > lam*|x-y|",
-            norm_pow(fx - fy, inst.r),
-            ">",
-            inst.lam * norm_pow(cand.x - cand.y, inst.r),
-            ok,
-        )
+        return _lipschitz_verdict("|f(x)-f(y)| > lam*|x-y|", inst.f, inst.lam, inst, cand)
     if isinstance(cand, C2b):
-        _check_domain(inst, cand.x, cand.y)
-        px = circuit_eval(inst.p, cand.x)
-        py = circuit_eval(inst.p, cand.y)
-        ok = norm_gt(px - py, inst.lam, cand.x - cand.y, inst.r)
-        return _ineq(
-            "|p(x)-p(y)| > lam*|x-y|",
-            norm_pow(px - py, inst.r),
-            ">",
-            inst.lam * norm_pow(cand.x - cand.y, inst.r),
-            ok,
-        )
+        return _lipschitz_verdict("|p(x)-p(y)| > lam*|x-y|", inst.p, inst.lam, inst, cand)
     return Verdict(False, f"not a local-opt solution shape: {cand!r}")
 
 
@@ -445,17 +434,7 @@ def contraction_verify(inst: ContractionInstance, cand: ContractionSolution) -> 
         value = norm_pow(gap, inst.r)
         return _ineq("|f(x)-x| <= delta", value, "<=", inst.delta, value <= inst.delta)
     if isinstance(cand, CM2):
-        _check_domain(inst, cand.x, cand.y)
-        fx = circuit_eval(inst.f, cand.x)
-        fy = circuit_eval(inst.f, cand.y)
-        ok = norm_gt(fx - fy, inst.c, cand.x - cand.y, inst.r)
-        return _ineq(
-            "|f(x)-f(y)| > c*|x-y|",
-            norm_pow(fx - fy, inst.r),
-            ">",
-            inst.c * norm_pow(cand.x - cand.y, inst.r),
-            ok,
-        )
+        return _lipschitz_verdict("|f(x)-f(y)| > c*|x-y|", inst.f, inst.c, inst, cand)
     return Verdict(False, f"not a contraction solution shape: {cand!r}")
 
 
@@ -479,17 +458,7 @@ def mmc_verify(inst: MmcInstance, cand: MmcSolution) -> Verdict:
         rhs = inst.delta_d * norm_pow(pair_diff, inst.r)
         return _ineq("|d(x,y)-d(x',y')| > delta_d*|(x,y)-(x',y')|", lhs, ">", rhs, lhs > rhs)
     if isinstance(cand, M2c):
-        _check_domain(inst, cand.x, cand.y)
-        fx = circuit_eval(inst.f, cand.x)
-        fy = circuit_eval(inst.f, cand.y)
-        ok = norm_gt(fx - fy, inst.lam, cand.x - cand.y, inst.r)
-        return _ineq(
-            "|f(x)-f(y)| > lam*|x-y|",
-            norm_pow(fx - fy, inst.r),
-            ">",
-            inst.lam * norm_pow(cand.x - cand.y, inst.r),
-            ok,
-        )
+        return _lipschitz_verdict("|f(x)-f(y)| > lam*|x-y|", inst.f, inst.lam, inst, cand)
     if isinstance(cand, MMviol):
         for pt in cand.points:
             _check_domain(inst, pt)
@@ -674,10 +643,7 @@ def format_norm(r: NormOrder) -> str:
 def parse_norm(text: str) -> NormOrder:
     if text == "inf":
         return INF
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise ParseError(f"bad norm order {text!r}") from exc
+    value = integer(text)
     if value < 1:
         raise ParseError(f"bad norm order {text!r}")
     return value
@@ -703,7 +669,9 @@ def _parse_circuit_lines(
     head = head_text.split()
     if len(head) != 4 or head[0] != "ARITH":
         raise ParseError(f"line {head_num}: bad circuit header {head_text!r}")
-    arity, n_gates, n_outputs = int(head[1]), int(head[2]), int(head[3])
+    arity, n_gates, n_outputs = (integer(tok) for tok in head[1:])
+    if n_gates < 0:
+        raise ParseError(f"line {head_num}: negative gate count {n_gates}")
     if pos + 1 + n_gates >= len(lines):
         raise ParseError(f"line {head_num}: truncated circuit block")
     gates: list[Gate] = []
@@ -714,16 +682,20 @@ def _parse_circuit_lines(
         if op == "CONST" and len(parts) == 2:
             gates.append(("CONST", rational(parts[1])))
         elif op == "ABS" and len(parts) == 2:
-            gates.append(("ABS", int(parts[1])))
+            gates.append(("ABS", integer(parts[1])))
         elif op in _BINARY_OPS and len(parts) == 3:
-            gates.append((op, int(parts[1]), int(parts[2])))
+            gates.append((op, integer(parts[1]), integer(parts[2])))
         else:
             raise ParseError(f"line {num}: bad gate {gate_text!r}")
     out_num, out_text = lines[pos + 1 + n_gates]
-    outs = [int(tok) for tok in out_text.split()]
+    outs = [integer(tok) for tok in out_text.split()]
     if len(outs) != n_outputs:
         raise ParseError(f"line {out_num}: expected {n_outputs} outputs, got {len(outs)}")
-    return ArithCircuit(arity, tuple(gates), tuple(outs)), pos + n_gates + 2
+    try:
+        circ = ArithCircuit(arity, tuple(gates), tuple(outs))
+    except DimensionError as exc:
+        raise ParseError(f"circuit at line {head_num}: {exc}") from exc
+    return circ, pos + n_gates + 2
 
 
 def parse_circuit(text: str) -> ArithCircuit:
@@ -784,7 +756,7 @@ def load_problem(text: str, probe: bool = True) -> CircuitProblem:
             eps=rational(fields["eps"]),
             lam=rational(fields["lambda"]),
             r=parse_norm(fields["r"]),
-            dim=int(fields["dim"]),
+            dim=integer(fields["dim"]),
         )
     elif tag == "CONTRACTION":
         fields = _header_fields(lines[0], "CONTRACTION", ("dim", "r", "eps", "c", "delta"))
@@ -795,7 +767,7 @@ def load_problem(text: str, probe: bool = True) -> CircuitProblem:
             eps=rational(fields["eps"]),
             c=rational(fields["c"]),
             delta=rational(fields["delta"]),
-            dim=int(fields["dim"]),
+            dim=integer(fields["dim"]),
         )
     elif tag == "MMC":
         fields = _header_fields(
@@ -811,7 +783,7 @@ def load_problem(text: str, probe: bool = True) -> CircuitProblem:
             c=rational(fields["c"]),
             delta_d=rational(fields["delta_d"]),
             lam=rational(fields["lambda"]),
-            dim=int(fields["dim"]),
+            dim=integer(fields["dim"]),
         )
     else:
         raise ParseError(f"unknown problem tag {tag!r}")
@@ -850,7 +822,9 @@ def parse_circuit_solution(line: str, dim: int):
         raise ParseError("empty solution line")
     tag = parts[0]
     if tag == "MMVIOL":
-        kind = int(parts[1])
+        if len(parts) < 2:
+            raise ParseError("MMVIOL needs an axiom kind")
+        kind = integer(parts[1])
         coords = [rational(tok) for tok in parts[2:]]
         if len(coords) % dim != 0:
             raise ParseError("coordinate count not a multiple of dim")

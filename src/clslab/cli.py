@@ -74,6 +74,11 @@ def _print_vertices(trace) -> None:
         print(f"vertex y=({v.y}) s=({v.s}) z={lcp.format_rational(v.z)}", flush=True)
 
 
+def _print_steps(trace) -> None:
+    for x, v in trace:
+        print(f"step {x} {v}", flush=True)
+
+
 def cmd_solve_lcp(args) -> int:
     inst = lcp.load_lcp(_read(args.file), paper_sign=args.paper_sign)
     try:
@@ -140,10 +145,7 @@ def cmd_reduce(args) -> int:
             if args.out:
                 Path(args.out).write_text(sol_line + "\n")
             return EXIT_OK
-        if target.n <= 16:
-            _write_or_print(lines.dump_line_table(target), args.out)
-        else:
-            _write_or_print(f"PROCEDURAL {kind}\n" + text, args.out)
+        _write_or_print(_reduced_line_text(target, kind, text), args.out)
         return EXIT_OK
     problem = circuits.load_problem(text)
     if kind == "gc-clo":
@@ -175,13 +177,11 @@ def cmd_follow(args) -> int:
         sol, trace = lines.follow_line(inst, max_steps)
     except BudgetExceededError as exc:
         if args.trace:
-            for x, v in exc.trace:
-                print(f"step {x} {v}", flush=True)
+            _print_steps(exc.trace)
         print(f"budget exhausted after {max_steps} steps")
         return EXIT_VERIFY_FAIL
     if args.trace:
-        for x, v in trace:
-            print(f"step {x} {v}", flush=True)
+        _print_steps(trace)
     print(lines.format_line_solution(sol))
     return EXIT_OK
 
@@ -193,59 +193,25 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _verify_lcp(inst_text: str, sol_line: str) -> tuple[bool, str]:
-    inst = lcp.load_lcp(inst_text)
-    outcome = lcp.parse_outcome(sol_line)
-    if isinstance(outcome, lcp.Q1):
-        report = lcp.verify_lcp_solution(inst, outcome.y)
-        detail = (
-            f"y>=0 fails at {report.y_negative}; s>=0 fails at {report.s_negative}; "
-            f"complementarity fails at {report.not_complementary}"
-        )
-        return report.ok, "solution verifies" if report.ok else detail
-    minor = lcp.principal_minor(inst.m, outcome.index_set)
-    if minor != outcome.minor:
-        return False, f"stated minor {outcome.minor} recomputes to {minor}"
-    if minor > 0:
-        return False, f"minor {minor} is positive"
-    return True, f"index set has minor {minor} <= 0"
-
-
-def _verify_line(problem: str, inst, sol) -> tuple[bool, str]:
-    checks = {
-        "R1": lambda: (inst.S(inst.P(sol.x)) != sol.x and not sol.x.is_zero())
-        or inst.P(inst.S(sol.x)) != sol.x,
-        "R2": lambda: sol.x != inst.S(sol.x)
-        and inst.P(inst.S(sol.x)) == sol.x
-        and inst.V(inst.S(sol.x)) - inst.V(sol.x) <= 0,
-        "T1": lambda: (inst.S(inst.P(sol.x)) != sol.x and not sol.x.is_zero())
-        or inst.P(inst.S(sol.x)) != sol.x,
-        "T2": lambda: not sol.x.is_zero() and inst.V(sol.x) == 1,
-        "T3": lambda: (
-            inst.V(sol.x) > 0 and inst.V(inst.S(sol.x)) - inst.V(sol.x) != 1
-        )
-        or (inst.V(sol.x) > 1 and inst.V(sol.x) - inst.V(inst.P(sol.x)) != 1),
-    }
-    tag = type(sol).__name__
-    expected = {"eopl": ("R1", "R2"), "eoml": ("T1", "T2", "T3")}[problem]
-    if tag not in expected:
-        raise ParseError(f"{tag} is not a {problem} solution tag")
-    ok = checks[tag]()
-    return ok, f"{tag} condition {'holds' if ok else 'fails'} at {sol.x}"
-
-
 def cmd_verify(args) -> int:
     inst_text = _read(args.instance)
-    sol_line = _read(args.solution).strip().splitlines()[0]
+    sol_text = _read(args.solution).strip()
+    if not sol_text:
+        raise ParseError("empty solution file")
+    sol_line = sol_text.splitlines()[0]
     if args.problem == "lcp":
-        ok, detail = _verify_lcp(inst_text, sol_line)
+        ok, detail = lcp.check_outcome(lcp.load_lcp(inst_text), lcp.parse_outcome(sol_line))
     elif args.problem in ("eopl", "eoml"):
         inst = _load_line_instance(inst_text)
         want = lines.EoplInstance if args.problem == "eopl" else lines.EomlInstance
         if not isinstance(inst, want):
             raise ParseError(f"instance file is not a {args.problem} instance")
         sol = lines.parse_line_solution(sol_line)
-        ok, detail = _verify_line(args.problem, inst, sol)
+        tag = type(sol).__name__
+        if tag not in (lines.EOPL_TAGS if args.problem == "eopl" else lines.EOML_TAGS):
+            raise ParseError(f"{tag} is not a {args.problem} solution tag")
+        ok = lines.tag_holds(inst, tag, sol.x)
+        detail = f"{tag} condition {'holds' if ok else 'fails'} at {sol.x}"
     elif args.problem in ("clo", "contraction", "mmc"):
         inst = circuits.load_problem(inst_text)
         expected = {
@@ -282,36 +248,27 @@ def cmd_pipeline(args) -> int:
     budget = 2 ** target.n + 1 if args.budget is None else args.budget
     sol, trace = lines.follow_line(target, budget)
     if args.trace:
-        for x, v in trace:
-            print(f"step {x} {v}", flush=True)
+        _print_steps(trace)
     mapped = reductions.eopl_sol_to_plcp(inst, sol.x)
+    reduced = lcp.format_outcome(mapped)
     print(f"direct:  {lcp.format_outcome(direct.outcome)}")
-    print(f"reduced: {lcp.format_outcome(mapped)}")
-
-    def emit_certificate():
-        cert = reductions.issue_certificate(
-            source_problem="plcp",
-            target_problem="eopl",
-            forward_map=f"pivot-path line over {target.n}-bit configs",
-            back_mapped_solution=lcp.format_outcome(mapped),
-            verified=True,
-        )
-        sys.stdout.write(reductions.format_certificate(cert))
-
+    print(f"reduced: {reduced}")
+    certificate = reductions.format_certificate(
+        "plcp", "eopl", f"pivot-path line over {target.n}-bit configs", reduced
+    )
     if isinstance(direct.outcome, lcp.Q1) and isinstance(mapped, lcp.Q1):
         if direct.outcome.y == mapped.y:
             print("agreement: exact")
-            emit_certificate()
+            sys.stdout.write(certificate)
             return EXIT_OK
         print("agreement: FAILED (distinct solution vectors)")
         return EXIT_INVARIANT
     if isinstance(direct.outcome, lcp.Q2) and isinstance(mapped, lcp.Q2):
-        for out in (direct.outcome, mapped):
-            if lcp.principal_minor(inst.m, out.index_set) > 0:
-                print("agreement: FAILED (witness does not re-verify)")
-                return EXIT_INVARIANT
+        if not all(lcp.check_outcome(inst, out)[0] for out in (direct.outcome, mapped)):
+            print("agreement: FAILED (witness does not re-verify)")
+            return EXIT_INVARIANT
         print("agreement: both witnesses verified")
-        emit_certificate()
+        sys.stdout.write(certificate)
         return EXIT_OK
     print("agreement: FAILED (mixed outcome kinds)")
     return EXIT_INVARIANT

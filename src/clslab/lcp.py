@@ -37,6 +37,7 @@ from .qlinalg import (
     _scaled_int_rows,
     data_lines,
     format_rational,
+    integer,
     principal_minor,
     rational,
     solve_columns,
@@ -392,6 +393,28 @@ def verify_lcp_solution(inst: LcpInstance, y: QVector) -> LcpSolutionReport:
     )
 
 
+def check_outcome(inst: LcpInstance, outcome: LcpOutcome) -> tuple[bool, str]:
+    """Whether a stated Q1 or Q2 outcome holds on ``inst``, and why.
+
+    Q1 must pass :func:`verify_lcp_solution`; Q2's minor is recomputed and
+    must equal the stated one and be <= 0.
+    """
+    if isinstance(outcome, Q1):
+        report = verify_lcp_solution(inst, outcome.y)
+        if report.ok:
+            return True, "solution verifies"
+        return False, (
+            f"y>=0 fails at {report.y_negative}; s>=0 fails at {report.s_negative}; "
+            f"complementarity fails at {report.not_complementary}"
+        )
+    minor = principal_minor(inst.m, outcome.index_set)
+    if minor != outcome.minor:
+        return False, f"stated minor {outcome.minor} recomputes to {minor}"
+    if minor > 0:
+        return False, f"minor {minor} is positive"
+    return True, f"index set has minor {minor} <= 0"
+
+
 def _subsets_lex(d: int):
     """Nonempty subsets of 1..d in lexicographic order of their sorted tuples."""
     return sorted(
@@ -539,10 +562,7 @@ def load_lcp(text: str, paper_sign: bool = False) -> LcpInstance:
     lines = data_lines(text)
     if not lines:
         raise ParseError("empty instance file")
-    try:
-        d = int(lines[0][1])
-    except ValueError as exc:
-        raise ParseError(f"line {lines[0][0]}: bad dimension {lines[0][1]!r}") from exc
+    d = integer(lines[0][1])
     if d < 1 or len(lines) != d + 2:
         raise ParseError(f"expected {d + 2} data lines for d={d}, got {len(lines)}")
     rows = []
@@ -590,6 +610,6 @@ def parse_outcome(line: str) -> LcpOutcome:
         fields = dict(p.split("=", 1) for p in parts[1:] if "=" in p)
         if "S" not in fields or "minor" not in fields:
             raise ParseError(f"malformed Q2 line: {line!r}")
-        idx = frozenset(int(tok) for tok in fields["S"].strip("{}").split(",") if tok)
+        idx = frozenset(integer(tok) for tok in fields["S"].strip("{}").split(",") if tok)
         return Q2(idx, rational(fields["minor"]))
     raise ParseError(f"unknown outcome tag {parts[0]!r}")

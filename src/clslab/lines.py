@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .qlinalg import data_lines
+from .qlinalg import data_lines, integer
 
 
 @dataclass(frozen=True)
@@ -181,30 +181,76 @@ class T3:
 EoplSolution = Union[R1, R2]
 EomlSolution = Union[T1, T2, T3]
 LineSolution = Union[EoplSolution, EomlSolution]
+_SOL_TAGS = {"R1": R1, "R2": R2, "T1": T1, "T2": T2, "T3": T3}
+
+
+class _Memo:
+    """An instance's oracles, answering a repeated question from memory.
+
+    A classifier tries the tags of a kind in turn on one of these per config,
+    so each oracle is asked each question at most once: S(x) once, however
+    many predicates read it.
+    """
+
+    def __init__(self, inst: LineInstance):
+        self.inst, self.seen = inst, {}
+
+    def _ask(self, oracle: str, y: BitConfig):
+        key = (oracle, y)
+        if key not in self.seen:
+            self.seen[key] = getattr(self.inst, oracle)(y)
+        return self.seen[key]
+
+    def S(self, y: BitConfig) -> BitConfig:
+        return self._ask("S", y)
+
+    def P(self, y: BitConfig) -> BitConfig:
+        return self._ask("P", y)
+
+    def V(self, y: BitConfig) -> int:
+        return self._ask("V", y)
+
+
+def _broken_end(o: _Memo, x: BitConfig) -> bool:
+    return (o.S(o.P(x)) != x and not x.is_zero()) or o.P(o.S(x)) != x
+
+
+# The solution predicates, one per tag.  R1 and T1 are both a broken line end;
+# R2 is a potential that fails to climb along a valid edge, T2 a second start
+# (odometer 1 at a config other than 0^n), T3 an odometer that skips a count.
+PREDICATES: dict[str, Callable[[_Memo, BitConfig], bool]] = {
+    "R1": _broken_end,
+    "R2": lambda o, x: x != o.S(x) and o.P(o.S(x)) == x and o.V(o.S(x)) - o.V(x) <= 0,
+    "T1": _broken_end,
+    "T2": lambda o, x: not x.is_zero() and o.V(x) == 1,
+    "T3": lambda o, x: (o.V(x) > 0 and o.V(o.S(x)) - o.V(x) != 1)
+    or (o.V(x) > 1 and o.V(x) - o.V(o.P(x)) != 1),
+}
+EOPL_TAGS = ("R1", "R2")
+EOML_TAGS = ("T1", "T2", "T3")
+
+
+def tag_holds(inst: LineInstance, tag: str, x: BitConfig) -> bool:
+    """Whether x satisfies the solution predicate of ``tag`` on its own."""
+    return PREDICATES[tag](_Memo(inst), x)
+
+
+def _classify(inst: LineInstance, x: BitConfig, tags: tuple[str, ...]) -> Optional[LineSolution]:
+    memo = _Memo(inst)
+    for tag in tags:
+        if PREDICATES[tag](memo, x):
+            return _SOL_TAGS[tag](x)
+    return None
 
 
 def eopl_verify(inst: EoplInstance, x: BitConfig) -> Optional[EoplSolution]:
     """Classify x as R1 (broken line end) or R2 (potential non-increase), R1 first."""
-    zero = BitConfig.zeros(inst.n)
-    sx = inst.S(x)
-    if (inst.S(inst.P(x)) != x and x != zero) or inst.P(sx) != x:
-        return R1(x)
-    if x != sx and inst.P(sx) == x and inst.V(sx) - inst.V(x) <= 0:
-        return R2(x)
-    return None
+    return _classify(inst, x, EOPL_TAGS)
 
 
 def eoml_verify(inst: EomlInstance, x: BitConfig) -> Optional[EomlSolution]:
     """Classify x as T1, T2, or T3, in that priority order."""
-    zero = BitConfig.zeros(inst.n)
-    if (inst.S(inst.P(x)) != x and x != zero) or inst.P(inst.S(x)) != x:
-        return T1(x)
-    vx = inst.V(x)
-    if x != zero and vx == 1:
-        return T2(x)
-    if (vx > 0 and inst.V(inst.S(x)) - vx != 1) or (vx > 1 and vx - inst.V(inst.P(x)) != 1):
-        return T3(x)
-    return None
+    return _classify(inst, x, EOML_TAGS)
 
 
 def verify_solution(inst: LineInstance, x: BitConfig) -> Optional[LineSolution]:
@@ -301,13 +347,15 @@ def load_line_table(text: str) -> LineInstance:
         raise ParseError("empty instance file")
     head = lines[0][1].split()
     if head[0] == "EOPL" and len(head) == 3:
-        kind, n, m = "EOPL", int(head[1]), int(head[2])
+        kind, n, m = "EOPL", integer(head[1]), integer(head[2])
     elif head[0] == "EOML" and len(head) == 2:
-        kind, n, m = "EOML", int(head[1]), None
+        kind, n, m = "EOML", integer(head[1]), None
     else:
         raise ParseError(f"line {lines[0][0]}: bad header {lines[0][1]!r}")
     if n < 1 or n > 20:
         raise ParseError(f"width {n} out of range")
+    if m is not None and m < 0:
+        raise ParseError(f"potential width {m} is negative")
     s, p, v = {}, {}, {}
     if len(lines) - 1 != 1 << n:
         raise ParseError(f"expected {1 << n} table rows, got {len(lines) - 1}")
@@ -320,7 +368,7 @@ def load_line_table(text: str) -> LineInstance:
             raise ParseError(f"line {num}: row width mismatch")
         s[x] = BitConfig.from_string(parts[1])
         p[x] = BitConfig.from_string(parts[2])
-        v[x] = int(parts[3])
+        v[x] = integer(parts[3])
     return table_instance(kind, n, s, p, v, m)
 
 
@@ -335,9 +383,6 @@ def dump_line_table(inst: LineInstance) -> str:
     for x in all_configs(inst.n):
         lines.append(f"{x} {inst.S(x)} {inst.P(x)} {inst.V(x)}")
     return "\n".join(lines) + "\n"
-
-
-_SOL_TAGS = {"R1": R1, "R2": R2, "T1": T1, "T2": T2, "T3": T3}
 
 
 def format_line_solution(sol: LineSolution) -> str:

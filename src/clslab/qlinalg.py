@@ -4,8 +4,7 @@ Scalars are ``fractions.Fraction`` values; they are kept in canonical form
 (positive denominator, gcd-reduced) by the stdlib after every operation, so
 equality is structural and nothing ever rounds.  Determinants run through
 fraction-free (Bareiss) elimination on row-scaled integer data, which keeps
-intermediate growth polynomial; a cofactor-expansion determinant is kept
-around as an independent cross-check for tests.
+intermediate growth polynomial.
 """
 
 from __future__ import annotations
@@ -33,6 +32,14 @@ def rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational: {value!r}") from exc
     raise ParseError(f"not a rational: {value!r}")
+
+
+def integer(text: str) -> int:
+    """Parse a base-10 integer token; anything else is a ParseError."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(f"not an integer: {text!r}") from exc
 
 
 def format_rational(x: Fraction) -> str:
@@ -197,26 +204,6 @@ def mat_det(a: QMatrix) -> Fraction:
     for s in scales:
         scale_product *= s
     return Fraction(sign * rows[n - 1][n - 1], scale_product)
-
-
-def det_cofactor(a: QMatrix) -> Fraction:
-    """Determinant by cofactor expansion; independent oracle for small matrices."""
-    if not a.is_square:
-        raise DimensionError("determinant needs a square matrix")
-    n = a.rows
-    if n == 0:
-        return Q(1)
-    if n == 1:
-        return a.entries[0][0]
-    total = Q(0)
-    rest = a.entries[1:]
-    for j, head in enumerate(a.entries[0]):
-        if head == 0:
-            continue
-        minor = QMatrix(tuple(tuple(r[k] for k in range(n) if k != j) for r in rest))
-        term = head * det_cofactor(minor)
-        total += term if j % 2 == 0 else -term
-    return total
 
 
 def solve_columns(a: QMatrix, columns: Sequence[Sequence[Fraction]]) -> Optional[list[list[Fraction]]]:

@@ -1,6 +1,6 @@
 """Instance transformers and solution back-mappers between the lab's problems."""
 
-from .certificate import ReductionCertificate, format_certificate, issue_certificate
+from .certificate import format_certificate
 from .contraction import (
     clo_sol_to_contraction,
     clo_sol_to_gc,
@@ -29,9 +29,7 @@ from .lines import (
 )
 
 __all__ = [
-    "ReductionCertificate",
     "format_certificate",
-    "issue_certificate",
     "PlcpEoplContext",
     "make_context",
     "is_valid_config",

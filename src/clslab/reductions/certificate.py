@@ -1,53 +1,20 @@
-"""Round-trip certificates for reductions: issued only on verified back-maps."""
+"""The round-trip certificate printed once a back-mapped solution checks out."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from ..errors import InvariantViolationError
+def format_certificate(source: str, target: str, forward: str, solution: str) -> str:
+    """Six lines naming both problems, the forward map and the back-mapped solution.
 
-
-@dataclass(frozen=True)
-class ReductionCertificate:
-    source_problem: str
-    target_problem: str
-    forward_map: str
-    back_mapped_solution: str
-    verdict: str  # always "pass": failed round trips raise instead
-
-    def __post_init__(self):
-        if self.verdict != "pass":
-            raise InvariantViolationError("certificates are only issued on verified round trips")
-
-
-def issue_certificate(
-    source_problem: str,
-    target_problem: str,
-    forward_map: str,
-    back_mapped_solution: str,
-    verified: bool,
-) -> ReductionCertificate:
-    if not verified:
-        raise InvariantViolationError(
-            f"back-map {source_problem} <- {target_problem} failed verification"
-        )
-    return ReductionCertificate(
-        source_problem=source_problem,
-        target_problem=target_problem,
-        forward_map=forward_map,
-        back_mapped_solution=back_mapped_solution,
-        verdict="pass",
-    )
-
-
-def format_certificate(cert: ReductionCertificate) -> str:
+    Print it only after the back-mapped solution has passed its check on the source.
+    """
     return "\n".join(
         [
             "CERTIFICATE",
-            f"source: {cert.source_problem}",
-            f"target: {cert.target_problem}",
-            f"forward: {cert.forward_map}",
-            f"solution: {cert.back_mapped_solution}",
-            f"verdict: {cert.verdict}",
+            f"source: {source}",
+            f"target: {target}",
+            f"forward: {forward}",
+            f"solution: {solution}",
+            "verdict: pass",
         ]
     ) + "\n"

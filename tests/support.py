@@ -11,6 +11,7 @@ from clslab import (
     CloInstance,
     ContractionInstance,
     DegeneracyError,
+    DimensionError,
     INF,
     LcpInstance,
     MmcInstance,
@@ -21,7 +22,7 @@ from clslab import (
 )
 from clslab.circuits import identity_circuit, norm_distance_circuit
 from clslab.lcp import Q1, Q2
-from clslab.lines import BitConfig, all_configs, table_instance
+from clslab.lines import BitConfig, all_configs, load_line_table, table_instance
 from clslab.qlinalg import solve_columns
 from clslab.reductions.lcp_line import (
     is_valid_config,
@@ -32,6 +33,26 @@ from clslab.reductions.lcp_line import (
 )
 
 bits = BitConfig.from_string
+
+
+def det_cofactor(a: QMatrix) -> F:
+    """Determinant by cofactor expansion; independent oracle for small matrices."""
+    if not a.is_square:
+        raise DimensionError("determinant needs a square matrix")
+    n = a.rows
+    if n == 0:
+        return F(1)
+    if n == 1:
+        return a.entries[0][0]
+    total = F(0)
+    rest = a.entries[1:]
+    for j, head in enumerate(a.entries[0]):
+        if head == 0:
+            continue
+        minor = QMatrix(tuple(tuple(r[k] for k in range(n) if k != j) for r in rest))
+        term = head * det_cofactor(minor)
+        total += term if j % 2 == 0 else -term
+    return total
 
 
 def make_lcp(rows, q) -> LcpInstance:
@@ -233,6 +254,61 @@ def gen_eopl_monotone(rng: random.Random, n: int, m: int):
         extra_len = rng.randint(2, min(3, len(rest) - used))
         lay_path(rest[used : used + extra_len], rng.randint(1, 4))
     return table_instance("EOPL", n, s, p, v, m)
+
+
+# ----------------------------------------------------------------------------
+# hand-built line tables
+
+EOML_TABLE = "EOML 2\n00 01 00 1\n01 10 00 2\n10 10 01 3\n11 11 11 0\n"
+EOPL_TABLE = "EOPL 2 2\n00 01 00 0\n01 10 00 1\n10 10 01 2\n11 11 11 0\n"
+TRIVIAL_EOPL = "EOPL 1 2\n0 1 0 0\n1 1 0 1\n"
+
+
+def two_bit_path(kind, vals, m=None):
+    """00 -> 01 -> 10, everything else a self loop."""
+    cfgs = list(all_configs(2))
+    s = {c: c for c in cfgs}
+    p = {c: c for c in cfgs}
+    path = [bits("00"), bits("01"), bits("10")]
+    for a, b in zip(path, path[1:]):
+        s[a] = b
+        p[b] = a
+    v = dict(zip(path, vals))
+    v[bits("11")] = 0
+    return table_instance(kind, 2, s, p, v, m)
+
+
+def single_edge(v01: int):
+    """One edge 00 -> 01 out of the start with V(01) = v01, everything else a self loop."""
+    cfgs = list(all_configs(2))
+    s = {c: c for c in cfgs}
+    p = {c: c for c in cfgs}
+    v = {c: 0 for c in cfgs}
+    s[bits("00")] = bits("01")
+    p[bits("01")] = bits("00")
+    v[bits("01")] = v01
+    return table_instance("EOPL", 2, s, p, v, 2)
+
+
+def hand_built_line_tables() -> list:
+    """Every hand-built line instance of the line and CLI tests."""
+    cfgs = list(all_configs(2))
+    loops = {c: c for c in cfgs}
+    return [
+        two_bit_path("EOPL", [0, 1, 2], m=2),
+        two_bit_path("EOPL", [0, 1, 1], m=2),
+        two_bit_path("EOPL", [0, 0, 2], m=2),
+        two_bit_path("EOPL", [1, 2, 3], m=2),
+        two_bit_path("EOML", [1, 2, 3]),
+        two_bit_path("EOML", [1, 1, 3]),
+        two_bit_path("EOML", [1, 2, 4]),
+        single_edge(1),
+        single_edge(0),
+        table_instance("EOPL", 2, loops, loops, {c: 0 for c in cfgs}, 2),
+        load_line_table(EOML_TABLE),
+        load_line_table(EOPL_TABLE),
+        load_line_table(TRIVIAL_EOPL),
+    ]
 
 
 # ----------------------------------------------------------------------------

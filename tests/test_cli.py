@@ -1,5 +1,18 @@
+import re
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from clslab.cli import main
-from clslab.lines import all_configs, load_line_table
+from clslab.lines import (
+    EOML_TAGS,
+    EOPL_TAGS,
+    EoplInstance,
+    all_configs,
+    dump_line_table,
+    load_line_table,
+    tag_holds,
+)
+from support import EOML_TABLE, EOPL_TABLE, TRIVIAL_EOPL, hand_built_line_tables
 
 
 def write(tmp_path, name, text):
@@ -13,15 +26,13 @@ DIAG_LCP = "2\n2 0\n0 3\n-4 -6\n"
 NONNEG_LCP = "2\n2 0\n0 3\n3 1\n"
 DEGENERATE_LCP = "2\n1 0\n0 1\n-1 -1\n"
 NONP_LCP = "1\n0\n-1\n"
-EOML_TABLE = "\n".join(
-    [
-        "EOML 2",
-        "00 01 00 1",
-        "01 10 00 2",
-        "10 10 01 3",
-        "11 11 11 0",
-    ]
-) + "\n"
+CONTRACTION_TEXT = "CONTRACTION dim=1 r=1 eps=1/4 c=1/2 delta=1/2\nARITH 1 2 1\nCONST 1/2\nMUL 0 1\n2\n"
+CLO_TEXT = "CLO dim=1 r=1 eps=1/4 lambda=1\nARITH 1 2 1\nCONST 1/2\nMUL 0 1\n2\nARITH 1 0 1\n0\n"
+MMC_TEXT = (
+    "MMC dim=1 r=1 eps=1/4 c=1/2 delta_d=1 lambda=1\n"
+    "ARITH 1 2 1\nCONST 1/2\nMUL 0 1\n2\n"
+    "ARITH 2 3 1\nSUB 0 1\nABS 2\nCONST 1\n3\n"
+)
 
 
 def test_solve_lcp_and_exit_codes(tmp_path, capsys):
@@ -129,11 +140,7 @@ def test_reduce_line_reductions(tmp_path, capsys):
     assert capsys.readouterr().out.strip().startswith("R")
 
     # the reverse construction on a trivial source prints its solution
-    trivial = write(
-        tmp_path,
-        "t.eopl",
-        "EOPL 1 2\n0 1 0 0\n1 1 0 1\n",
-    )
+    trivial = write(tmp_path, "t.eopl", TRIVIAL_EOPL)
     assert main(["reduce", "eopl-eoml", trivial, "-o", str(tmp_path / "t.eoml")]) == 0
     assert "immediate-solution" in capsys.readouterr().out
 
@@ -159,16 +166,7 @@ def test_reduce_circuit_chain(tmp_path, capsys):
     assert main(["reduce", "mmc-gc", out, "-o", str(tmp_path / "c.gc")]) == 0
     assert main(["reduce", "gc-clo", str(tmp_path / "c.gc"), "-o", str(tmp_path / "c2.clo")]) == 0
 
-    con_text = "\n".join(
-        [
-            "CONTRACTION dim=1 r=1 eps=1/4 c=1/2 delta=1/2",
-            "ARITH 1 2 1",
-            "CONST 1/2",
-            "MUL 0 1",
-            "2",
-        ]
-    ) + "\n"
-    src2 = write(tmp_path, "k.con", con_text)
+    src2 = write(tmp_path, "k.con", CONTRACTION_TEXT)
     assert main(["reduce", "contraction-clo", src2, "-o", str(tmp_path / "k.clo")]) == 0
     text = (tmp_path / "k.clo").read_text()
     assert "eps=1/4" in text and "lambda=3/2" in text
@@ -180,73 +178,40 @@ def test_verify_command(tmp_path, capsys):
     bad = write(tmp_path, "bad.sol", "Q1 2\n")
     assert main(["verify", "lcp", lcp_path, good]) == 0
     assert main(["verify", "lcp", lcp_path, bad]) == 1
+    nonp = write(tmp_path, "n.lcp", NONP_LCP)
+    capsys.readouterr()
+    for inst, claim, code, detail in (
+        (nonp, "Q2 S={1} minor=0", 0, "index set has minor 0 <= 0"),
+        (nonp, "Q2 S={1} minor=-1", 1, "stated minor -1 recomputes to 0"),
+        (lcp_path, "Q2 S={1} minor=1", 1, "minor 1 is positive"),
+    ):
+        assert main(["verify", "lcp", inst, write(tmp_path, "q2.sol", claim + "\n")]) == code
+        assert capsys.readouterr().out == detail + "\n"
 
-    eopl = write(
-        tmp_path,
-        "p.eopl",
-        "EOPL 2 2\n00 01 00 0\n01 10 00 1\n10 10 01 2\n11 11 11 0\n",
-    )
+    eopl = write(tmp_path, "p.eopl", EOPL_TABLE)
     assert main(["verify", "eopl", eopl, write(tmp_path, "r1.sol", "R1 10\n")]) == 0
     assert main(["verify", "eopl", eopl, write(tmp_path, "r2.sol", "R2 10\n")]) == 1
     assert main(["verify", "eoml", write(tmp_path, "m.eoml", EOML_TABLE),
                  write(tmp_path, "t1.sol", "T1 10\n")]) == 0
 
-    mmc_text = "\n".join(
-        [
-            "MMC dim=1 r=1 eps=1/4 c=1/2 delta_d=1 lambda=1",
-            "ARITH 1 2 1",
-            "CONST 1/2",
-            "MUL 0 1",
-            "2",
-            "ARITH 2 3 1",
-            "SUB 0 1",
-            "ABS 2",
-            "CONST 1",
-            "3",
-        ]
-    ) + "\n"
-    mmc = write(tmp_path, "i.mmc", mmc_text)
+    mmc = write(tmp_path, "i.mmc", MMC_TEXT)
     # the distance is a metric, so a triangle-violation claim must fail
     viol = write(tmp_path, "v.sol", "MMVIOL 4 0 1/2 1\n")
     assert main(["verify", "mmc", mmc, viol]) == 1
     good_m1 = write(tmp_path, "m1.sol", "M1 1/4\n")
     assert main(["verify", "mmc", mmc, good_m1]) == 0
 
-    con_text = "\n".join(
-        [
-            "CONTRACTION dim=1 r=1 eps=1/4 c=1/2 delta=1/2",
-            "ARITH 1 2 1",
-            "CONST 1/2",
-            "MUL 0 1",
-            "2",
-        ]
-    ) + "\n"
-    con = write(tmp_path, "h.con", con_text)
+    con = write(tmp_path, "h.con", CONTRACTION_TEXT)
     assert main(["verify", "contraction", con, write(tmp_path, "cm1.sol", "CM1 1/2\n")]) == 0
     assert main(["verify", "contraction", con, write(tmp_path, "cm2.sol", "CM2 0 1\n")]) == 1
 
-    clo_text = "\n".join(
-        [
-            "CLO dim=1 r=1 eps=1/4 lambda=1",
-            "ARITH 1 2 1",
-            "CONST 1/2",
-            "MUL 0 1",
-            "2",
-            "ARITH 1 0 1",
-            "0",
-        ]
-    ) + "\n"
-    clo = write(tmp_path, "h.clo", clo_text)
+    clo = write(tmp_path, "h.clo", CLO_TEXT)
     assert main(["verify", "clo", clo, write(tmp_path, "c1.sol", "C1 1/4\n")]) == 0
     assert main(["verify", "clo", clo, write(tmp_path, "c2a.sol", "C2a 0 1\n")]) == 1
 
 
 def test_enumerate_command(tmp_path, capsys):
-    eopl = write(
-        tmp_path,
-        "p.eopl",
-        "EOPL 2 2\n00 01 00 0\n01 10 00 1\n10 10 01 2\n11 11 11 0\n",
-    )
+    eopl = write(tmp_path, "p.eopl", EOPL_TABLE)
     assert main(["enumerate", eopl]) == 0
     assert capsys.readouterr().out.strip() == "R1 10"
 
@@ -255,3 +220,99 @@ def test_usage_errors(tmp_path):
     assert main(["reduce", "nope", "x"]) == 4
     assert main(["verify", "lcp", "missing", "missing"]) == 4
     assert main([]) == 4
+
+
+def test_verify_exit_code_is_the_tag_predicate(tmp_path, capsys):
+    for k, inst in enumerate(hand_built_line_tables()):
+        kind, tags = ("eopl", EOPL_TAGS) if isinstance(inst, EoplInstance) else ("eoml", EOML_TAGS)
+        path = write(tmp_path, f"{k}.{kind}", dump_line_table(inst))
+        for x in all_configs(inst.n):
+            for tag in tags:
+                holds = tag_holds(inst, tag, x)
+                code = main(["verify", kind, path, write(tmp_path, "x.sol", f"{tag} {x}\n")])
+                assert code == (0 if holds else 1), (k, tag, x)
+                verdict = "holds" if holds else "fails"
+                assert capsys.readouterr().out == f"{tag} condition {verdict} at {x}\n"
+            other = EOML_TAGS[0] if kind == "eopl" else EOPL_TAGS[0]
+            assert main(["verify", kind, path, write(tmp_path, "x.sol", f"{other} {x}\n")]) == 4
+
+
+def test_malformed_integer_tokens_exit_4(tmp_path, capsys):
+    assert main(["follow", write(tmp_path, "a.eopl", EOPL_TABLE.replace("EOPL 2 2", "EOPL a 2"))]) == 4
+    assert main(["follow", write(tmp_path, "v.eopl", EOPL_TABLE.replace("01 10 00 1", "01 10 00 one"))]) == 4
+    assert main(["follow", write(tmp_path, "m.eopl", EOPL_TABLE.replace("EOPL 2 2", "EOPL 2 -1"))]) == 4
+    bad_head = CONTRACTION_TEXT.replace("ARITH 1 2 1", "ARITH x 2 1")
+    assert main(["reduce", "contraction-clo", write(tmp_path, "h.con", bad_head)]) == 4
+    bad_dim = CONTRACTION_TEXT.replace("dim=1", "dim=one")
+    assert main(["reduce", "contraction-clo", write(tmp_path, "d.con", bad_dim)]) == 4
+    con = write(tmp_path, "k.con", CONTRACTION_TEXT)
+    assert main(["verify", "contraction", con, write(tmp_path, "v.sol", "MMVIOL x 0 1\n")]) == 4
+    assert main(["verify", "contraction", con, write(tmp_path, "w.sol", "MMVIOL\n")]) == 4
+    lcp_path = write(tmp_path, "a.lcp", D1_LCP)
+    assert main(["verify", "lcp", lcp_path, write(tmp_path, "q2.sol", "Q2 S={1,b} minor=0\n")]) == 4
+    assert main(["solve-lcp", write(tmp_path, "b.lcp", "two\n1 0\n0 1\n-1 -1\n")]) == 4
+    assert "not an integer: 'two'" in capsys.readouterr().err
+
+
+def test_out_of_range_gate_operand_exits_4(tmp_path, capsys):
+    bad_gate = CONTRACTION_TEXT.replace("MUL 0 1", "ADD 0 5")
+    assert main(["reduce", "contraction-clo", write(tmp_path, "g.con", bad_gate)]) == 4
+    assert "circuit at line 2: bad ADD gate at 1" in capsys.readouterr().err
+    bad_out = CONTRACTION_TEXT.replace("MUL 0 1\n2\n", "MUL 0 1\n3\n")
+    assert main(["reduce", "contraction-clo", write(tmp_path, "o.con", bad_out)]) == 4
+    negative = CONTRACTION_TEXT.replace("ARITH 1 2 1", "ARITH 1 -2 1")
+    assert main(["reduce", "contraction-clo", write(tmp_path, "n.con", negative)]) == 4
+
+
+def test_empty_solution_file_exits_4(tmp_path, capsys):
+    inst = write(tmp_path, "m.eoml", EOML_TABLE)
+    assert main(["verify", "eoml", inst, "/dev/null"]) == 4
+    assert main(["verify", "eoml", inst, write(tmp_path, "blank.sol", "\n  \n")]) == 4
+    assert "empty solution file" in capsys.readouterr().err
+
+
+# One command per fixture file kind; each file is a valid input as written.
+MUTATION_CASES = [
+    (["solve-lcp", "A"], {"A": DIAG_LCP}),
+    (["check-pmatrix", "A"], {"A": NONP_LCP}),
+    (["pipeline", "plcp", "A"], {"A": DIAG_LCP}),
+    (["reduce", "plcp-eopl", "A"], {"A": D1_LCP}),
+    (["verify", "lcp", "A", "B"], {"A": DIAG_LCP, "B": "Q1 2 2\n"}),
+    (["verify", "lcp", "A", "B"], {"A": NONP_LCP, "B": "Q2 S={1} minor=0\n"}),
+    (["follow", "A"], {"A": EOML_TABLE}),
+    (["enumerate", "A"], {"A": EOPL_TABLE}),
+    (["reduce", "eoml-eopl", "A"], {"A": EOML_TABLE}),
+    (["reduce", "eopl-eoml", "A"], {"A": EOPL_TABLE}),
+    (["verify", "eopl", "A", "B"], {"A": EOPL_TABLE, "B": "R1 10\n"}),
+    (["verify", "eoml", "A", "B"], {"A": EOML_TABLE, "B": "T1 10\n"}),
+    (["reduce", "clo-mmc", "A"], {"A": CLO_TEXT}),
+    (["reduce", "contraction-clo", "A"], {"A": CONTRACTION_TEXT}),
+    (["reduce", "mmc-gc", "A"], {"A": MMC_TEXT}),
+    (["verify", "clo", "A", "B"], {"A": CLO_TEXT, "B": "C2a 0 1\n"}),
+    (["verify", "contraction", "A", "B"], {"A": CONTRACTION_TEXT, "B": "CM1 1/2\n"}),
+    (["verify", "mmc", "A", "B"], {"A": MMC_TEXT, "B": "MMVIOL 4 0 1/2 1\n"}),
+]
+NON_INTEGERS = ["x", "1.5", "1/2", "--1", "1e3", "0x10", "#"]
+OUT_OF_RANGE = ["-1", "0", "2", "7", "99", "-99", "100000"]
+TOKEN = re.compile(r"[^\s=,{}]+")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    case=st.integers(0, len(MUTATION_CASES) - 1),
+    which=st.integers(0, 1),
+    pick=st.integers(0, 10**6),
+    token=st.sampled_from(NON_INTEGERS + OUT_OF_RANGE),
+)
+def test_one_bad_token_never_raises(tmp_path_factory, case, which, pick, token):
+    argv, files = MUTATION_CASES[case]
+    name = sorted(files)[which % len(files)]
+    spans = [m.span() for m in TOKEN.finditer(files[name])]
+    start, end = spans[pick % len(spans)]
+    texts = dict(files, **{name: files[name][:start] + token + files[name][end:]})
+    base = tmp_path_factory.mktemp("mutated")
+    paths = {}
+    for key, text in texts.items():
+        paths[key] = str(base / key)
+        (base / key).write_text(text)
+    assert main([paths.get(arg, arg) for arg in argv]) in (0, 1, 2, 3, 4)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,30 +18,30 @@ from clslab import (
     validate_instance,
 )
 from clslab.lines import (
+    EOML_TAGS,
+    EOPL_TAGS,
     BitConfig,
+    EomlInstance,
+    EoplInstance,
     all_configs,
     dump_line_table,
     format_line_solution,
     load_line_table,
     parse_line_solution,
     table_instance,
+    tag_holds,
     verify_solution,
 )
-from support import bits, gen_eoml_path, gen_eoml_random
-
-
-def two_bit_path(kind, vals, m=None):
-    """00 -> 01 -> 10, everything else a self loop."""
-    cfgs = list(all_configs(2))
-    s = {c: c for c in cfgs}
-    p = {c: c for c in cfgs}
-    path = [bits("00"), bits("01"), bits("10")]
-    for a, b in zip(path, path[1:]):
-        s[a] = b
-        p[b] = a
-    v = dict(zip(path, vals))
-    v[bits("11")] = 0
-    return table_instance(kind, 2, s, p, v, m)
+from clslab.reductions import ImmediateSolution, eoml_to_eopl, eopl_to_eoml
+from support import (
+    bits,
+    gen_eoml_path,
+    gen_eoml_random,
+    gen_eopl_monotone,
+    hand_built_line_tables,
+    single_edge,
+    two_bit_path,
+)
 
 
 def test_eopl_verify_examples():
@@ -89,20 +90,8 @@ def test_enumerate_solutions_examples():
 def test_enumerate_single_edge_instance():
     # one real edge out of the start, everything else a self loop: the
     # solutions are exactly that edge's endpoints
-    cfgs = list(all_configs(2))
-    s = {c: c for c in cfgs}
-    p = {c: c for c in cfgs}
-    v = {c: 0 for c in cfgs}
-    s[bits("00")] = bits("01")
-    p[bits("01")] = bits("00")
-    v[bits("01")] = 1
-    inst = table_instance("EOPL", 2, s, p, v, 2)
-    sols = enumerate_solutions(inst)
-    assert sols == [R1(bits("01"))]
-    zero_v = dict(v)
-    zero_v[bits("01")] = 0
-    flat = table_instance("EOPL", 2, s, p, zero_v, 2)
-    assert enumerate_solutions(flat) == [R2(bits("00")), R1(bits("01"))]
+    assert enumerate_solutions(single_edge(1)) == [R1(bits("01"))]
+    assert enumerate_solutions(single_edge(0)) == [R2(bits("00")), R1(bits("01"))]
 
 
 def test_validate_instance_examples():
@@ -159,3 +148,107 @@ def test_bitconfig_helpers():
     assert str(a) == "01" and str(b) == "01"
     assert str(a.concat(b)) == "0101"
     assert BitConfig.zeros(3).is_zero()
+
+
+# The solution predicates typed out from their definitions, oracle call by
+# oracle call: an independent reference for the table in clslab.lines.
+REFERENCE = {
+    "R1": lambda inst, x: (inst.S(inst.P(x)) != x and not x.is_zero()) or inst.P(inst.S(x)) != x,
+    "R2": lambda inst, x: x != inst.S(x)
+    and inst.P(inst.S(x)) == x
+    and inst.V(inst.S(x)) - inst.V(x) <= 0,
+    "T1": lambda inst, x: (inst.S(inst.P(x)) != x and not x.is_zero()) or inst.P(inst.S(x)) != x,
+    "T2": lambda inst, x: not x.is_zero() and inst.V(x) == 1,
+    "T3": lambda inst, x: (inst.V(x) > 0 and inst.V(inst.S(x)) - inst.V(x) != 1)
+    or (inst.V(x) > 1 and inst.V(x) - inst.V(inst.P(x)) != 1),
+}
+TAG_TYPES = {"R1": R1, "R2": R2, "T1": T1, "T2": T2, "T3": T3}
+
+
+def inline_classifier(inst, x):
+    """The classifiers written with one inline expression per tag; their
+    oracle calls per config are the ceiling for the shared predicate table."""
+    zero = BitConfig.zeros(inst.n)
+    if isinstance(inst, EoplInstance):
+        sx = inst.S(x)
+        if (inst.S(inst.P(x)) != x and x != zero) or inst.P(sx) != x:
+            return R1(x)
+        if x != sx and inst.P(sx) == x and inst.V(sx) - inst.V(x) <= 0:
+            return R2(x)
+        return None
+    if (inst.S(inst.P(x)) != x and x != zero) or inst.P(inst.S(x)) != x:
+        return T1(x)
+    vx = inst.V(x)
+    if x != zero and vx == 1:
+        return T2(x)
+    if (vx > 0 and inst.V(inst.S(x)) - vx != 1) or (vx > 1 and vx - inst.V(inst.P(x)) != 1):
+        return T3(x)
+    return None
+
+
+def counted(inst):
+    """The same instance with oracles that count their calls into a Counter."""
+    calls = Counter()
+
+    def counting(name, oracle):
+        def call(x):
+            calls[name] += 1
+            return oracle(x)
+
+        return call
+
+    oracles = dict(s=counting("S", inst.s), p=counting("P", inst.p), v=counting("V", inst.v))
+    if isinstance(inst, EoplInstance):
+        return EoplInstance(n=inst.n, m=inst.m, **oracles), calls
+    return EomlInstance(n=inst.n, **oracles), calls
+
+
+def line_instances():
+    """Hand-built tables, random and path tables of both kinds, and reduced lines."""
+    rng = random.Random(13)
+    out = list(hand_built_line_tables())
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        out.append(gen_eoml_random(rng, n))
+        out.append(gen_eoml_path(rng, n))
+        out.append(gen_eopl_monotone(rng, n, rng.randint(2, 4)))
+        loose = gen_eoml_random(rng, n)
+        out.append(EoplInstance(n=n, m=n + 1, s=loose.s, p=loose.p, v=loose.v))
+    out.append(eoml_to_eopl(gen_eoml_path(rng, 3)))
+    for _ in range(8):
+        target = eopl_to_eoml(gen_eopl_monotone(rng, 2, 3))
+        if not isinstance(target, ImmediateSolution):
+            out.append(target)
+    return out
+
+
+def test_classifiers_pick_the_first_reference_tag_that_holds():
+    for inst in line_instances():
+        tags = EOPL_TAGS if isinstance(inst, EoplInstance) else EOML_TAGS
+        for x in all_configs(inst.n):
+            holding = [tag for tag in tags if REFERENCE[tag](inst, x)]
+            for tag in tags:
+                assert tag_holds(inst, tag, x) == (tag in holding), (tag, x)
+            want = TAG_TYPES[holding[0]](x) if holding else None
+            assert verify_solution(inst, x) == want == inline_classifier(inst, x)
+
+
+def test_classifiers_make_no_more_oracle_calls_than_inline_ones():
+    for inst in line_instances():
+        for x in all_configs(inst.n):
+            shared, shared_calls = counted(inst)
+            inline, inline_calls = counted(inst)
+            verify_solution(shared, x)
+            inline_classifier(inline, x)
+            for name in "SPV":
+                assert shared_calls[name] <= inline_calls[name], (name, x)
+    # a 16-config path: the most calls per config, by oracle
+    rng = random.Random(2)
+    for inst, ceiling in (
+        (gen_eopl_monotone(rng, 4, 5), {"S": 2, "P": 3, "V": 2}),
+        (gen_eoml_path(rng, 4, corrupt=False), {"S": 3, "P": 3, "V": 3}),
+    ):
+        for x in all_configs(4):
+            probe, calls = counted(inst)
+            verify_solution(probe, x)
+            assert all(calls[name] <= ceiling[name] for name in "SPV"), (x, calls)

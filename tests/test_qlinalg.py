@@ -8,13 +8,13 @@ from clslab import (
     ParseError,
     QMatrix,
     QVector,
-    det_cofactor,
     format_rational,
     mat_det,
     principal_minor,
     rational,
     solve_linear,
 )
+from support import det_cofactor
 
 small_fraction = st.fractions(
     min_value=-4, max_value=4, max_denominator=6

@@ -29,10 +29,8 @@ from clslab.reductions import (
     clo_sol_to_gc,
     clo_to_mmc,
     contraction_to_clo,
-    format_certificate,
     gc_sol_to_mmc,
     gc_to_clo,
-    issue_certificate,
     mmc_sol_to_clo,
     mmc_to_gc,
 )
@@ -266,14 +264,7 @@ def test_catalog_round_trips_with_certificates():
         clo = gc_to_clo(inst)
         sol, _ = clo_solve_iterate(clo, start)
         mapped = clo_sol_to_gc(inst, sol)
-        cert = issue_certificate(
-            "contraction-with-distance",
-            "local-opt",
-            "p(x) = d(f(x), x)",
-            repr(mapped),
-            bool(mmc_verify(inst, mapped)),
-        )
-        assert "verdict: pass" in format_certificate(cert)
+        assert mmc_verify(inst, mapped)
     for inst, start in clo_catalog():
         mmc = clo_to_mmc(inst)
         sol, _ = fixpoint_iterate(mmc, start)
