@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -167,11 +168,6 @@ class CircuitBuilder:
 
 def identity_circuit(dim: int) -> ArithCircuit:
     return ArithCircuit(dim, (), tuple(range(dim)))
-
-
-def const_circuit(dim: int, values: Sequence) -> ArithCircuit:
-    b = CircuitBuilder(dim)
-    return b.build([b.const(v) for v in values])
 
 
 def norm_distance_circuit(dim: int, r: NormOrder) -> ArithCircuit:
@@ -500,7 +496,10 @@ def check_metametric(
     pairs.  The triangle inequality runs over representatives of the
     value-classes of the pair table (points with identical rows interchange
     freely once symmetry holds), which keeps structured distance circuits
-    cheap on large samples; the check is still exact and exhaustive.
+    cheap on large samples.  It runs on integers: the representatives' rows
+    are put over one common denominator, so ``d(x,z) > d(x,y) + d(y,z)``
+    becomes an integer comparison; the check is still exact (no float) and
+    exhaustive.
     """
     if dim is None:
         dim = d.arity // 2
@@ -529,12 +528,17 @@ def check_metametric(
     for i in range(n):
         reps.setdefault(tuple(table[i]), i)
     rep_idx = list(reps.values())
-    for i in rep_idx:
-        for j in rep_idx:
-            row_i, row_j = table[i], table[j]
-            for k in rep_idx:
-                if row_i[k] > row_i[j] + row_j[k]:
-                    return MMviol(4, (pts[i], pts[j], pts[k]))
+    den = math.lcm(*[table[i][k].denominator for i in rep_idx for k in rep_idx])
+    rows = [
+        [table[i][k].numerator * (den // table[i][k].denominator) for k in rep_idx]
+        for i in rep_idx
+    ]
+    # d(x_a, x_c) > d(x_a, x_b) + d(x_b, x_c)  <=>  row_a[c] - row_b[c] > row_a[b]
+    for a, row_a in enumerate(rows):
+        for b, row_b in enumerate(rows):
+            if max(map(sub, row_a, row_b)) > row_a[b]:
+                c = next(c for c, gap in enumerate(map(sub, row_a, row_b)) if gap > row_a[b])
+                return MMviol(4, (pts[rep_idx[a]], pts[rep_idx[b]], pts[rep_idx[c]]))
     return None
 
 
@@ -787,6 +791,8 @@ def load_problem(text: str, probe: bool = True) -> CircuitProblem:
         )
     else:
         raise ParseError(f"unknown problem tag {tag!r}")
+    if pos != len(lines):
+        raise ParseError(f"line {lines[pos][0]}: trailing data after the last circuit")
     if probe:
         escape = probe_domain(inst.f, inst.dim)
         if escape is not None:

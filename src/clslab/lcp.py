@@ -18,8 +18,10 @@ vertex at ``eps = 0``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Union
 
 from .errors import (
@@ -69,10 +71,6 @@ class LcpInstance:
     @property
     def d(self) -> int:
         return self.m.rows
-
-    def slack(self, y: QVector) -> QVector:
-        """s = q + M y."""
-        return self.q + self.m.apply(y)
 
 
 @dataclass(frozen=True)
@@ -149,6 +147,12 @@ def _parse_var(name: str, d: int) -> int:
 # the integer tableau
 
 
+def _scaled_rows(inst: LcpInstance) -> tuple[list[list[int]], list[int]]:
+    """Integer rows of ``[M | q]``, row i scaled by the lcm ``L_i`` of its
+    denominators, and the scales ``L_i``."""
+    return _scaled_int_rows([inst.m.row(i) + (inst.q[i],) for i in range(inst.d)])
+
+
 class _Tableau:
     """Fraction-free tableau of ``-M y + s - z 1 = q`` over one basis.
 
@@ -166,7 +170,7 @@ class _Tableau:
     def __init__(self, inst: LcpInstance):
         d = inst.d
         self.d = d
-        ints, self.scale = _scaled_int_rows([inst.m.row(i) + (inst.q[i],) for i in range(d)])
+        ints, self.scale = _scaled_rows(inst)
         self.rows: list[list[int]] = []
         for i, (a, scale) in enumerate(zip(ints, self.scale)):
             row = [-x for x in a[:d]] + [0] * d + [-scale, a[d]]
@@ -377,19 +381,31 @@ class LcpSolutionReport:
 
 
 def verify_lcp_solution(inst: LcpInstance, y: QVector) -> LcpSolutionReport:
-    """Check y >= 0, q + M y >= 0, and exact componentwise complementarity."""
-    if len(y) != inst.d:
+    """Check y >= 0, q + M y >= 0, and exact componentwise complementarity.
+
+    The check runs on integers and is exact, with no float: y is written as
+    integers ``n`` over one common denominator ``D``, so row i of ``[M | q]``
+    scaled by ``L_i`` gives ``t_i = L_i D s_i = sum_j a_ij n_j + a_id D``.
+    ``L_i`` and ``D`` are positive, so every sign is read off ``n`` and ``t``,
+    and the reported slack is ``t_i / (L_i D)``.
+    """
+    d = inst.d
+    if len(y) != d:
         raise DimensionError("candidate length must be d")
-    s = inst.slack(y)
-    y_neg = tuple(i + 1 for i in range(inst.d) if y[i] < 0)
-    s_neg = tuple(i + 1 for i in range(inst.d) if s[i] < 0)
-    comp = tuple(i + 1 for i in range(inst.d) if y[i] * s[i] != 0)
+    den = math.lcm(*[a.denominator for a in y])
+    n = [a.numerator * (den // a.denominator) for a in y]
+    rows, scales = _scaled_rows(inst)
+    n.append(den)  # multiplies the q column
+    t = [sum(map(mul, row, n)) for row in rows]
+    y_neg = tuple(i + 1 for i in range(d) if n[i] < 0)
+    s_neg = tuple(i + 1 for i in range(d) if t[i] < 0)
+    comp = tuple(i + 1 for i in range(d) if n[i] and t[i])
     return LcpSolutionReport(
         ok=not (y_neg or s_neg or comp),
         y_negative=y_neg,
         s_negative=s_neg,
         not_complementary=comp,
-        slack=s,
+        slack=QVector(tuple(Fraction(ti, scale * den) for ti, scale in zip(t, scales))),
     )
 
 

@@ -90,15 +90,6 @@ class QVector:
             raise DimensionError("vector length mismatch")
         return QVector(tuple(a - b for a, b in zip(self, other)))
 
-    def scale(self, c) -> "QVector":
-        c = rational(c)
-        return QVector(tuple(c * a for a in self))
-
-    def dot(self, other: "QVector") -> Fraction:
-        if len(self) != len(other):
-            raise DimensionError("vector length mismatch")
-        return sum((a * b for a, b in zip(self, other)), Q(0))
-
     def __str__(self) -> str:
         return " ".join(format_rational(a) for a in self)
 
@@ -156,9 +147,7 @@ def _scaled_int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]
     """Clear denominators row by row; returns integer rows and the row scales."""
     out, scales = [], []
     for row in rows:
-        scale = 1
-        for a in row:
-            scale = scale * a.denominator // math.gcd(scale, a.denominator)
+        scale = math.lcm(*[a.denominator for a in row])
         out.append([a.numerator * (scale // a.denominator) for a in row])
         scales.append(scale)
     return out, scales

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 from typing import Optional
 
 from clslab import (
+    ArithCircuit,
     CircuitBuilder,
     CloInstance,
     ContractionInstance,
@@ -14,14 +15,16 @@ from clslab import (
     DimensionError,
     INF,
     LcpInstance,
+    MMviol,
     MmcInstance,
     QMatrix,
     QVector,
+    circuit_eval,
     is_p_matrix,
     lemke_solve,
 )
 from clslab.circuits import identity_circuit, norm_distance_circuit
-from clslab.lcp import Q1, Q2
+from clslab.lcp import Q1, Q2, LcpSolutionReport
 from clslab.lines import BitConfig, all_configs, load_line_table, table_instance
 from clslab.qlinalg import solve_columns
 from clslab.reductions.lcp_line import (
@@ -57,6 +60,26 @@ def det_cofactor(a: QMatrix) -> F:
 
 def make_lcp(rows, q) -> LcpInstance:
     return LcpInstance(QMatrix.of(rows), QVector.of(q))
+
+
+def verify_lcp_solution_ref(inst: LcpInstance, y: QVector) -> LcpSolutionReport:
+    """``verify_lcp_solution`` over Fractions: s = q + M y entry by entry.
+
+    Independent oracle for the integer verifier; it must agree on every field.
+    """
+    if len(y) != inst.d:
+        raise DimensionError("candidate length must be d")
+    s = inst.q + inst.m.apply(y)
+    y_neg = tuple(i + 1 for i in range(inst.d) if y[i] < 0)
+    s_neg = tuple(i + 1 for i in range(inst.d) if s[i] < 0)
+    comp = tuple(i + 1 for i in range(inst.d) if y[i] * s[i] != 0)
+    return LcpSolutionReport(
+        ok=not (y_neg or s_neg or comp),
+        y_negative=y_neg,
+        s_negative=s_neg,
+        not_complementary=comp,
+        slack=s,
+    )
 
 
 def random_lcp(rng: random.Random, d: int, span: int = 3) -> LcpInstance:
@@ -313,6 +336,28 @@ def hand_built_line_tables() -> list:
 
 # ----------------------------------------------------------------------------
 # circuit fixtures
+
+
+def triangle_violation_ref(d: ArithCircuit, points) -> Optional[MMviol]:
+    """The triangle pass of ``check_metametric`` over Fractions.
+
+    Rows of the pair table collapse to their first point; the first (i, j, k)
+    over those representatives, in order, with d(i,k) > d(i,j) + d(j,k) is
+    the witness.  Independent oracle for the integer triangle check.
+    """
+    pts = list(points)
+    table = [[circuit_eval(d, QVector(tuple(a) + tuple(b)))[0] for b in pts] for a in pts]
+    reps: dict[tuple, int] = {}
+    for i, row in enumerate(table):
+        reps.setdefault(tuple(row), i)
+    rep_idx = list(reps.values())
+    for i in rep_idx:
+        for j in rep_idx:
+            row_i, row_j = table[i], table[j]
+            for k in rep_idx:
+                if row_i[k] > row_i[j] + row_j[k]:
+                    return MMviol(4, (pts[i], pts[j], pts[k]))
+    return None
 
 
 def scale_shift_map(dim: int, factor, shifts) -> "CircuitBuilder":

@@ -42,7 +42,7 @@ from clslab.circuits import (
     probe_domain,
     unit_grid,
 )
-from support import coordinate_potential, kinked_map, scale_shift_map
+from support import coordinate_potential, kinked_map, scale_shift_map, triangle_violation_ref
 
 
 def vec(*entries):
@@ -178,6 +178,67 @@ def test_check_metametric_triangle_and_symmetry():
     sq = b.build([b.mul(gap, gap)])
     viol = check_metametric(sq, [vec(0), vec("1/2"), vec(1)])
     assert viol is not None and viol.kind == 4
+
+
+def _squared_l2(dim: int):
+    """sum_i (x_i - y_i)^2: nonnegative, symmetric and zero only on the diagonal,
+    but not a metric."""
+    b = CircuitBuilder(2 * dim)
+    squares = []
+    for i in range(dim):
+        gap = b.sub(i, dim + i)
+        squares.append(b.mul(gap, gap))
+    return b.build([b.sum(squares)])
+
+
+def _scaled_l1_plus_square():
+    """(3/7)|x-y| + (x-y)^2 on the line: breaks only the triangle inequality."""
+    b = CircuitBuilder(2)
+    gap = b.sub(0, 1)
+    lin = b.mul(b.abs(gap), b.const("3/7"))
+    return b.build([b.add(lin, b.mul(gap, gap))])
+
+
+def _scaled_max():
+    """(5/3) max(|x1-y1|, |x2-y2|): a metric with a non-unit scale."""
+    b = CircuitBuilder(4)
+    return b.build([b.mul(b.const("5/3"), b.inline(norm_distance_circuit(2, INF), range(4))[0])])
+
+
+# (dim, distance circuit); each either is a metric or breaks only the triangle
+# inequality, so check_metametric answers from its triangle pass
+TRIANGLE_CASES = [
+    (1, _squared_l2(1)),
+    (2, _squared_l2(2)),
+    (1, _scaled_l1_plus_square()),
+    (1, norm_distance_circuit(1, 1)),
+    (2, norm_distance_circuit(2, 1)),
+    (2, norm_distance_circuit(2, INF)),
+    (2, _scaled_max()),
+]
+UNIT_RATIONALS = st.one_of(
+    st.fractions(0, 1, max_denominator=12),
+    st.builds(
+        lambda k, p: F(k % (p + 1), p),
+        st.integers(0, 10**12),
+        st.sampled_from([7, 2**31 - 1, 10**9 + 7, 3**20]),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.integers(0, len(TRIANGLE_CASES) - 1), data=st.data())
+def test_triangle_check_matches_fraction_reference(case, data):
+    dim, dist = TRIANGLE_CASES[case]
+    point = st.builds(QVector, st.tuples(*[UNIT_RATIONALS] * dim))
+    points = data.draw(st.lists(point, min_size=1, max_size=8))
+    assert check_metametric(dist, points) == triangle_violation_ref(dist, points)
+
+
+def test_check_metametric_l1_grid_without_row_collapse():
+    # every point of an l1 grid has its own row of distances, so the triangle
+    # pass runs over all 125 points
+    assert check_metametric(norm_distance_circuit(3, 1), unit_grid(3, 5)) is None
 
 
 def test_clo_solve_iterate_examples():

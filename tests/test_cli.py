@@ -1,5 +1,10 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from clslab.cli import main
@@ -316,3 +321,25 @@ def test_one_bad_token_never_raises(tmp_path_factory, case, which, pick, token):
         paths[key] = str(base / key)
         (base / key).write_text(text)
     assert main([paths.get(arg, arg) for arg in argv]) in (0, 1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("argv, files", MUTATION_CASES)
+def test_trailing_data_in_an_input_file_exits_4(tmp_path, capsys, argv, files):
+    paths = {key: write(tmp_path, key, text) for key, text in files.items()}
+    assert main([paths.get(arg, arg) for arg in argv]) in (0, 1)
+    capsys.readouterr()
+    trailing = write(tmp_path, "trailing", files["A"] + "TRAILING GARBAGE 1 2\n")
+    assert main([dict(paths, A=trailing).get(arg, arg) for arg in argv]) == 4
+    assert "error:" in capsys.readouterr().err
+
+
+def test_python_dash_m_clslab_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "clslab", "solve-lcp", write(tmp_path, "a.lcp", D1_LCP)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "Q1 1\n")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from clslab import (
     BudgetExceededError,
     DegeneracyError,
+    DimensionError,
     PreconditionError,
     QMatrix,
     QVector,
@@ -39,6 +40,7 @@ from support import (
     tight_direction,
     tight_point,
     var_id,
+    verify_lcp_solution_ref,
 )
 
 
@@ -50,6 +52,59 @@ def test_verify_solution_examples():
     report = verify_lcp_solution(inst, QVector.of([2]))
     assert not report
     assert report.not_complementary == (1,)
+
+
+# zero, small, and large entries over coprime and prime denominators
+RATIONALS = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 12)),
+    st.builds(
+        F,
+        st.integers(-(10**12), 10**12),
+        st.sampled_from([1, 7, 2**31 - 1, 10**9 + 7, 3**20, 2**64]),
+    ),
+)
+
+
+@st.composite
+def lcp_with_candidate(draw):
+    """An instance and a candidate y: random, or built to solve it, then maybe
+    perturbed so that one constraint fails; some candidates have the wrong length."""
+    d = draw(st.integers(1, 5))
+    m = [[draw(RATIONALS) for _ in range(d)] for _ in range(d)]
+    if draw(st.booleans()):
+        y = [abs(draw(RATIONALS)) for _ in range(d)]
+        s = [F(0) if y[i] else abs(draw(RATIONALS)) for i in range(d)]
+        q = [s[i] - sum(a * b for a, b in zip(m[i], y)) for i in range(d)]
+        if draw(st.booleans()):
+            i = draw(st.integers(0, d - 1))
+            y[i] += draw(RATIONALS)
+    else:
+        q = [draw(RATIONALS) for _ in range(d)]
+        y = [draw(RATIONALS) for _ in range(d)]
+    y += [draw(RATIONALS) for _ in range(draw(st.sampled_from([0, 0, 0, 1])))]
+    if draw(st.integers(0, 9)) == 0:
+        y = y[:-1]
+    return make_lcp(m, q), QVector(tuple(y))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=lcp_with_candidate())
+def test_verify_lcp_solution_matches_fraction_reference(case):
+    inst, y = case
+    if len(y) != inst.d:
+        with pytest.raises(DimensionError):
+            verify_lcp_solution(inst, y)
+        with pytest.raises(DimensionError):
+            verify_lcp_solution_ref(inst, y)
+        return
+    got = verify_lcp_solution(inst, y)
+    ref = verify_lcp_solution_ref(inst, y)
+    assert got.ok == ref.ok
+    assert got.y_negative == ref.y_negative
+    assert got.s_negative == ref.s_negative
+    assert got.not_complementary == ref.not_complementary
+    assert tuple(got.slack) == tuple(ref.slack)
 
 
 def test_p_matrix_examples():
