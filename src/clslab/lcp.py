@@ -5,14 +5,18 @@ with slack ``s >= 0``, ``y_i s_i = 0``, where ``z`` is the covering variable
 driven to zero by the pivoting path.  The positive-principal-minor property
 of the stored ``M`` is what makes ``z`` strictly decrease along that path.
 
-Every pivot runs on one fraction-free integer tableau (``_Tableau``): the
-rows are scaled to integers and the basis inverse is kept as integers over
-the basis determinant, so a pivot is O(d^2) exact integer updates and
-vertices are read off as exact rationals.  The optional lexicographic mode
-runs the same pivot rules as if the right-hand side were ``q_i + eps^i``:
-ratio-test ties are broken by comparing the tableau rows of ``[q | B^-1]``
-lexicographically, so exact ties cannot occur, and the answer is the
-vertex at ``eps = 0``.
+Every pivot runs on one fraction-free integer dictionary (``_Tableau``),
+condensed as in lrs (Avis 2000, "lrs: A revised implementation of the
+reverse search vertex enumeration algorithm"): the rows are scaled to
+integers and hold only the d+1 nonbasic columns and the right-hand side, as
+integers over the basis determinant.  A basic variable's column is
+``det * e_k`` and stays implicit; after a pivot the leaving variable takes
+the entering one's column.  So a pivot is O(d^2) exact integer updates over
+d+2 columns, and vertices are read off as exact rationals.  The optional
+lexicographic mode runs the same pivot rules as if the right-hand side were
+``q_i + eps^i``: ratio-test ties are broken by comparing the tableau rows of
+``[q | B^-1]`` lexicographically, reading ``det * e_k`` for a basic s'_j,
+so exact ties cannot occur, and the answer is the vertex at ``eps = 0``.
 """
 
 from __future__ import annotations
@@ -154,48 +158,62 @@ def _scaled_rows(inst: LcpInstance) -> tuple[list[list[int]], list[int]]:
 
 
 class _Tableau:
-    """Fraction-free tableau of ``-M y + s - z 1 = q`` over one basis.
+    """Condensed fraction-free dictionary of ``-M y + s - z 1 = q`` over one basis.
 
     Row i is scaled by the lcm ``L_i`` of its denominators and written over
     the scaled slack ``s'_i = L_i s_i``, so the slack basis is integral with
-    determinant 1.  Columns are (y, s', z | rhs) and ``basis[i]`` is the
-    variable basic in row i.  The rows hold ``det * B^-1 [A | q]`` with
-    ``det = |det B|``: every entry is an integer (a minor), and one pivot
-    updates them all with exact divisions by the old determinant (Edmonds
-    1967, Bareiss 1968), so no rational is formed until a vertex is read.
+    determinant 1.  ``basis[i]`` is the variable basic in row i and
+    ``cobasis`` the d+1 nonbasic ones; row i holds the entries of
+    ``det * B^-1 [A | q]`` in the cobasis columns, then the rhs, with
+    ``det = |det B|``.  Every entry is an integer (a minor).  The column of a
+    basic variable is ``det * e_k`` and is never stored (the dictionary of
+    lrs, Avis 2000), so a pivot updates d+1 columns, not 2d+1, with exact
+    divisions by the old determinant (Edmonds 1967, Bareiss 1968); the
+    leaving variable then takes the entering one's column.  ``mq`` keeps the
+    scaled rows of ``[M | q]`` for the final verify of a solve.
     """
 
-    __slots__ = ("d", "scale", "rows", "basis", "det")
+    __slots__ = ("d", "mq", "scale", "rows", "basis", "cobasis", "det")
 
     def __init__(self, inst: LcpInstance):
         d = inst.d
         self.d = d
-        ints, self.scale = _scaled_rows(inst)
-        self.rows: list[list[int]] = []
-        for i, (a, scale) in enumerate(zip(ints, self.scale)):
-            row = [-x for x in a[:d]] + [0] * d + [-scale, a[d]]
-            row[d + i] = 1
-            self.rows.append(row)
+        self.mq, self.scale = _scaled_rows(inst)
+        self.rows = [[-x for x in a[:d]] + [-scale, a[d]] for a, scale in zip(self.mq, self.scale)]
         self.basis = list(range(d, 2 * d))
+        self.cobasis = list(range(d)) + [2 * d]
         self.det = 1
 
     def pivot(self, r: int, e: int) -> None:
-        """Make variable ``e`` basic in row ``r``; the pivot entry must be nonzero."""
+        """Make nonbasic ``e`` basic in row ``r``; the pivot entry must be nonzero."""
+        j = self.cobasis.index(e)
         prow = self.rows[r]
-        p = prow[e]
-        # negating the new rows along with a negative pivot keeps det > 0
-        div = self.det if p > 0 else -self.det
+        p = prow[j]
+        # negating the new rows along with a negative pivot keeps det > 0;
+        # the leaving variable's column det * e_r becomes sign(p) * (det, -f_i)
+        div, sign = (self.det, 1) if p > 0 else (-self.det, -1)
         for i, row in enumerate(self.rows):
             if i != r:
-                f = row[e]
-                self.rows[i] = [(x * p - f * y) // div for x, y in zip(row, prow)]
+                f = row[j]
+                row = self.rows[i] = [(x * p - f * y) // div for x, y in zip(row, prow)]
+                row[j] = -sign * f
         if p < 0:
-            self.rows[r] = [-x for x in prow]
+            prow = self.rows[r] = [-x for x in prow]
+        prow[j] = sign * self.det
+        self.cobasis[j] = self.basis[r]
         self.basis[r] = e
         self.det = abs(p)
 
+    def column(self, var: int) -> list[int]:
+        """Entries of variable ``var`` (the rhs for ``2d+1``) over the rows."""
+        if var in self.basis:
+            k = self.basis.index(var)
+            return [self.det if i == k else 0 for i in range(self.d)]
+        j = self.cobasis.index(var) if var <= 2 * self.d else -1
+        return [row[j] for row in self.rows]
+
     def tight(self) -> frozenset[int]:
-        return frozenset(range(2 * self.d + 1)).difference(self.basis)
+        return frozenset(self.cobasis)
 
     def _unscale(self, var: int) -> int:
         """Factor from the tableau's units of ``var`` to the instance's."""
@@ -226,29 +244,31 @@ class _Tableau:
         """The edge relaxing nonbasic ``e``, normalized to unit speed in ``e``."""
         sigma = [Q(0)] * (2 * self.d + 1)
         sigma[e] = Q(1)
-        for row, var in zip(self.rows, self.basis):
-            sigma[var] = Fraction(-row[e] * self._unscale(e), self.det * self._unscale(var))
+        for a, var in zip(self.column(e), self.basis):
+            sigma[var] = Fraction(-a * self._unscale(e), self.det * self._unscale(var))
         return Ray(*_split(sigma, self.d))
 
     def ratio_row(self, e: int, lexicographic: bool) -> Optional[int]:
         """Row of the variable that blocks ``e`` from entering; None on a ray.
 
-        The basic variable in row i moves at rate ``-rows[i][e] / det``, so its
-        ratio ``rhs_i / rows[i][e]`` no longer involves ``det``.  In the
+        The basic variable in row i moves at rate ``-col_e[i] / det``, so its
+        ratio ``rhs_i / col_e[i]`` no longer involves ``det``.  In the
         lexicographic mode ties fall through to the s'-columns: row i of
         ``[rhs | s']`` holds the coefficients of (1, eps^1, ..., eps^d) in the
         variable's value on the perturbed right-hand side ``q_i + eps^i``, up to
-        a positive factor per column, which leaves the order unchanged.
+        a positive factor per column, which leaves the order unchanged.  The
+        column of a basic s'_j is ``det * e_k``, so it keeps only row k.
         """
-        rows = self.rows
-        cand = [i for i, row in enumerate(rows) if row[e] > 0]
+        col_e = self.column(e)
+        cand = [i for i, a in enumerate(col_e) if a > 0]
         if not cand:
             return None
         for c in self._ratio_cols(lexicographic):
+            col = self.column(c)
             best = [cand[0]]
             for i in cand[1:]:
-                lhs = rows[i][c] * rows[best[0]][e]
-                rhs = rows[best[0]][c] * rows[i][e]
+                lhs = col[i] * col_e[best[0]]
+                rhs = col[best[0]] * col_e[i]
                 if lhs < rhs:
                     best = [i]
                 elif lhs == rhs:
@@ -275,18 +295,18 @@ class _Tableau:
         if e == z:
             rate = 1
         elif z in self.basis:
-            rate = -self.rows[self.basis.index(z)][e]
+            rate = -self.column(e)[self.basis.index(z)]
         else:
             return 0
-        row = self.rows[r]
-        step = next((row[c] for c in self._ratio_cols(lexicographic) if row[c] != 0), 0)
+        cols = map(self.column, self._ratio_cols(lexicographic))
+        step = next((col[r] for col in cols if col[r] != 0), 0)
         return ((step > 0) - (step < 0)) * ((rate > 0) - (rate < 0))
 
     def orientation(self, e: int) -> int:
         """Raw edge sign: +1 when the first nonzero of (z, y, s) along the edge
         relaxing ``e`` falls, -1 when it rises."""
         d = self.d
-        col = {var: row[e] for row, var in zip(self.rows, self.basis)}
+        col = dict(zip(self.basis, self.column(e)))
         for var in [2 * d] + list(range(2 * d)):
             if var == e:  # e rises at unit speed; the loop always reaches it
                 return -1
@@ -331,11 +351,9 @@ def _tableau_of_tight(inst: LcpInstance, tight: frozenset[int]) -> Optional[_Tab
     None when that basis is singular."""
     d = inst.d
     tab = _Tableau(inst)
-    for e in range(2 * d + 1):
-        if e in tight or e in tab.basis:
-            continue
-        rows = tab.rows
-        r = next((i for i in range(d) if rows[i][e] != 0 and tab.basis[i] in tight), None)
+    for e in sorted(tab.tight() - tight):
+        col = tab.column(e)
+        r = next((i for i in range(d) if col[i] != 0 and tab.basis[i] in tight), None)
         if r is None:
             return None
         tab.pivot(r, e)
@@ -389,12 +407,16 @@ def verify_lcp_solution(inst: LcpInstance, y: QVector) -> LcpSolutionReport:
     ``L_i`` and ``D`` are positive, so every sign is read off ``n`` and ``t``,
     and the reported slack is ``t_i / (L_i D)``.
     """
-    d = inst.d
-    if len(y) != d:
+    if len(y) != inst.d:
         raise DimensionError("candidate length must be d")
+    return _verify_scaled(*_scaled_rows(inst), y)
+
+
+def _verify_scaled(rows: list[list[int]], scales: list[int], y: QVector) -> LcpSolutionReport:
+    """:func:`verify_lcp_solution` over the scaled rows ``L_i [M | q]_i``."""
+    d = len(rows)
     den = math.lcm(*[a.denominator for a in y])
     n = [a.numerator * (den // a.denominator) for a in y]
-    rows, scales = _scaled_rows(inst)
     n.append(den)  # multiplies the q column
     t = [sum(map(mul, row, n)) for row in rows]
     y_neg = tuple(i + 1 for i in range(d) if n[i] < 0)
@@ -538,7 +560,7 @@ def lemke_solve(
         trace.append(tab.vertex())
         if blocker == 2 * d:
             y = trace[-1].y
-            if not verify_lcp_solution(inst, y):
+            if not _verify_scaled(tab.mq, tab.scale, y):
                 raise InvariantViolationError("pivoting produced an infeasible answer")
             return LemkeResult(Q1(y), tuple(trace))
         entering = blocker + d if blocker < d else blocker - d

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction as F
 from typing import Optional
+from unittest import mock
 
 from clslab import (
     ArithCircuit,
@@ -24,7 +26,18 @@ from clslab import (
     lemke_solve,
 )
 from clslab.circuits import identity_circuit, norm_distance_circuit
-from clslab.lcp import Q1, Q2, LcpSolutionReport
+from clslab import lcp
+from clslab.lcp import (
+    Q1,
+    Q2,
+    LcpSolutionReport,
+    LemkeVertex,
+    Ray,
+    _dup_of_tight,
+    _scaled_rows,
+    _split,
+    _var_name,
+)
 from clslab.lines import BitConfig, all_configs, load_line_table, table_instance
 from clslab.qlinalg import solve_columns
 from clslab.reductions.lcp_line import (
@@ -149,6 +162,13 @@ def gen_reduction_safe_lcp(rng: random.Random, d: int) -> LcpInstance:
         return inst
 
 
+def murty_lcp(d: int) -> LcpInstance:
+    """Murty's (1978) family: 1 on the diagonal, 2 below it, and
+    ``q_i = -1 + 4^-(i+1)``; Lemke's path makes 2^d - 1 pivots."""
+    rows = [[1 if j == i else 2 if j < i else 0 for j in range(d)] for i in range(d)]
+    return make_lcp(rows, [F(-1) + F(1, 4 ** (i + 1)) for i in range(d)])
+
+
 # ----------------------------------------------------------------------------
 # tight-system oracle for the pivoting tableau: variable ids 0..d-1 are y,
 # d..2d-1 are s and 2d is z; a vertex is the solution of the (2d+1)-square
@@ -201,6 +221,149 @@ def oracle_orientation(inst: LcpInstance, tight: frozenset[int], entering: int) 
     calibration = raw_sign(tight_direction(inst, start, low))
     forward = raw_sign(tight_direction(inst, tight, entering)) == calibration
     return "forward" if forward else "backward"
+
+
+# ----------------------------------------------------------------------------
+# full-column reference for the condensed pivoting dictionary
+
+
+class FullTableau:
+    """Fraction-free tableau of ``-M y + s - z 1 = q`` over all 2d+2 columns.
+
+    Columns are (y, s', z | rhs), with ``s'_i = L_i s_i`` for the row scale
+    ``L_i``, and the rows hold ``det * B^-1 [A | q]``, basic columns included;
+    one pivot updates every column with exact divisions by the old
+    determinant.  A drop-in for ``clslab.lcp._Tableau`` that stores what the
+    condensed dictionary leaves implicit.
+    """
+
+    def __init__(self, inst: LcpInstance):
+        d = inst.d
+        self.d = d
+        self.mq, self.scale = _scaled_rows(inst)
+        self.rows: list[list[int]] = []
+        for i, (a, scale) in enumerate(zip(self.mq, self.scale)):
+            row = [-x for x in a[:d]] + [0] * d + [-scale, a[d]]
+            row[d + i] = 1
+            self.rows.append(row)
+        self.basis = list(range(d, 2 * d))
+        self.det = 1
+
+    def pivot(self, r: int, e: int) -> None:
+        prow = self.rows[r]
+        p = prow[e]
+        div = self.det if p > 0 else -self.det
+        for i, row in enumerate(self.rows):
+            if i != r:
+                f = row[e]
+                self.rows[i] = [(x * p - f * y) // div for x, y in zip(row, prow)]
+        if p < 0:
+            self.rows[r] = [-x for x in prow]
+        self.basis[r] = e
+        self.det = abs(p)
+
+    def column(self, var: int) -> list[int]:
+        return [row[var] for row in self.rows]
+
+    def tight(self) -> frozenset[int]:
+        return frozenset(range(2 * self.d + 1)).difference(self.basis)
+
+    def _unscale(self, var: int) -> int:
+        return self.scale[var - self.d] if self.d <= var < 2 * self.d else 1
+
+    def values(self) -> list[F]:
+        vals = [F(0)] * (2 * self.d + 1)
+        for row, var in zip(self.rows, self.basis):
+            vals[var] = F(row[-1], self.det * self._unscale(var))
+        return vals
+
+    def point(self):
+        return _split(self.values(), self.d)
+
+    def vertex(self) -> LemkeVertex:
+        y, s, z = self.point()
+        tight = self.tight()
+        return LemkeVertex(
+            y=y,
+            s=s,
+            z=z,
+            tight=frozenset(_var_name(v, self.d) for v in tight),
+            dup_label=_dup_of_tight(tight, self.d),
+        )
+
+    def ray(self, e: int) -> Ray:
+        sigma = [F(0)] * (2 * self.d + 1)
+        sigma[e] = F(1)
+        for row, var in zip(self.rows, self.basis):
+            sigma[var] = F(-row[e] * self._unscale(e), self.det * self._unscale(var))
+        return Ray(*_split(sigma, self.d))
+
+    def ratio_row(self, e: int, lexicographic: bool) -> Optional[int]:
+        rows = self.rows
+        cand = [i for i, row in enumerate(rows) if row[e] > 0]
+        if not cand:
+            return None
+        for c in self._ratio_cols(lexicographic):
+            best = [cand[0]]
+            for i in cand[1:]:
+                lhs = rows[i][c] * rows[best[0]][e]
+                rhs = rows[best[0]][c] * rows[i][e]
+                if lhs < rhs:
+                    best = [i]
+                elif lhs == rhs:
+                    best.append(i)
+            cand = best
+            if len(cand) == 1:
+                return cand[0]
+        names = tuple(_var_name(v, self.d) for v in sorted(self.basis[i] for i in cand))
+        raise DegeneracyError(f"ratio-test tie between {', '.join(names)}", ties=names)
+
+    def _ratio_cols(self, lexicographic: bool) -> list[int]:
+        d = self.d
+        return [2 * d + 1] + (list(range(d, 2 * d)) if lexicographic else [])
+
+    def z_trend(self, r: int, e: int, lexicographic: bool) -> int:
+        z = 2 * self.d
+        if e == z:
+            rate = 1
+        elif z in self.basis:
+            rate = -self.rows[self.basis.index(z)][e]
+        else:
+            return 0
+        row = self.rows[r]
+        step = next((row[c] for c in self._ratio_cols(lexicographic) if row[c] != 0), 0)
+        return ((step > 0) - (step < 0)) * ((rate > 0) - (rate < 0))
+
+    def orientation(self, e: int) -> int:
+        d = self.d
+        col = {var: row[e] for row, var in zip(self.rows, self.basis)}
+        for var in [2 * d] + list(range(2 * d)):
+            if var == e:
+                return -1
+            if col.get(var, 0) != 0:
+                return 1 if col[var] > 0 else -1
+
+
+def full_tableau_of_tight(inst: LcpInstance, tight: frozenset[int]) -> Optional[FullTableau]:
+    """``lcp._tableau_of_tight`` on the full tableau, reading its rows directly."""
+    d = inst.d
+    tab = FullTableau(inst)
+    for e in range(2 * d + 1):
+        if e in tight or e in tab.basis:
+            continue
+        rows = tab.rows
+        r = next((i for i in range(d) if rows[i][e] != 0 and tab.basis[i] in tight), None)
+        if r is None:
+            return None
+        tab.pivot(r, e)
+    return tab
+
+
+@contextmanager
+def full_tableau():
+    """Run ``clslab.lcp`` on :class:`FullTableau` inside the block."""
+    with mock.patch.object(lcp, "_Tableau", FullTableau):
+        yield
 
 
 # ----------------------------------------------------------------------------

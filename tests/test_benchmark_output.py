@@ -1,0 +1,42 @@
+"""The benchmark's stdout contract: a run ends with its result line.
+
+``perfbench/run.py`` prints one line per metric, a JSON report line, and last
+the result line ``{"correct", "attempted", "failed", "metrics"}``; whatever
+reads a run takes only that last line.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _strict_json(line: str):
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    return json.loads(line, parse_constant=reject)
+
+
+@pytest.mark.parametrize("workload", ["lcp-direct", "plcp-pipeline"])
+def test_one_round_ends_with_a_strict_json_result_line(workload):
+    with open(os.path.join(ROOT, "perfbench", "digests.json")) as fh:
+        round_len = json.load(fh)[workload]["items"]
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--items", str(round_len)],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    lines = done.stdout.splitlines()
+    result = _strict_json(lines[-1])
+    assert sorted(result) == ["attempted", "correct", "failed", "metrics"]
+    assert result["correct"] is True
+    assert (result["attempted"], result["failed"]) == (round_len, 0)
+    reports = [line for line in lines if line.startswith('{"report": ')]
+    assert len(reports) == 1
+    assert _strict_json(reports[0])["report"]["digest"]["status"] == "match"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -22,6 +23,7 @@ from clslab import (
     todd_orientation,
     verify_lcp_solution,
 )
+from clslab import lcp
 from clslab.lcp import (
     Q1,
     Q2,
@@ -32,9 +34,13 @@ from clslab.lcp import (
     parse_outcome,
 )
 from support import (
+    FullTableau,
+    full_tableau,
+    full_tableau_of_tight,
     gen_nonp_lcp,
     gen_p_lcp,
     make_lcp,
+    murty_lcp,
     oracle_orientation,
     random_lcp,
     tight_direction,
@@ -329,6 +335,13 @@ def _coords(v):
     return list(v.y) + list(v.s) + [v.z]
 
 
+def _scaled_rows_copy(inst, rng):
+    """Row i of (M, q) times a positive rational: same solutions, new scales."""
+    c = [F(rng.randint(1, 4), rng.randint(1, 5)) for _ in range(inst.d)]
+    rows = [[c[i] * a for a in inst.m.row(i)] for i in range(inst.d)]
+    return make_lcp(rows, [c[i] * inst.q[i] for i in range(inst.d)])
+
+
 def _differential_instances():
     """Seeded P and non-P instances, plus tie-prone ones only lex mode can run.
 
@@ -341,12 +354,7 @@ def _differential_instances():
     out += [gen_nonp_lcp(rng, rng.randint(1, 5)) for _ in range(10)]
     out += [random_lcp(rng, rng.randint(2, 5), span=1) for _ in range(24)]
     out = [inst for inst in out if min(inst.q) < 0]
-    scaled = []
-    for inst in out:
-        c = [F(rng.randint(1, 4), rng.randint(1, 5)) for _ in range(inst.d)]
-        rows = [[c[i] * a for a in inst.m.row(i)] for i in range(inst.d)]
-        scaled.append(make_lcp(rows, [c[i] * inst.q[i] for i in range(inst.d)]))
-    return out + scaled
+    return out + [_scaled_rows_copy(inst, rng) for inst in out]
 
 
 def test_trace_vertices_match_tight_system_oracle():
@@ -408,3 +416,147 @@ def test_plain_and_lexicographic_agree_without_ties(d, data):
     lex = lemke_solve(inst, lexicographic=True)
     assert lex.outcome == plain.outcome
     assert lex.trace == plain.trace
+
+
+# ----------------------------------------------------------------------------
+# the condensed dictionary against the full-column reference tableau
+
+
+def _solve(inst, lex):
+    """``lemke_solve``'s outcome and trace, or the ties of its DegeneracyError."""
+    try:
+        res = lemke_solve(inst, lexicographic=lex)
+    except DegeneracyError as exc:
+        return "tie", str(exc), exc.ties
+    return res.outcome, res.trace
+
+
+def _assert_same_dictionary(new, ref):
+    d = new.d
+    assert (new.basis, new.det, new.tight(), new.values()) == (
+        ref.basis,
+        ref.det,
+        ref.tight(),
+        ref.values(),
+    )
+    for var in range(2 * d + 2):  # y, s', z and the rhs
+        assert new.column(var) == ref.column(var)
+
+
+def _reads(tab, e):
+    """Everything the pivot rules read about nonbasic ``e``, in both modes."""
+    out = [tab.orientation(e), tab.ray(e)]
+    for lex in (False, True):
+        try:
+            r = tab.ratio_row(e, lex)
+        except DegeneracyError as exc:
+            out.append(("tie", str(exc), exc.ties))
+            continue
+        out.append((r, None if r is None else tab.z_trend(r, e, lex)))
+    return out
+
+
+def _walk_in_lockstep(inst, lex):
+    """Lemke's path pivoted on both tableaux; every read agrees at every
+    vertex.  Returns the number of pivots made and whether a tie ended it."""
+    d = inst.d
+    start = max(i for i in range(d) if inst.q[i] == min(inst.q))
+    new, ref = lcp._Tableau(inst), FullTableau(inst)
+    for tab in (new, ref):
+        tab.pivot(start, 2 * d)
+    entering, pivots = start, 0
+    while True:
+        _assert_same_dictionary(new, ref)
+        for e in sorted(new.cobasis):
+            assert _reads(new, e) == _reads(ref, e)
+        try:
+            r = new.ratio_row(entering, lex)
+        except DegeneracyError:
+            return pivots, True
+        if r is None or new.z_trend(r, entering, lex) >= 0:
+            return pivots, False
+        blocker = new.basis[r]
+        for tab in (new, ref):
+            tab.pivot(r, entering)
+        pivots += 1
+        if blocker == 2 * d:
+            _assert_same_dictionary(new, ref)
+            return pivots, False
+        entering = blocker + d if blocker < d else blocker - d
+
+
+def _assert_same_decode(inst, tight):
+    new = lcp._tableau_of_tight(inst, tight)
+    ref = full_tableau_of_tight(inst, tight)
+    assert (new is None) == (ref is None)
+    if new is not None:
+        _assert_same_dictionary(new, ref)
+    return new is None
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["p", "nonp", "ties"]),
+    d=st.integers(1, 5),
+    seed=st.integers(0, 2**32),
+    scaled=st.booleans(),
+)
+def test_condensed_tableau_matches_full_reference(kind, d, seed, scaled):
+    rng = random.Random(seed)
+    if kind == "p":
+        inst = gen_p_lcp(rng, d)
+    elif kind == "nonp":
+        inst = gen_nonp_lcp(rng, max(d, 2))
+    else:  # entries in {-1, 0, 1}: ratio-test ties are common
+        inst = random_lcp(rng, d, span=1)
+        if min(inst.q) >= 0:
+            inst = make_lcp([list(inst.m.row(i)) for i in range(d)], [-1] + list(inst.q)[1:])
+    if scaled:
+        inst = _scaled_rows_copy(inst, rng)
+    for lex in (False, True):
+        got = _solve(inst, lex)
+        with full_tableau():
+            assert _solve(inst, lex) == got
+        _walk_in_lockstep(inst, lex)
+    ids = range(2 * inst.d + 1)
+    for _ in range(20):
+        _assert_same_decode(inst, frozenset(rng.sample(ids, inst.d + 1)))
+
+
+def test_decodes_match_full_reference_on_every_tight_set():
+    # every (d+1)-subset of (y, s, z), singular bases (None) included
+    singular = regular = 0
+    for inst in _differential_instances():
+        if inst.d > 4:
+            continue
+        for tight in itertools.combinations(range(2 * inst.d + 1), inst.d + 1):
+            if _assert_same_decode(inst, frozenset(tight)):
+                singular += 1
+            else:
+                regular += 1
+    assert singular >= 100 and regular >= 1000
+
+
+def test_lockstep_walks_cover_ties_and_both_modes():
+    pivots = {False: 0, True: 0}
+    ties = {False: 0, True: 0}
+    for inst in _differential_instances():
+        for lex in (False, True):
+            made, tied = _walk_in_lockstep(inst, lex)
+            pivots[lex] += made
+            ties[lex] += tied
+    assert ties[False] >= 5 and ties[True] == 0
+    assert pivots[False] >= 50 and pivots[True] > pivots[False]
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_murty_path_has_exponentially_many_pivots(d):
+    inst = murty_lcp(d)
+    plain = lemke_solve(inst)
+    lex = lemke_solve(inst, lexicographic=True)
+    assert len(plain.trace) - 1 == 2**d - 1
+    assert (lex.outcome, lex.trace) == (plain.outcome, plain.trace)
+    with full_tableau():
+        ref = lemke_solve(inst)
+    assert (ref.outcome, ref.trace) == (plain.outcome, plain.trace)
+    assert verify_lcp_solution(inst, plain.outcome.y)
