@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
-from operator import sub
-from typing import Optional, Sequence, Union
+from functools import partial
+from operator import ge, gt, le, lt, sub
+from typing import Optional, Sequence, Union, get_args
 
 from .errors import (
     BudgetExceededError,
@@ -384,9 +385,19 @@ class Verdict:
         return self.ok
 
 
-def _ineq(label: str, lhs: Fraction, rel: str, rhs: Fraction, ok: bool) -> Verdict:
+_RELATIONS = {"<": lt, "<=": le, ">": gt, ">=": ge}
+
+
+def _ineq(label: str, lhs: Fraction, rel: str, rhs: Fraction) -> Verdict:
+    ok = _RELATIONS[rel](lhs, rhs)
     state = "holds" if ok else "fails"
     return Verdict(ok, f"{label}: {format_rational(lhs)} {rel} {format_rational(rhs)} {state}")
+
+
+def _points(sol) -> tuple[QVector, ...]:
+    if isinstance(sol, MMviol):
+        return sol.points
+    return tuple(getattr(sol, field.name) for field in dataclass_fields(sol))
 
 
 def _check_domain(inst, *points: QVector):
@@ -397,94 +408,115 @@ def _check_domain(inst, *points: QVector):
             raise PreconditionError(f"point outside [0,1]^{inst.dim}: {pt}")
 
 
-# verifiers
+class _Evals:
+    """An instance's circuits at given points, each value evaluated at most once.
+
+    A verifier call holds one of these and an iterator one for its whole run,
+    so checks may read f(x), p(x) and d(x, y) as often as they like.  Every
+    evaluation goes through the module-level ``circuit_eval``.
+    """
+
+    def __init__(self, inst: CircuitProblem):
+        self.inst, self.seen = inst, {}
+
+    def value(self, circ: str, x: QVector) -> QVector:
+        """The instance's circuit named ``circ`` ("f", "p" or "d") at x."""
+        key = (circ, x)
+        out = self.seen.get(key)
+        if out is None:
+            out = self.seen[key] = circuit_eval(getattr(self.inst, circ), x)
+        return out
+
+    def f(self, x: QVector) -> QVector:
+        return self.value("f", x)
+
+    def p(self, x: QVector) -> Fraction:
+        return self.value("p", x)[0]
+
+    def d(self, x: QVector, y: QVector) -> Fraction:
+        return self.value("d", QVector(tuple(x) + tuple(y)))[0]
+
+    def norm(self, x: QVector, y: QVector) -> Fraction:
+        """|x - y| in the instance norm (1 or inf)."""
+        return norm_pow(x - y, self.inst.r)
 
 
-def _lipschitz_verdict(label: str, g: ArithCircuit, k: Fraction, inst, cand) -> Verdict:
-    """Whether |g(x) - g(y)| > k * |x - y| in the instance norm, for a pair (x, y)."""
-    _check_domain(inst, cand.x, cand.y)
-    gx = circuit_eval(g, cand.x)
-    gy = circuit_eval(g, cand.y)
-    ok = norm_gt(gx - gy, k, cand.x - cand.y, inst.r)
-    return _ineq(label, norm_pow(gx - gy, inst.r), ">", k * norm_pow(cand.x - cand.y, inst.r), ok)
+def _expands(label: str, circ: str, dist: str, bound: str, ev: _Evals, cand) -> Verdict:
+    """dist(g(x), g(y)) > bound * dist(x, y) for g = ``circ``, with ``dist`` "norm" or "d"."""
+    measure = getattr(ev, dist)
+    lhs = measure(ev.value(circ, cand.x), ev.value(circ, cand.y))
+    return _ineq(label, lhs, ">", getattr(ev.inst, bound) * measure(cand.x, cand.y))
 
 
-def clo_verify(inst: CloInstance, cand: CloSolution) -> Verdict:
-    """C1: f fails to improve p by eps; C2a/C2b: exact Lipschitz violations."""
-    if isinstance(cand, C1):
-        _check_domain(inst, cand.x)
-        px = circuit_eval(inst.p, cand.x)[0]
-        pfx = circuit_eval(inst.p, circuit_eval(inst.f, cand.x))[0]
-        return _ineq("p(f(x)) >= p(x) - eps", pfx, ">=", px - inst.eps, pfx >= px - inst.eps)
-    if isinstance(cand, C2a):
-        return _lipschitz_verdict("|f(x)-f(y)| > lam*|x-y|", inst.f, inst.lam, inst, cand)
-    if isinstance(cand, C2b):
-        return _lipschitz_verdict("|p(x)-p(y)| > lam*|x-y|", inst.p, inst.lam, inst, cand)
-    return Verdict(False, f"not a local-opt solution shape: {cand!r}")
+def _near_fixpoint(label: str, dist: str, bound: str, ev: _Evals, cand) -> Verdict:
+    """dist(f(x), x) <= bound."""
+    return _ineq(label, getattr(ev, dist)(ev.f(cand.x), cand.x), "<=", getattr(ev.inst, bound))
 
 
-def contraction_verify(inst: ContractionInstance, cand: ContractionSolution) -> Verdict:
-    if isinstance(cand, CM1):
-        _check_domain(inst, cand.x)
-        gap = circuit_eval(inst.f, cand.x) - cand.x
-        value = norm_pow(gap, inst.r)
-        return _ineq("|f(x)-x| <= delta", value, "<=", inst.delta, value <= inst.delta)
-    if isinstance(cand, CM2):
-        return _lipschitz_verdict("|f(x)-f(y)| > c*|x-y|", inst.f, inst.c, inst, cand)
-    return Verdict(False, f"not a contraction solution shape: {cand!r}")
+def _stall(ev: _Evals, cand: C1) -> Verdict:
+    return _ineq("p(f(x)) >= p(x) - eps", ev.p(ev.f(cand.x)), ">=", ev.p(cand.x) - ev.inst.eps)
 
 
-def mmc_verify(inst: MmcInstance, cand: MmcSolution) -> Verdict:
-    if isinstance(cand, M1):
-        _check_domain(inst, cand.x)
-        value = inst.dist(circuit_eval(inst.f, cand.x), cand.x)
-        return _ineq("d(f(x),x) <= eps", value, "<=", inst.eps, value <= inst.eps)
-    if isinstance(cand, M2a):
-        _check_domain(inst, cand.x, cand.y)
-        fx = circuit_eval(inst.f, cand.x)
-        fy = circuit_eval(inst.f, cand.y)
-        lhs = inst.dist(fx, fy)
-        rhs = inst.c * inst.dist(cand.x, cand.y)
-        return _ineq("d(f(x),f(y)) > c*d(x,y)", lhs, ">", rhs, lhs > rhs)
-    if isinstance(cand, M2b):
-        _check_domain(inst, cand.x, cand.y, cand.x2, cand.y2)
-        gap = inst.dist(cand.x, cand.y) - inst.dist(cand.x2, cand.y2)
-        lhs = gap if gap >= 0 else -gap
-        pair_diff = QVector(tuple(cand.x - cand.x2) + tuple(cand.y - cand.y2))
-        rhs = inst.delta_d * norm_pow(pair_diff, inst.r)
-        return _ineq("|d(x,y)-d(x',y')| > delta_d*|(x,y)-(x',y')|", lhs, ">", rhs, lhs > rhs)
-    if isinstance(cand, M2c):
-        return _lipschitz_verdict("|f(x)-f(y)| > lam*|x-y|", inst.f, inst.lam, inst, cand)
-    if isinstance(cand, MMviol):
-        for pt in cand.points:
-            _check_domain(inst, pt)
-        return _axiom_violation_verdict(inst.d, cand)
-    return Verdict(False, f"not a contraction-with-distance solution shape: {cand!r}")
+def _distance_jump(ev: _Evals, cand: M2b) -> Verdict:
+    lhs = abs(ev.d(cand.x, cand.y) - ev.d(cand.x2, cand.y2))
+    pair_diff = QVector(tuple(cand.x - cand.x2) + tuple(cand.y - cand.y2))
+    rhs = ev.inst.delta_d * norm_pow(pair_diff, ev.inst.r)
+    return _ineq("|d(x,y)-d(x',y')| > delta_d*|(x,y)-(x',y')|", lhs, ">", rhs)
 
 
-def _axiom_violation_verdict(d: ArithCircuit, cand: MMviol) -> Verdict:
-    def dist(a: QVector, b: QVector) -> Fraction:
-        return circuit_eval(d, QVector(tuple(a) + tuple(b)))[0]
-
+def _axiom_violation(ev: _Evals, cand: MMviol) -> Verdict:
     if cand.kind == 1 and len(cand.points) == 2:
-        x, y = cand.points
-        value = dist(x, y)
-        return _ineq("nonnegativity violated: d(x,y) < 0", value, "<", Q(0), value < 0)
+        return _ineq("nonnegativity violated: d(x,y) < 0", ev.d(*cand.points), "<", Q(0))
     if cand.kind == 2 and len(cand.points) == 2:
         x, y = cand.points
-        value = dist(x, y)
+        value = ev.d(x, y)
         ok = value == 0 and x != y
         return Verdict(ok, f"zero-implies-equal violated: d(x,y)={format_rational(value)}, x!=y is {x != y}")
     if cand.kind == 3 and len(cand.points) == 2:
         x, y = cand.points
-        a, b = dist(x, y), dist(y, x)
+        a, b = ev.d(x, y), ev.d(y, x)
         return Verdict(a != b, f"symmetry violated: d(x,y)={format_rational(a)}, d(y,x)={format_rational(b)}")
     if cand.kind == 4 and len(cand.points) == 3:
         x, y, z = cand.points
-        lhs = dist(x, z)
-        rhs = dist(x, y) + dist(y, z)
-        return _ineq("triangle violated: d(x,z) > d(x,y)+d(y,z)", lhs, ">", rhs, lhs > rhs)
+        return _ineq("triangle violated: d(x,z) > d(x,y)+d(y,z)", ev.d(x, z), ">", ev.d(x, y) + ev.d(y, z))
     return Verdict(False, f"malformed axiom witness: kind={cand.kind}, {len(cand.points)} points")
+
+
+# The solution check of every circuit tag, check(evals, cand) -> Verdict, for a
+# candidate whose points lie in the unit box.
+CHECKS = {
+    C1: _stall,
+    C2a: partial(_expands, "|f(x)-f(y)| > lam*|x-y|", "f", "norm", "lam"),
+    C2b: partial(_expands, "|p(x)-p(y)| > lam*|x-y|", "p", "norm", "lam"),
+    CM1: partial(_near_fixpoint, "|f(x)-x| <= delta", "norm", "delta"),
+    CM2: partial(_expands, "|f(x)-f(y)| > c*|x-y|", "f", "norm", "c"),
+    M1: partial(_near_fixpoint, "d(f(x),x) <= eps", "d", "eps"),
+    M2a: partial(_expands, "d(f(x),f(y)) > c*d(x,y)", "f", "d", "c"),
+    M2b: _distance_jump,
+    M2c: partial(_expands, "|f(x)-f(y)| > lam*|x-y|", "f", "norm", "lam"),
+    MMviol: _axiom_violation,
+}
+
+
+def _verify(inst: CircuitProblem, cand, kind, shape: str) -> Verdict:
+    """Check that ``cand`` has a tag of the ``kind`` union and points in the box, then check it."""
+    if type(cand) not in get_args(kind):
+        return Verdict(False, f"not a {shape} solution shape: {cand!r}")
+    _check_domain(inst, *_points(cand))
+    return CHECKS[type(cand)](_Evals(inst), cand)
+
+
+def clo_verify(inst: CloInstance, cand: CloSolution) -> Verdict:
+    """C1: f fails to improve p by eps; C2a/C2b: exact Lipschitz violations."""
+    return _verify(inst, cand, CloSolution, "local-opt")
+
+
+def contraction_verify(inst: ContractionInstance, cand: ContractionSolution) -> Verdict:
+    return _verify(inst, cand, ContractionSolution, "contraction")
+
+
+def mmc_verify(inst: MmcInstance, cand: MmcSolution) -> Verdict:
+    return _verify(inst, cand, MmcSolution, "contraction-with-distance")
 
 
 def check_metametric(
@@ -562,35 +594,36 @@ def probe_domain(f: ArithCircuit, dim: int, points_per_axis: int = 4) -> Optiona
 # desk-scale solvers
 
 
-def _step(inst, x: QVector) -> QVector:
-    fx = circuit_eval(inst.f, x)
+def _step(ev: _Evals, x: QVector) -> QVector:
+    fx = ev.f(x)
     if not in_unit_box(fx):
         raise DomainEscapeError(f"f escapes the unit box at {x}", point=fx)
     return fx
 
 
+def _first_holding(ev: _Evals, cands):
+    return next((cand for cand in cands if CHECKS[type(cand)](ev, cand)), None)
+
+
 def clo_solve_iterate(
     inst: CloInstance, start: QVector, budget: Optional[int] = None
 ) -> tuple[CloSolution, tuple[QVector, ...]]:
-    """Iterate f from start; stop at the first eps-stall of p or Lipschitz violation.
+    """Iterate f from start; stop at the first Lipschitz violation or eps-stall of p.
 
     Stops within ceil(p(start)/eps) + 1 iterations when no violation shows up.
     """
     _check_domain(inst, start)
+    ev = _Evals(inst)
     if budget is None:
-        p0 = circuit_eval(inst.p, start)[0]
-        budget = int(math.ceil(p0 / inst.eps)) + 2
+        budget = int(math.ceil(ev.p(start) / inst.eps)) + 2
     x = start
     trace = [x]
     for _ in range(budget):
-        fx = _step(inst, x)
-        if x != fx:
-            if clo_verify(inst, C2a(x, fx)):
-                return C2a(x, fx), tuple(trace)
-            if clo_verify(inst, C2b(x, fx)):
-                return C2b(x, fx), tuple(trace)
-        if circuit_eval(inst.p, fx)[0] >= circuit_eval(inst.p, x)[0] - inst.eps:
-            return C1(x), tuple(trace)
+        fx = _step(ev, x)
+        pairs = (C2a(x, fx), C2b(x, fx)) if x != fx else ()
+        sol = _first_holding(ev, pairs + (C1(x),))
+        if sol is not None:
+            return sol, tuple(trace)
         x = fx
         trace.append(x)
     raise BudgetExceededError(f"no stall within {budget} iterations", trace=tuple(trace))
@@ -606,27 +639,22 @@ def fixpoint_iterate(
     """
     _check_domain(inst, start)
     metered = isinstance(inst, MmcInstance)
-    x = start
+    fix, pair_tags = (M1, (M2a, M2c)) if metered else (CM1, (CM2,))
+    ev = _Evals(inst)
+    x, prev = start, None
     trace = [x]
-    prev: Optional[QVector] = None
     for _ in range(budget + 1):
-        if metered:
-            if mmc_verify(inst, M1(x)):
-                return M1(x), tuple(trace)
-        else:
-            if contraction_verify(inst, CM1(x)):
-                return CM1(x), tuple(trace)
-        fx = _step(inst, x)
+        if _first_holding(ev, (fix(x),)):
+            return fix(x), tuple(trace)
+        fx = _step(ev, x)
         # pair checks run even at a fixed point: a positive self-distance can
         # already violate the claimed contraction factor
-        if metered:
-            for cand in (M2a(x, fx), M2c(x, fx)):
-                if mmc_verify(inst, cand):
-                    return cand, tuple(trace)
-            if prev is not None and mmc_verify(inst, M2b(prev, x, x, fx)):
-                return M2b(prev, x, x, fx), tuple(trace)
-        elif contraction_verify(inst, CM2(x, fx)):
-            return CM2(x, fx), tuple(trace)
+        pairs = [tag(x, fx) for tag in pair_tags]
+        if metered and prev is not None:
+            pairs.append(M2b(prev, x, x, fx))
+        sol = _first_holding(ev, pairs)
+        if sol is not None:
+            return sol, tuple(trace)
         prev = x
         x = fx
         trace.append(x)
@@ -800,26 +828,11 @@ def load_problem(text: str, probe: bool = True) -> CircuitProblem:
     return inst
 
 
-_POINT_SOLS = {
-    "C1": (C1, 1),
-    "C2a": (C2a, 2),
-    "C2b": (C2b, 2),
-    "CM1": (CM1, 1),
-    "CM2": (CM2, 2),
-    "M1": (M1, 1),
-    "M2a": (M2a, 2),
-    "M2b": (M2b, 4),
-    "M2c": (M2c, 2),
-}
-
-
 def format_circuit_solution(sol) -> str:
+    coords = " ".join(format_rational(a) for pt in _points(sol) for a in pt)
     if isinstance(sol, MMviol):
-        coords = " ".join(format_rational(a) for pt in sol.points for a in pt)
         return f"MMVIOL {sol.kind} {coords}"
-    tag = type(sol).__name__
-    pts = [getattr(sol, name) for name in ("x", "y", "x2", "y2") if hasattr(sol, name)]
-    return tag + " " + " ".join(format_rational(a) for pt in pts for a in pt)
+    return f"{type(sol).__name__} {coords}"
 
 
 def parse_circuit_solution(line: str, dim: int):
@@ -838,9 +851,10 @@ def parse_circuit_solution(line: str, dim: int):
             QVector(tuple(coords[i : i + dim])) for i in range(0, len(coords), dim)
         )
         return MMviol(kind, pts)
-    if tag not in _POINT_SOLS:
+    klass = {cls.__name__: cls for cls in CHECKS if cls is not MMviol}.get(tag)
+    if klass is None:
         raise ParseError(f"unknown solution tag {tag!r}")
-    klass, count = _POINT_SOLS[tag]
+    count = len(dataclass_fields(klass))
     coords = [rational(tok) for tok in parts[1:]]
     if len(coords) != count * dim:
         raise ParseError(f"{tag} needs {count * dim} coordinates, got {len(coords)}")

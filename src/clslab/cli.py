@@ -214,19 +214,14 @@ def cmd_verify(args) -> int:
         detail = f"{tag} condition {'holds' if ok else 'fails'} at {sol.x}"
     elif args.problem in ("clo", "contraction", "mmc"):
         inst = circuits.load_problem(inst_text)
-        expected = {
-            "clo": circuits.CloInstance,
-            "contraction": circuits.ContractionInstance,
-            "mmc": circuits.MmcInstance,
+        expected, verify = {
+            "clo": (circuits.CloInstance, circuits.clo_verify),
+            "contraction": (circuits.ContractionInstance, circuits.contraction_verify),
+            "mmc": (circuits.MmcInstance, circuits.mmc_verify),
         }[args.problem]
         if not isinstance(inst, expected):
             raise ParseError(f"instance file is not a {args.problem} instance")
         sol = circuits.parse_circuit_solution(sol_line, inst.dim)
-        verify = {
-            "clo": circuits.clo_verify,
-            "contraction": circuits.contraction_verify,
-            "mmc": circuits.mmc_verify,
-        }[args.problem]
         verdict = verify(inst, sol)
         ok, detail = verdict.ok, verdict.detail
     else:

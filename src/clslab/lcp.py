@@ -541,6 +541,8 @@ def lemke_solve(
     d = inst.d
     if budget is None:
         budget = 2 ** (2 * d) + 1
+    if budget < 0:
+        raise PreconditionError(f"budget must be nonnegative, got {budget}")
     if all(x >= 0 for x in inst.q):
         return LemkeResult(Q1(QVector.zero(d)), ())
 

@@ -235,8 +235,7 @@ def tag_holds(inst: LineInstance, tag: str, x: BitConfig) -> bool:
     return PREDICATES[tag](_Memo(inst), x)
 
 
-def _classify(inst: LineInstance, x: BitConfig, tags: tuple[str, ...]) -> Optional[LineSolution]:
-    memo = _Memo(inst)
+def _classify(memo: _Memo, x: BitConfig, tags: tuple[str, ...]) -> Optional[LineSolution]:
     for tag in tags:
         if PREDICATES[tag](memo, x):
             return _SOL_TAGS[tag](x)
@@ -245,12 +244,12 @@ def _classify(inst: LineInstance, x: BitConfig, tags: tuple[str, ...]) -> Option
 
 def eopl_verify(inst: EoplInstance, x: BitConfig) -> Optional[EoplSolution]:
     """Classify x as R1 (broken line end) or R2 (potential non-increase), R1 first."""
-    return _classify(inst, x, EOPL_TAGS)
+    return _classify(_Memo(inst), x, EOPL_TAGS)
 
 
 def eoml_verify(inst: EomlInstance, x: BitConfig) -> Optional[EomlSolution]:
     """Classify x as T1, T2, or T3, in that priority order."""
-    return _classify(inst, x, EOML_TAGS)
+    return _classify(_Memo(inst), x, EOML_TAGS)
 
 
 def verify_solution(inst: LineInstance, x: BitConfig) -> Optional[LineSolution]:
@@ -291,20 +290,24 @@ def follow_line(
     """Walk successors from the all-zeros config until a solution verifies."""
     if max_steps < 1:
         raise PreconditionError("max_steps must be at least 1")
+    tags = EOPL_TAGS if isinstance(inst, EoplInstance) else EOML_TAGS
     x = BitConfig.zeros(inst.n)
-    trace: list[TraceStep] = [(x, inst.V(x))]
+    memo = _Memo(inst)
+    trace: list[TraceStep] = [(x, memo.V(x))]
     steps = 0
     while True:
-        sol = verify_solution(inst, x)
+        sol = _classify(memo, x, tags)
         if sol is not None:
             return sol, tuple(trace)
         if steps == max_steps:
             raise BudgetExceededError(
                 f"no solution within {max_steps} steps", trace=tuple(trace)
             )
-        x = inst.S(x)
+        x = memo.S(x)
         steps += 1
-        trace.append((x, inst.V(x)))
+        trace.append((x, memo.V(x)))
+        # the classifier's answers about the new x carry over; the rest go
+        memo.seen = {key: out for key, out in memo.seen.items() if key[1] == x}
 
 
 def enumerate_solutions(inst: LineInstance, limit_n: int = 20) -> list[LineSolution]:

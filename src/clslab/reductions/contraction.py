@@ -85,32 +85,31 @@ def gc_to_clo(inst: MmcInstance) -> CloInstance:
     )
 
 
+def _first_ok(verify, inst, cands, failure: str):
+    """The first candidate that verifies on the source; none is a reduction bug."""
+    for cand in cands:
+        if verify(inst, cand):
+            return cand
+    raise InvariantViolationError(failure)
+
+
 def clo_sol_to_gc(inst: MmcInstance, sol: CloSolution) -> MmcSolution:
     """An eps-stall is a near-fixpoint or a contraction violation one step out."""
     target = gc_to_clo(inst)
     if not clo_verify(target, sol):
         raise PreconditionError("candidate does not solve the reduced instance")
     if isinstance(sol, C1):
-        x = sol.x
-        if mmc_verify(inst, M1(x)):
-            return M1(x)
-        mapped: MmcSolution = M2a(circuit_eval(inst.f, x), x)
-        if mmc_verify(inst, mapped):
-            return mapped
-        raise InvariantViolationError("stalled point is neither a fixpoint nor a violation")
+        cands = (M1(sol.x), M2a(circuit_eval(inst.f, sol.x), sol.x))
+        return _first_ok(mmc_verify, inst, cands, "stalled point is neither a fixpoint nor a violation")
     if isinstance(sol, C2a):
-        mapped = M2c(sol.x, sol.y)
-        if mmc_verify(inst, mapped):
-            return mapped
-        raise InvariantViolationError("map-continuity violation did not survive back-mapping")
+        cands = (M2c(sol.x, sol.y),)
+        return _first_ok(mmc_verify, inst, cands, "map-continuity violation did not survive back-mapping")
     # C2b: the potential jump blames either d's continuity on the image pairs
     # or f's continuity on the original pair
     fx = circuit_eval(inst.f, sol.x)
     fy = circuit_eval(inst.f, sol.y)
-    for mapped in (M2b(fx, sol.x, fy, sol.y), M2c(sol.x, sol.y)):
-        if mmc_verify(inst, mapped):
-            return mapped
-    raise InvariantViolationError("potential-continuity violation did not survive back-mapping")
+    cands = (M2b(fx, sol.x, fy, sol.y), M2c(sol.x, sol.y))
+    return _first_ok(mmc_verify, inst, cands, "potential-continuity violation did not survive back-mapping")
 
 
 # ----------------------------------------------------------------------------
@@ -132,8 +131,7 @@ def _continuity_factor_bound(lam: Fraction, r: NormOrder) -> Fraction:
 def clo_to_mmc(inst: CloInstance) -> MmcInstance:
     """Distance p(x) + p(y) + 1; self-distance stays above eps so only
     violation-type solutions exist in the target."""
-    probe = [x for x in unit_grid(inst.dim, 4)]
-    for x in probe:
+    for x in unit_grid(inst.dim, 4):
         if circuit_eval(inst.p, x)[0] < 0:
             raise PreconditionError(f"potential is negative at {x}; distance needs p >= 0")
     if inst.eps >= 1:
@@ -160,20 +158,14 @@ def mmc_sol_to_clo(inst: CloInstance, sol: MmcSolution) -> CloSolution:
         raise PreconditionError("candidate does not solve the reduced instance")
     if isinstance(sol, M2a):
         # the contraction shortfall forces an eps-stall at one of the pair
-        for point in (sol.x, sol.y):
-            if clo_verify(inst, C1(point)):
-                return C1(point)
-        raise InvariantViolationError("contraction violation back-mapped to no stall")
+        cands = (C1(sol.x), C1(sol.y))
+        return _first_ok(clo_verify, inst, cands, "contraction violation back-mapped to no stall")
     if isinstance(sol, M2b):
-        for mapped in (C2b(sol.x, sol.x2), C2b(sol.y, sol.y2)):
-            if clo_verify(inst, mapped):
-                return mapped
-        raise InvariantViolationError("distance-continuity violation did not survive back-mapping")
+        cands = (C2b(sol.x, sol.x2), C2b(sol.y, sol.y2))
+        return _first_ok(clo_verify, inst, cands, "distance-continuity violation did not survive back-mapping")
     if isinstance(sol, M2c):
-        mapped = C2a(sol.x, sol.y)
-        if clo_verify(inst, mapped):
-            return mapped
-        raise InvariantViolationError("map-continuity violation did not survive back-mapping")
+        cands = (C2a(sol.x, sol.y),)
+        return _first_ok(clo_verify, inst, cands, "map-continuity violation did not survive back-mapping")
     raise PreconditionError("axiom violations cannot arise: the built distance satisfies them")
 
 
@@ -214,14 +206,7 @@ def clo_sol_to_contraction(inst: ContractionInstance, sol: CloSolution) -> Contr
     if not clo_verify(target, sol):
         raise PreconditionError("candidate does not solve the reduced instance")
     if isinstance(sol, C1):
-        x = sol.x
-        if contraction_verify(inst, CM1(x)):
-            return CM1(x)
-        mapped = CM2(x, circuit_eval(inst.f, x))
-        if contraction_verify(inst, mapped):
-            return mapped
-        raise InvariantViolationError("stalled point is neither a fixpoint nor a violation")
-    mapped = CM2(sol.x, sol.y)
-    if contraction_verify(inst, mapped):
-        return mapped
-    raise InvariantViolationError("continuity violation did not survive back-mapping")
+        cands = (CM1(sol.x), CM2(sol.x, circuit_eval(inst.f, sol.x)))
+        return _first_ok(contraction_verify, inst, cands, "stalled point is neither a fixpoint nor a violation")
+    cands = (CM2(sol.x, sol.y),)
+    return _first_ok(contraction_verify, inst, cands, "continuity violation did not survive back-mapping")

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction as F
-from typing import Optional
+from typing import Optional, Union
 from unittest import mock
 
 from clslab import (
@@ -25,7 +26,29 @@ from clslab import (
     is_p_matrix,
     lemke_solve,
 )
-from clslab.circuits import identity_circuit, norm_distance_circuit
+from clslab import circuits
+from clslab.circuits import (
+    C1,
+    C2a,
+    C2b,
+    CM1,
+    CM2,
+    M1,
+    M2a,
+    M2b,
+    M2c,
+    CloSolution,
+    ContractionSolution,
+    MmcSolution,
+    Verdict,
+    identity_circuit,
+    in_unit_box,
+    norm_distance_circuit,
+    norm_gt,
+    norm_pow,
+)
+from clslab.errors import BudgetExceededError, DomainEscapeError, PreconditionError
+from clslab.qlinalg import Q, format_rational
 from clslab import lcp
 from clslab.lcp import (
     Q1,
@@ -38,7 +61,7 @@ from clslab.lcp import (
     _split,
     _var_name,
 )
-from clslab.lines import BitConfig, all_configs, load_line_table, table_instance
+from clslab.lines import BitConfig, all_configs, load_line_table, table_instance, verify_solution
 from clslab.qlinalg import solve_columns
 from clslab.reductions.lcp_line import (
     is_valid_config,
@@ -497,6 +520,25 @@ def hand_built_line_tables() -> list:
     ]
 
 
+def follow_line_ref(inst, max_steps: int):
+    """``follow_line`` as it was before it read S(x) and V(x) from the step's
+    memo: each step classifies afresh and then asks the oracles again."""
+    if max_steps < 1:
+        raise PreconditionError("max_steps must be at least 1")
+    x = BitConfig.zeros(inst.n)
+    trace = [(x, inst.V(x))]
+    steps = 0
+    while True:
+        sol = verify_solution(inst, x)
+        if sol is not None:
+            return sol, tuple(trace)
+        if steps == max_steps:
+            raise BudgetExceededError(f"no solution within {max_steps} steps", trace=tuple(trace))
+        x = inst.S(x)
+        steps += 1
+        trace.append((x, inst.V(x)))
+
+
 # ----------------------------------------------------------------------------
 # circuit fixtures
 
@@ -635,3 +677,188 @@ def clo_catalog() -> list[tuple[CloInstance, QVector]]:
             QVector.of(["1/8"]),
         ),
     ]
+
+
+# ----------------------------------------------------------------------------
+# circuit verifiers and iterators as they were before the shared check table:
+# one isinstance chain per verifier, and iterators that call the verifiers.
+# Independent reference for ``clslab.circuits.CHECKS``; every evaluation goes
+# through ``clslab.circuits.circuit_eval``.
+
+
+def _dist_ref(inst: MmcInstance, x: QVector, y: QVector) -> F:
+    return circuits.circuit_eval(inst.d, QVector(tuple(x) + tuple(y)))[0]
+
+
+def _ineq_ref(label: str, lhs: F, rel: str, rhs: F, ok: bool) -> Verdict:
+    state = "holds" if ok else "fails"
+    return Verdict(ok, f"{label}: {format_rational(lhs)} {rel} {format_rational(rhs)} {state}")
+
+
+def _check_domain_ref(inst, *points: QVector):
+    for pt in points:
+        if len(pt) != inst.dim:
+            raise DimensionError("point has wrong dimension")
+        if not in_unit_box(pt):
+            raise PreconditionError(f"point outside [0,1]^{inst.dim}: {pt}")
+
+
+def _lipschitz_verdict_ref(label: str, g: ArithCircuit, k: F, inst, cand) -> Verdict:
+    """Whether |g(x) - g(y)| > k * |x - y| in the instance norm, for a pair (x, y)."""
+    _check_domain_ref(inst, cand.x, cand.y)
+    gx = circuits.circuit_eval(g, cand.x)
+    gy = circuits.circuit_eval(g, cand.y)
+    ok = norm_gt(gx - gy, k, cand.x - cand.y, inst.r)
+    return _ineq_ref(label, norm_pow(gx - gy, inst.r), ">", k * norm_pow(cand.x - cand.y, inst.r), ok)
+
+
+def clo_verify_ref(inst: CloInstance, cand: CloSolution) -> Verdict:
+    """C1: f fails to improve p by eps; C2a/C2b: exact Lipschitz violations."""
+    if isinstance(cand, C1):
+        _check_domain_ref(inst, cand.x)
+        px = circuits.circuit_eval(inst.p, cand.x)[0]
+        pfx = circuits.circuit_eval(inst.p, circuits.circuit_eval(inst.f, cand.x))[0]
+        return _ineq_ref("p(f(x)) >= p(x) - eps", pfx, ">=", px - inst.eps, pfx >= px - inst.eps)
+    if isinstance(cand, C2a):
+        return _lipschitz_verdict_ref("|f(x)-f(y)| > lam*|x-y|", inst.f, inst.lam, inst, cand)
+    if isinstance(cand, C2b):
+        return _lipschitz_verdict_ref("|p(x)-p(y)| > lam*|x-y|", inst.p, inst.lam, inst, cand)
+    return Verdict(False, f"not a local-opt solution shape: {cand!r}")
+
+
+def contraction_verify_ref(inst: ContractionInstance, cand: ContractionSolution) -> Verdict:
+    if isinstance(cand, CM1):
+        _check_domain_ref(inst, cand.x)
+        gap = circuits.circuit_eval(inst.f, cand.x) - cand.x
+        value = norm_pow(gap, inst.r)
+        return _ineq_ref("|f(x)-x| <= delta", value, "<=", inst.delta, value <= inst.delta)
+    if isinstance(cand, CM2):
+        return _lipschitz_verdict_ref("|f(x)-f(y)| > c*|x-y|", inst.f, inst.c, inst, cand)
+    return Verdict(False, f"not a contraction solution shape: {cand!r}")
+
+
+def mmc_verify_ref(inst: MmcInstance, cand: MmcSolution) -> Verdict:
+    if isinstance(cand, M1):
+        _check_domain_ref(inst, cand.x)
+        value = _dist_ref(inst, circuits.circuit_eval(inst.f, cand.x), cand.x)
+        return _ineq_ref("d(f(x),x) <= eps", value, "<=", inst.eps, value <= inst.eps)
+    if isinstance(cand, M2a):
+        _check_domain_ref(inst, cand.x, cand.y)
+        fx = circuits.circuit_eval(inst.f, cand.x)
+        fy = circuits.circuit_eval(inst.f, cand.y)
+        lhs = _dist_ref(inst, fx, fy)
+        rhs = inst.c * _dist_ref(inst, cand.x, cand.y)
+        return _ineq_ref("d(f(x),f(y)) > c*d(x,y)", lhs, ">", rhs, lhs > rhs)
+    if isinstance(cand, M2b):
+        _check_domain_ref(inst, cand.x, cand.y, cand.x2, cand.y2)
+        gap = _dist_ref(inst, cand.x, cand.y) - _dist_ref(inst, cand.x2, cand.y2)
+        lhs = gap if gap >= 0 else -gap
+        pair_diff = QVector(tuple(cand.x - cand.x2) + tuple(cand.y - cand.y2))
+        rhs = inst.delta_d * norm_pow(pair_diff, inst.r)
+        return _ineq_ref("|d(x,y)-d(x',y')| > delta_d*|(x,y)-(x',y')|", lhs, ">", rhs, lhs > rhs)
+    if isinstance(cand, M2c):
+        return _lipschitz_verdict_ref("|f(x)-f(y)| > lam*|x-y|", inst.f, inst.lam, inst, cand)
+    if isinstance(cand, MMviol):
+        for pt in cand.points:
+            _check_domain_ref(inst, pt)
+        return _axiom_violation_verdict_ref(inst.d, cand)
+    return Verdict(False, f"not a contraction-with-distance solution shape: {cand!r}")
+
+
+def _axiom_violation_verdict_ref(d: ArithCircuit, cand: MMviol) -> Verdict:
+    def dist(a: QVector, b: QVector) -> F:
+        return circuits.circuit_eval(d, QVector(tuple(a) + tuple(b)))[0]
+
+    if cand.kind == 1 and len(cand.points) == 2:
+        x, y = cand.points
+        value = dist(x, y)
+        return _ineq_ref("nonnegativity violated: d(x,y) < 0", value, "<", Q(0), value < 0)
+    if cand.kind == 2 and len(cand.points) == 2:
+        x, y = cand.points
+        value = dist(x, y)
+        ok = value == 0 and x != y
+        return Verdict(ok, f"zero-implies-equal violated: d(x,y)={format_rational(value)}, x!=y is {x != y}")
+    if cand.kind == 3 and len(cand.points) == 2:
+        x, y = cand.points
+        a, b = dist(x, y), dist(y, x)
+        return Verdict(a != b, f"symmetry violated: d(x,y)={format_rational(a)}, d(y,x)={format_rational(b)}")
+    if cand.kind == 4 and len(cand.points) == 3:
+        x, y, z = cand.points
+        lhs = dist(x, z)
+        rhs = dist(x, y) + dist(y, z)
+        return _ineq_ref("triangle violated: d(x,z) > d(x,y)+d(y,z)", lhs, ">", rhs, lhs > rhs)
+    return Verdict(False, f"malformed axiom witness: kind={cand.kind}, {len(cand.points)} points")
+
+
+def _step_ref(inst, x: QVector) -> QVector:
+    fx = circuits.circuit_eval(inst.f, x)
+    if not in_unit_box(fx):
+        raise DomainEscapeError(f"f escapes the unit box at {x}", point=fx)
+    return fx
+
+
+def clo_solve_iterate_ref(
+    inst: CloInstance, start: QVector, budget: Optional[int] = None
+) -> tuple[CloSolution, tuple[QVector, ...]]:
+    """Iterate f from start; stop at the first eps-stall of p or Lipschitz violation.
+
+    Stops within ceil(p(start)/eps) + 1 iterations when no violation shows up.
+    """
+    _check_domain_ref(inst, start)
+    if budget is None:
+        p0 = circuits.circuit_eval(inst.p, start)[0]
+        budget = int(math.ceil(p0 / inst.eps)) + 2
+    x = start
+    trace = [x]
+    for _ in range(budget):
+        fx = _step_ref(inst, x)
+        if x != fx:
+            if clo_verify_ref(inst, C2a(x, fx)):
+                return C2a(x, fx), tuple(trace)
+            if clo_verify_ref(inst, C2b(x, fx)):
+                return C2b(x, fx), tuple(trace)
+        if circuits.circuit_eval(inst.p, fx)[0] >= circuits.circuit_eval(inst.p, x)[0] - inst.eps:
+            return C1(x), tuple(trace)
+        x = fx
+        trace.append(x)
+    raise BudgetExceededError(f"no stall within {budget} iterations", trace=tuple(trace))
+
+
+def fixpoint_iterate_ref(
+    inst: Union[ContractionInstance, MmcInstance], start: QVector, budget: int = 256
+) -> tuple[Union[ContractionSolution, MmcSolution], tuple[QVector, ...]]:
+    """Iterate f from start until the fixpoint condition verifies.
+
+    Consecutive iterate pairs are tested for contraction/continuity
+    violations on the way; hitting the budget raises with the trace.
+    """
+    _check_domain_ref(inst, start)
+    metered = isinstance(inst, MmcInstance)
+    x = start
+    trace = [x]
+    prev: Optional[QVector] = None
+    for _ in range(budget + 1):
+        if metered:
+            if mmc_verify_ref(inst, M1(x)):
+                return M1(x), tuple(trace)
+        else:
+            if contraction_verify_ref(inst, CM1(x)):
+                return CM1(x), tuple(trace)
+        fx = _step_ref(inst, x)
+        # pair checks run even at a fixed point: a positive self-distance can
+        # already violate the claimed contraction factor
+        if metered:
+            for cand in (M2a(x, fx), M2c(x, fx)):
+                if mmc_verify_ref(inst, cand):
+                    return cand, tuple(trace)
+            if prev is not None and mmc_verify_ref(inst, M2b(prev, x, x, fx)):
+                return M2b(prev, x, x, fx), tuple(trace)
+        elif contraction_verify_ref(inst, CM2(x, fx)):
+            return CM2(x, fx), tuple(trace)
+        prev = x
+        x = fx
+        trace.append(x)
+    raise BudgetExceededError(
+        f"no fixpoint within {budget} iterations; promised contraction may be slow or false",
+        trace=tuple(trace),
+    )

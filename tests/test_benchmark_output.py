@@ -22,15 +22,23 @@ def _strict_json(line: str):
     return json.loads(line, parse_constant=reject)
 
 
-@pytest.mark.parametrize("workload", ["lcp-direct", "plcp-pipeline"])
-def test_one_round_ends_with_a_strict_json_result_line(workload):
+def _round_len(workload: str) -> int:
     with open(os.path.join(ROOT, "perfbench", "digests.json")) as fh:
-        round_len = json.load(fh)[workload]["items"]
-    done = subprocess.run(
+        return json.load(fh)[workload]["items"]
+
+
+def _one_round(workload: str, *extra: str):
+    return subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
-         "--items", str(round_len)],
+         "--items", str(_round_len(workload)), *extra],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
+
+
+@pytest.mark.parametrize("workload", ["lcp-direct", "plcp-pipeline"])
+def test_one_round_ends_with_a_strict_json_result_line(workload):
+    round_len = _round_len(workload)
+    done = _one_round(workload)
     assert done.returncode == 0, done.stderr[-2000:]
     lines = done.stdout.splitlines()
     result = _strict_json(lines[-1])
@@ -40,3 +48,17 @@ def test_one_round_ends_with_a_strict_json_result_line(workload):
     reports = [line for line in lines if line.startswith('{"report": ')]
     assert len(reports) == 1
     assert _strict_json(reports[0])["report"]["digest"]["status"] == "match"
+
+
+def test_a_traced_round_reports_every_metric_and_wraps_every_span():
+    # a renamed or moved wrapped name, or a dropped memo, turns metrics null
+    done = _one_round("lcp-direct", "--trace", "1")
+    assert done.returncode == 0, done.stderr[-2000:]
+    lines = done.stdout.splitlines()
+    result = _strict_json(lines[-1])
+    nulls = [name for name, metric in result["metrics"].items() if metric["value"] is None]
+    assert nulls == []
+    assert all(isinstance(metric["value"], (int, float)) for metric in result["metrics"].values())
+    reports = [line for line in lines if line.startswith('{"report": ')]
+    assert len(reports) == 1
+    assert _strict_json(reports[0])["report"]["trace"]["missing_wraps"] == {}

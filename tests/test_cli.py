@@ -74,6 +74,16 @@ def test_explicit_zero_is_not_the_default(tmp_path, capsys):
     assert "max_steps must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["solve-lcp"], ["pipeline", "plcp"]])
+def test_negative_budget_is_a_usage_error(tmp_path, capsys, command):
+    path = write(tmp_path, "a.lcp", DIAG_LCP)
+    assert main(command + [path, "--budget", "-1"]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: budget must be nonnegative, got -1\n"
+    assert main(command + [path, "--budget", "0"]) == 1
+
+
 def test_check_pmatrix(tmp_path, capsys):
     assert main(["check-pmatrix", write(tmp_path, "a.lcp", DIAG_LCP)]) == 0
     assert "ok" in capsys.readouterr().out

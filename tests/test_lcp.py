@@ -327,6 +327,14 @@ def test_solver_budget_guard():
         assert info.value.trace == res.trace[: k + 1]
 
 
+def test_negative_budget_is_rejected_in_both_modes():
+    inst = gen_p_lcp(random.Random(3), 3)
+    trivial = make_lcp([[1, 0], [0, 1]], [1, 2])
+    for case, lex in itertools.product((inst, trivial), (False, True)):
+        with pytest.raises(PreconditionError, match="budget must be nonnegative"):
+            lemke_solve(case, lexicographic=lex, budget=-1)
+
+
 def _tight_ids(inst, v):
     return frozenset(var_id(name, inst.d) for name in v.tight)
 

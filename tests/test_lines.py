@@ -35,6 +35,7 @@ from clslab.lines import (
 from clslab.reductions import ImmediateSolution, eoml_to_eopl, eopl_to_eoml
 from support import (
     bits,
+    follow_line_ref,
     gen_eoml_path,
     gen_eoml_random,
     gen_eopl_monotone,
@@ -252,3 +253,29 @@ def test_classifiers_make_no_more_oracle_calls_than_inline_ones():
             probe, calls = counted(inst)
             verify_solution(probe, x)
             assert all(calls[name] <= ceiling[name] for name in "SPV"), (x, calls)
+
+
+def _walk(follow, inst, max_steps):
+    try:
+        return follow(inst, max_steps)
+    except BudgetExceededError as exc:
+        return type(exc).__name__, str(exc), exc.trace
+
+
+def test_follow_matches_the_reference_walk_with_fewer_oracle_calls():
+    for inst in line_instances():
+        for max_steps in (1, 2, 3, 1 << inst.n):
+            probe, calls = counted(inst)
+            ref_probe, ref_calls = counted(inst)
+            assert _walk(follow_line, probe, max_steps) == _walk(follow_line_ref, ref_probe, max_steps)
+            assert all(calls[name] <= ref_calls[name] for name in "SPV"), (calls, ref_calls)
+
+
+def test_follow_reads_the_step_memo_instead_of_asking_again():
+    # a 15-step metered path: the reference walk asks 46 S, 31 P and 60 V
+    inst = gen_eoml_path(random.Random(4), 6, corrupt=False)
+    probe, calls = counted(inst)
+    sol, trace = follow_line(probe, 1 << 6)
+    assert (sol, trace) == follow_line_ref(inst, 1 << 6)
+    assert len(trace) == 16
+    assert calls["S"] <= 31 and calls["P"] <= 16 and calls["V"] <= 30, calls
