@@ -9,8 +9,8 @@ procedures closing over another instance.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from operator import index
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import (
@@ -23,58 +23,98 @@ from .errors import (
 from .qlinalg import data_lines, integer
 
 
-@dataclass(frozen=True)
 class BitConfig:
-    """Immutable fixed-width bit vector; bit 0 is the leftmost/printed first."""
+    """Immutable fixed-width bit vector, held as one ``(value, width)`` pair.
 
-    bits: tuple[int, ...]
+    ``value`` is the integer the bits spell with bit 0, the first one printed,
+    most significant, so ``str`` prints ``value`` in ``width`` binary digits and
+    ``split``/``concat`` are shifts and masks.  Inputs are checked where text
+    or ints come in (``from_string``, ``from_int``, ``zeros``); the constructor
+    trusts its caller to pass ``0 <= value < 2^width``.  Two configs are equal
+    when both value and width are, and the hash is computed once.
+    """
 
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
+    __slots__ = ("value", "width", "_hash")
+
+    def __new__(cls, value: int, width: int) -> "BitConfig":
+        self = _new_object(cls)
+        _set_value(self, value)
+        _set_width(self, width)
+        _set_hash(self, hash((value, width)))
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BitConfig is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("BitConfig is immutable")
+
+    def __reduce__(self):  # pickle and copy rebuild through the constructor
+        return BitConfig, (self.value, self.width)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, BitConfig):
+            return self.value == other.value and self.width == other.width
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"BitConfig({self.value}, {self.width})"
+
+    def __str__(self) -> str:
+        return format(self.value, f"0{self.width}b") if self.width else ""
 
     @staticmethod
     def zeros(width: int) -> "BitConfig":
-        return BitConfig((0,) * width)
+        width = index(width)
+        if width < 0:
+            raise ValueError(f"negative width {width}")
+        return BitConfig(0, width)
 
     @staticmethod
     def from_string(text: str) -> "BitConfig":
-        if not text or any(c not in "01" for c in text):
+        # int(text, 2) alone would also take "_", "+", "-" and whitespace
+        if not text or text.strip("01"):
             raise ParseError(f"not a bit string: {text!r}")
-        return BitConfig(tuple(int(c) for c in text))
+        return BitConfig(int(text, 2), len(text))
 
     @staticmethod
     def from_int(value: int, width: int) -> "BitConfig":
+        value, width = index(value), index(width)
         if value < 0 or value >= 1 << width:
             raise ValueError(f"{value} does not fit in {width} bits")
-        return BitConfig(tuple((value >> (width - 1 - k)) & 1 for k in range(width)))
-
-    @property
-    def width(self) -> int:
-        return len(self.bits)
+        return BitConfig(value, width)
 
     def to_int(self) -> int:
-        out = 0
-        for b in self.bits:
-            out = (out << 1) | b
-        return out
+        return self.value
 
     def is_zero(self) -> bool:
-        return all(b == 0 for b in self.bits)
+        return self.value == 0
 
     def concat(self, other: "BitConfig") -> "BitConfig":
-        return BitConfig(self.bits + other.bits)
+        return BitConfig(self.value << other.width | other.value, self.width + other.width)
 
     def split(self, k: int) -> tuple["BitConfig", "BitConfig"]:
-        return BitConfig(self.bits[:k]), BitConfig(self.bits[k:])
+        """The first k bits and the rest."""
+        if not 0 <= k <= self.width:
+            raise ValueError(f"cannot split {self.width} bits at {k}")
+        low = self.width - k
+        return BitConfig(self.value >> low, k), BitConfig(self.value & ((1 << low) - 1), low)
 
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+
+# the constructor fills the slots through their descriptors, past __setattr__
+_new_object = object.__new__
+_set_value = BitConfig.value.__set__
+_set_width = BitConfig.width.__set__
+_set_hash = BitConfig._hash.__set__
 
 
 def all_configs(width: int) -> Iterator[BitConfig]:
-    for bits in itertools.product((0, 1), repeat=width):
-        yield BitConfig(bits)
+    """Every config of the width, in the order of their values."""
+    for value in range(1 << width):
+        yield BitConfig(value, width)
 
 
 # Instances compare and hash by identity: the oracles are callables, so two
@@ -359,19 +399,26 @@ def load_line_table(text: str) -> LineInstance:
         raise ParseError(f"width {n} out of range")
     if m is not None and m < 0:
         raise ParseError(f"potential width {m} is negative")
-    s, p, v = {}, {}, {}
     if len(lines) - 1 != 1 << n:
         raise ParseError(f"expected {1 << n} table rows, got {len(lines) - 1}")
+    # the oracles' contract, checked once per row: n-bit S and P, V in [0, top)
+    top = 1 << m if kind == "EOPL" else (1 << n) + 1
+    s, p, v = {}, {}, {}
     for num, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 4:
             raise ParseError(f"line {num}: bad table row {ln!r}")
-        x = BitConfig.from_string(parts[0])
+        x, sx, px = map(BitConfig.from_string, parts[:3])
         if x.width != n:
             raise ParseError(f"line {num}: row width mismatch")
-        s[x] = BitConfig.from_string(parts[1])
-        p[x] = BitConfig.from_string(parts[2])
-        v[x] = integer(parts[3])
+        if sx.width != n or px.width != n:
+            raise ParseError(f"line {num}: successor or predecessor is not {n} bits wide")
+        if x in s:
+            raise ParseError(f"line {num}: config {x} is listed twice")
+        vx = integer(parts[3])
+        if not 0 <= vx < top:
+            raise ParseError(f"line {num}: value {vx} outside [0, {top})")
+        s[x], p[x], v[x] = sx, px, vx
     return table_instance(kind, n, s, p, v, m)
 
 

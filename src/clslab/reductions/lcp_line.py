@@ -87,7 +87,7 @@ def make_context(inst: LcpInstance) -> PlcpEoplContext:
 
 
 def _invalid_sentinel(d: int) -> BitConfig:
-    return BitConfig((0,) * (2 * d - 2) + (1, 1))
+    return BitConfig(0b11, 2 * d)
 
 
 def _config_tight(ctx: PlcpEoplContext, u: BitConfig) -> Optional[frozenset[int]]:
@@ -98,20 +98,20 @@ def _config_tight(ctx: PlcpEoplContext, u: BitConfig) -> Optional[frozenset[int]
     vertex, so it is treated as a dummy as well.
     """
     d = ctx.inst.d
-    bits = u.bits
-    second = bits[d:]
-    tau = sum(second)
-    if tau > 1:
+    # the halves as integers; bit `label` of the second half lines up with
+    # bit `label` of the first, so `first & second` reads the slack side there
+    first, second = u.value >> d, u.value & ((1 << d) - 1)
+    if second & (second - 1):  # more than one duplicate-label bit
         return None
-    if tau == 1:
-        label = second.index(1)
-        if bits[label] != 1:
+    if second:
+        if not first & second:
             return None
+        label = d - second.bit_length()
         tight = {label, d + label}
     else:
         tight = {2 * d}
     for i in range(d):
-        tight.add(i if bits[i] == 0 else d + i)
+        tight.add(d + i if first >> (d - 1 - i) & 1 else i)
     return frozenset(tight)
 
 
@@ -172,13 +172,11 @@ def itoe(ctx: PlcpEoplContext, y: QVector, s: QVector, z: Fraction) -> BitConfig
     labels = [i for i in range(d) if y[i] == 0 and s[i] == 0]
     if len(labels) > 1:
         return _invalid_sentinel(d)
-    bits = [0] * (2 * d)
-    if labels:
-        bits[d + labels[0]] = 1
+    first = 0
     for i in range(d):
-        if s[i] == 0:
-            bits[i] = 1
-    return BitConfig(tuple(bits))
+        first = first << 1 | (s[i] == 0)
+    second = 1 << (d - 1 - labels[0]) if labels else 0
+    return BitConfig(first << d | second, 2 * d)
 
 
 def _step(ctx: PlcpEoplContext, u: BitConfig, ahead: bool) -> BitConfig:

@@ -40,7 +40,13 @@ def _require_valid(inst) -> None:
 
 
 def _join_bit(b: int, u: BitConfig) -> BitConfig:
-    return BitConfig((b,) + u.bits)
+    return BitConfig(b << u.width | u.value, u.width + 1)
+
+
+def _split_bit(x: BitConfig) -> tuple[int, BitConfig]:
+    """The leading bit of x and the config after it."""
+    n = x.width - 1
+    return x.value >> n, BitConfig(x.value & ((1 << n) - 1), n)
 
 
 @lru_cache(maxsize=None)
@@ -52,7 +58,7 @@ def eoml_to_eopl(inst: EomlInstance) -> EoplInstance:
     zero_k = BitConfig.zeros(n + 1)
 
     def s_prime(x: BitConfig) -> BitConfig:
-        b, u = x.bits[0], BitConfig(x.bits[1:])
+        b, u = _split_bit(x)
         if x == zero_k:
             return _join_bit(1, zero_n)
         if b == 0 and u != zero_n:
@@ -64,7 +70,7 @@ def eoml_to_eopl(inst: EomlInstance) -> EoplInstance:
         return x
 
     def p_prime(x: BitConfig) -> BitConfig:
-        b, u = x.bits[0], BitConfig(x.bits[1:])
+        b, u = _split_bit(x)
         if x == zero_k:
             return x
         if b == 0 and u != zero_n:
@@ -78,9 +84,8 @@ def eoml_to_eopl(inst: EomlInstance) -> EoplInstance:
         return x
 
     def v_prime(x: BitConfig) -> int:
-        if x.bits[0] == 0:
-            return 0
-        return inst.V(BitConfig(x.bits[1:]))
+        b, u = _split_bit(x)
+        return inst.V(u) if b else 0
 
     # odometer values stay below 2^n + 1, so n + 1 potential bits suffice
     return EoplInstance(n=n + 1, m=n + 1, s=s_prime, p=p_prime, v=v_prime)
@@ -91,7 +96,7 @@ def eopl_sol_to_eoml(src: EomlInstance, x: BitConfig) -> EomlSolution:
     target = eoml_to_eopl(src)
     if eopl_verify(target, x) is None:
         raise PreconditionError(f"{x} does not solve the reduced instance")
-    u = BitConfig(x.bits[1:])
+    _, u = _split_bit(x)
     classified = eoml_verify(src, u)
     if classified is None:
         raise InvariantViolationError(f"back-map of {x} failed to verify on the source")
@@ -110,8 +115,8 @@ class ImmediateSolution:
 
 
 def _split(x: BitConfig, n: int) -> tuple[BitConfig, int]:
-    u, pi = x.split(n)
-    return u, pi.to_int()
+    m = x.width - n
+    return BitConfig(x.value >> m, n), x.value & ((1 << m) - 1)
 
 
 def _join(u: BitConfig, pi: int, m: int) -> BitConfig:

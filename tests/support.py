@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction as F
 from typing import Optional, Union
 from unittest import mock
@@ -47,7 +48,7 @@ from clslab.circuits import (
     norm_gt,
     norm_pow,
 )
-from clslab.errors import BudgetExceededError, DomainEscapeError, PreconditionError
+from clslab.errors import BudgetExceededError, DomainEscapeError, ParseError, PreconditionError
 from clslab.qlinalg import Q, format_rational
 from clslab import lcp
 from clslab.lcp import (
@@ -387,6 +388,94 @@ def full_tableau():
     """Run ``clslab.lcp`` on :class:`FullTableau` inside the block."""
     with mock.patch.object(lcp, "_Tableau", FullTableau):
         yield
+
+
+# ----------------------------------------------------------------------------
+# bit configs as they were before ``clslab.lines.BitConfig`` held one integer:
+# a validated tuple of bits, and the P-LCP config codec written over it
+
+
+@dataclass(frozen=True)
+class BitConfigRef:
+    """Immutable fixed-width bit vector; bit 0 is the leftmost/printed first."""
+
+    bits: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(b not in (0, 1) for b in self.bits):
+            raise ValueError("bits must be 0 or 1")
+
+    @staticmethod
+    def zeros(width: int) -> "BitConfigRef":
+        return BitConfigRef((0,) * width)
+
+    @staticmethod
+    def from_string(text: str) -> "BitConfigRef":
+        if not text or any(c not in "01" for c in text):
+            raise ParseError(f"not a bit string: {text!r}")
+        return BitConfigRef(tuple(int(c) for c in text))
+
+    @staticmethod
+    def from_int(value: int, width: int) -> "BitConfigRef":
+        if value < 0 or value >= 1 << width:
+            raise ValueError(f"{value} does not fit in {width} bits")
+        return BitConfigRef(tuple((value >> (width - 1 - k)) & 1 for k in range(width)))
+
+    @property
+    def width(self) -> int:
+        return len(self.bits)
+
+    def to_int(self) -> int:
+        out = 0
+        for b in self.bits:
+            out = (out << 1) | b
+        return out
+
+    def is_zero(self) -> bool:
+        return all(b == 0 for b in self.bits)
+
+    def concat(self, other: "BitConfigRef") -> "BitConfigRef":
+        return BitConfigRef(self.bits + other.bits)
+
+    def split(self, k: int) -> tuple["BitConfigRef", "BitConfigRef"]:
+        return BitConfigRef(self.bits[:k]), BitConfigRef(self.bits[k:])
+
+    def __str__(self) -> str:
+        return "".join(str(b) for b in self.bits)
+
+
+def config_tight_ref(d: int, bits: tuple[int, ...]) -> Optional[frozenset[int]]:
+    """``lcp_line._config_tight`` over a bit tuple."""
+    second = bits[d:]
+    tau = sum(second)
+    if tau > 1:
+        return None
+    if tau == 1:
+        label = second.index(1)
+        if bits[label] != 1:
+            return None
+        tight = {label, d + label}
+    else:
+        tight = {2 * d}
+    for i in range(d):
+        tight.add(i if bits[i] == 0 else d + i)
+    return frozenset(tight)
+
+
+def itoe_ref(d: int, y: QVector, s: QVector) -> tuple[int, ...]:
+    """``lcp_line.itoe`` as a bit tuple."""
+    if any(y[i] * s[i] != 0 for i in range(d)):
+        return (0,) * (2 * d - 2) + (1, 1)
+    labels = [i for i in range(d) if y[i] == 0 and s[i] == 0]
+    if len(labels) > 1:
+        return (0,) * (2 * d - 2) + (1, 1)
+    bits = [0] * (2 * d)
+    if labels:
+        bits[d + labels[0]] = 1
+    for i in range(d):
+        if s[i] == 0:
+            bits[i] = 1
+    return tuple(bits)
 
 
 # ----------------------------------------------------------------------------

@@ -286,6 +286,37 @@ def test_empty_solution_file_exits_4(tmp_path, capsys):
     assert "empty solution file" in capsys.readouterr().err
 
 
+# Table rows that break the oracles' contract, and the line that names each.
+# Before rows were checked at load time these failed late: a wide S token as
+# exit 3 in follow/enumerate, an odometer out of range as exit 3 or not at
+# all, a repeated config as exit 1 ("truth tables must cover all configs").
+BAD_ROWS = {
+    "successor width": (EOML_TABLE.replace("00 01 00 1", "00 011 00 1"), 2),
+    "predecessor width": (EOML_TABLE.replace("01 10 00 2", "01 10 0 2"), 3),
+    "odometer range": (EOML_TABLE.replace("11 11 11 0", "11 11 11 9"), 5),
+    "negative odometer": (EOML_TABLE.replace("11 11 11 0", "11 11 11 -1"), 5),
+    "repeated config": (EOML_TABLE.replace("10 10 01 3", "01 10 01 3"), 4),
+    "potential range": (EOPL_TABLE.replace("10 10 01 2", "10 10 01 4"), 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+def test_malformed_table_rows_exit_4_naming_the_line(tmp_path, capsys, case):
+    text, line = BAD_ROWS[case]
+    kind = text.split()[0].lower()
+    path = write(tmp_path, f"bad.{kind}", text)
+    sol = write(tmp_path, "x.sol", ("R1" if kind == "eopl" else "T1") + " 10\n")
+    reduce_kind = "eopl-eoml" if kind == "eopl" else "eoml-eopl"
+    for argv in (
+        ["follow", path],
+        ["enumerate", path],
+        ["verify", kind, path, sol],
+        ["reduce", reduce_kind, path],
+    ):
+        assert main(argv) == 4, argv
+        assert capsys.readouterr().err.startswith(f"error: line {line}: "), argv
+
+
 # One command per fixture file kind; each file is a valid input as written.
 MUTATION_CASES = [
     (["solve-lcp", "A"], {"A": DIAG_LCP}),

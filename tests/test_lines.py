@@ -1,7 +1,10 @@
+import copy
+import pickle
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clslab import (
     BudgetExceededError,
@@ -17,6 +20,7 @@ from clslab import (
     follow_line,
     validate_instance,
 )
+from clslab.errors import ParseError
 from clslab.lines import (
     EOML_TAGS,
     EOPL_TAGS,
@@ -34,6 +38,7 @@ from clslab.lines import (
 )
 from clslab.reductions import ImmediateSolution, eoml_to_eopl, eopl_to_eoml
 from support import (
+    BitConfigRef,
     bits,
     follow_line_ref,
     gen_eoml_path,
@@ -149,6 +154,73 @@ def test_bitconfig_helpers():
     assert str(a) == "01" and str(b) == "01"
     assert str(a.concat(b)) == "0101"
     assert BitConfig.zeros(3).is_zero()
+
+
+@st.composite
+def config_pairs(draw):
+    """Two (value, width) pairs of width 0-20; the second is often the first,
+    or the first's value one bit wider."""
+    width = draw(st.integers(0, 20))
+    a = (draw(st.integers(0, (1 << width) - 1)), width)
+    width_b = draw(st.integers(0, 20))
+    b = draw(st.sampled_from([a, (a[0], width + 1), (draw(st.integers(0, (1 << width_b) - 1)), width_b)]))
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=config_pairs())
+def test_bitconfig_matches_the_tuple_reference(pair):
+    (va, wa), (vb, wb) = pair
+    a, b = BitConfig.from_int(va, wa), BitConfig.from_int(vb, wb)
+    ref_a, ref_b = BitConfigRef.from_int(va, wa), BitConfigRef.from_int(vb, wb)
+    # str spells every bit, so equal strings mean equal widths and values
+    text = str(ref_a)
+    assert str(a) == text and a.width == ref_a.width == wa
+    assert a.to_int() == ref_a.to_int() == va
+    assert a.is_zero() == ref_a.is_zero()
+    assert str(BitConfig.zeros(wa)) == str(BitConfigRef.zeros(wa))
+    if text:
+        parsed = BitConfig.from_string(text)
+        assert str(parsed) == str(BitConfigRef.from_string(text))
+        assert parsed == a and hash(parsed) == hash(a)
+    for k in range(wa + 1):
+        assert list(map(str, a.split(k))) == list(map(str, ref_a.split(k)))
+    assert str(a.concat(b)) == str(ref_a.concat(ref_b))
+    assert (a == b) == (ref_a == ref_b) and (a != b) == (ref_a != ref_b)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("text", ["", "012", "0_1", "+01", " 01", "-1", "01 ", "2"])
+def test_bitconfig_rejects_bad_text_like_the_reference(text):
+    with pytest.raises(ParseError) as new:
+        BitConfig.from_string(text)
+    with pytest.raises(ParseError) as ref:
+        BitConfigRef.from_string(text)
+    assert str(new.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("width", range(21))
+def test_bitconfig_rejects_out_of_range_ints_like_the_reference(width):
+    for value in (-1, 1 << width, -(1 << width) - 1):
+        with pytest.raises(ValueError) as new:
+            BitConfig.from_int(value, width)
+        with pytest.raises(ValueError) as ref:
+            BitConfigRef.from_int(value, width)
+        assert str(new.value) == str(ref.value)
+
+
+def test_bitconfig_is_an_immutable_pair_equal_only_to_bitconfigs():
+    x = bits("01")
+    assert (x.value, x.width) == (1, 2)
+    assert x != bits("1") and x != bits("001")  # same value, other width
+    assert x != 1 and x != (1, 2) and x != "01"
+    assert len({x, bits("01"), BitConfig.from_int(1, 2)}) == 1
+    with pytest.raises(AttributeError):
+        x.value = 2
+    with pytest.raises(AttributeError):
+        del x.width
+    assert copy.copy(x) == pickle.loads(pickle.dumps(x)) == x
 
 
 # The solution predicates typed out from their definitions, oracle call by

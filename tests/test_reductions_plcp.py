@@ -25,7 +25,16 @@ from clslab.reductions import (
     plcp_to_eopl,
 )
 from clslab.reductions.lcp_line import _config_point, _config_tight, potential, predecessor, successor
-from support import bits, gen_reduction_safe_lcp, make_lcp, random_lcp, tight_point
+from support import (
+    BitConfigRef,
+    bits,
+    config_tight_ref,
+    gen_reduction_safe_lcp,
+    itoe_ref,
+    make_lcp,
+    random_lcp,
+    tight_point,
+)
 
 
 def d1_instance():
@@ -201,3 +210,25 @@ def test_config_decoding_matches_tight_system_oracle():
             decoded += 1
             singular += want is None
     assert decoded >= 500 and singular >= 50
+
+
+def test_config_codec_matches_the_tuple_reference():
+    # the instances of this module, d <= 3: every config's tight set, and the
+    # config that its decoded point (a sentinel on dummies) encodes back to
+    insts = [d1_instance(), make_lcp([[2, 0], [0, 3]], [-4, -6]), make_lcp([[0]], [-1])]
+    rng = random.Random(21)
+    insts += [gen_reduction_safe_lcp(rng, rng.randint(1, 3)) for _ in range(6)]
+    seen = set()
+    for inst in insts:
+        ctx = make_context(inst)
+        d = inst.d
+        for u in all_configs(ctx.n):
+            ref = BitConfigRef.from_string(str(u))
+            assert _config_tight(ctx, u) == config_tight_ref(d, ref.bits)
+            y, s, z = etoi(ctx, u)
+            assert str(itoe(ctx, y, s, z)) == str(BitConfigRef(itoe_ref(d, y, s)))
+            seen.add((d, _config_tight(ctx, u) is None, is_valid_config(ctx, u)))
+        point = QVector.of([1] * d)  # not complementary
+        assert str(itoe(ctx, point, point, F(0))) == str(BitConfigRef(itoe_ref(d, point, point)))
+    assert {d for d, _, _ in seen} == {1, 2, 3}
+    assert {(dummy, valid) for _, dummy, valid in seen} == {(True, False), (False, False), (False, True)}
