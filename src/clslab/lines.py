@@ -166,22 +166,9 @@ class EomlInstance:
     p: Callable[[BitConfig], BitConfig]
     v: Callable[[BitConfig], int]
 
-    def _checked(self, x: BitConfig) -> BitConfig:
-        if x.width != self.n:
-            raise DimensionError(f"config width {x.width}, instance width {self.n}")
-        return x
-
-    def S(self, x: BitConfig) -> BitConfig:
-        out = self.s(self._checked(x))
-        if out.width != self.n:
-            raise InvariantViolationError("successor oracle changed the width")
-        return out
-
-    def P(self, x: BitConfig) -> BitConfig:
-        out = self.p(self._checked(x))
-        if out.width != self.n:
-            raise InvariantViolationError("predecessor oracle changed the width")
-        return out
+    # the same checked successor and predecessor as the potential line's, each
+    # under its own name on this class
+    _checked, S, P = EoplInstance._checked, EoplInstance.S, EoplInstance.P
 
     def V(self, x: BitConfig) -> int:
         out = self.v(self._checked(x))
@@ -368,19 +355,41 @@ def enumerate_solutions(inst: LineInstance, limit_n: int = 20) -> list[LineSolut
 # truth-table construction and file format
 
 
+def _lists_instance(
+    kind: str, n: int, m: Optional[int], succ: list[int], pred: list[int], val: list[int]
+) -> LineInstance:
+    """An instance over value-indexed rows, already checked against the contract."""
+    oracles = dict(
+        s=lambda x: BitConfig(succ[x.value], n),
+        p=lambda x: BitConfig(pred[x.value], n),
+        v=lambda x: val[x.value],
+    )
+    if kind == "EOPL":
+        return EoplInstance(n=n, m=m, **oracles)
+    return EomlInstance(n=n, **oracles)
+
+
 def table_instance(
     kind: str, n: int, s: dict, p: dict, v: dict, m: Optional[int] = None
 ) -> LineInstance:
-    """Build an instance from explicit per-config maps."""
-    if len(s) != 1 << n or len(p) != 1 << n or len(v) != 1 << n:
-        raise DimensionError("truth tables must cover all configs")
-    if kind == "EOPL":
-        if m is None:
-            raise DimensionError("potential bit width m required")
-        return EoplInstance(n=n, m=m, s=s.__getitem__, p=p.__getitem__, v=v.__getitem__)
-    if kind == "EOML":
-        return EomlInstance(n=n, s=s.__getitem__, p=p.__getitem__, v=v.__getitem__)
-    raise ParseError(f"unknown instance kind {kind!r}")
+    """Build an instance from explicit per-config maps.
+
+    The keys must be exactly the n-bit configs, S and P n bits wide and V in
+    the kind's range; anything else is a DimensionError here rather than at
+    the first oracle call.
+    """
+    configs = list(all_configs(n))
+    if any(len(t) != len(configs) or not all(x in t for x in configs) for t in (s, p, v)):
+        raise DimensionError(f"truth tables must cover exactly the {n}-bit configs")
+    if kind == "EOPL" and m is None:
+        raise DimensionError("potential bit width m required")
+    if kind not in ("EOPL", "EOML"):
+        raise ParseError(f"unknown instance kind {kind!r}")
+    top = 1 << m if kind == "EOPL" else (1 << n) + 1
+    if any(s[x].width != n or p[x].width != n or not 0 <= v[x] < top for x in configs):
+        raise DimensionError(f"S and P must be {n} bits wide and V in [0, {top})")
+    succ, pred = [s[x].value for x in configs], [p[x].value for x in configs]
+    return _lists_instance(kind, n, m, succ, pred, [v[x] for x in configs])
 
 
 def load_line_table(text: str) -> LineInstance:
@@ -401,25 +410,29 @@ def load_line_table(text: str) -> LineInstance:
         raise ParseError(f"potential width {m} is negative")
     if len(lines) - 1 != 1 << n:
         raise ParseError(f"expected {1 << n} table rows, got {len(lines) - 1}")
-    # the oracles' contract, checked once per row: n-bit S and P, V in [0, top)
+    # the oracles' contract, checked once per row: n-bit S and P, V in [0, top);
+    # V stays -1 until its row is read, which marks a repeated config
     top = 1 << m if kind == "EOPL" else (1 << n) + 1
-    s, p, v = {}, {}, {}
+    succ, pred, val = [0] * (1 << n), [0] * (1 << n), [-1] * (1 << n)
     for num, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 4:
             raise ParseError(f"line {num}: bad table row {ln!r}")
-        x, sx, px = map(BitConfig.from_string, parts[:3])
-        if x.width != n:
-            raise ParseError(f"line {num}: row width mismatch")
-        if sx.width != n or px.width != n:
+        tx, ts, tp, tv = parts
+        if len(tx) != n or len(ts) != n or len(tp) != n or (tx + ts + tp).strip("01"):
+            for token in parts[:3]:  # bad text first, in row order, then widths
+                BitConfig.from_string(token)
+            if len(tx) != n:
+                raise ParseError(f"line {num}: row width mismatch")
             raise ParseError(f"line {num}: successor or predecessor is not {n} bits wide")
-        if x in s:
-            raise ParseError(f"line {num}: config {x} is listed twice")
-        vx = integer(parts[3])
+        x = int(tx, 2)
+        if val[x] >= 0:
+            raise ParseError(f"line {num}: config {tx} is listed twice")
+        vx = integer(tv)
         if not 0 <= vx < top:
             raise ParseError(f"line {num}: value {vx} outside [0, {top})")
-        s[x], p[x], v[x] = sx, px, vx
-    return table_instance(kind, n, s, p, v, m)
+        succ[x], pred[x], val[x] = int(ts, 2), int(tp, 2), vx
+    return _lists_instance(kind, n, m, succ, pred, val)
 
 
 def dump_line_table(inst: LineInstance) -> str:

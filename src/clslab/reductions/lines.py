@@ -8,6 +8,10 @@ Potential -> metered appends the potential to the vertex: an edge whose
 potential jumps by g is subdivided into g unit steps through copies of its
 tail, so the odometer moves by exactly one on every surviving edge.  Case
 lists are evaluated strictly top to bottom, first match wins.
+
+Both reductions run their case lists on integer configs and read the source
+once per config: a one-config slot keeps the source's answers about the
+current source config, which every row that carries it shares.
 """
 
 from __future__ import annotations
@@ -35,18 +39,40 @@ def _require_valid(inst) -> None:
         raise PreconditionError("source instance is invalid: " + "; ".join(report.violations))
 
 
+class _Slot:
+    """The source's reads about one config u, each made at most once.
+
+    It keeps the reads about the current u only.  ``dump_line_table`` asks
+    about the rows in value order, so every row that carries one u shares
+    them: V(u), S(u), V(S(u)), P(S(u)), P(u), V(P(u)) and S(P(u)).
+    """
+
+    def __init__(self, inst):
+        self.inst, self.u, self.seen = inst, -1, {}
+
+    def read(self, u: int, what: str):
+        """V(u), or the value of S(u) or P(u) for "S" or "P".  "S+" and "P+"
+        read the edge from u to y = S(u) or P(u): y, V(y) and whether the
+        edge is valid, that is, whether y's P or S leads back to u != y."""
+        if u != self.u:
+            self.u, self.seen = u, {}
+        out = self.seen.get(what)
+        if out is None:
+            if what == "V":
+                out = self.inst.V(BitConfig(u, self.inst.n))
+            elif len(what) == 1:
+                out = getattr(self.inst, what)(BitConfig(u, self.inst.n)).value
+            else:
+                y = self.read(u, what[0])
+                there = BitConfig(y, self.inst.n)
+                back = self.inst.P(there) if what == "S+" else self.inst.S(there)
+                out = (y, self.inst.V(there), back.value == u and y != u)
+            self.seen[what] = out
+        return out
+
+
 # ----------------------------------------------------------------------------
 # metered -> potential (one extra leading bit)
-
-
-def _join_bit(b: int, u: BitConfig) -> BitConfig:
-    return BitConfig(b << u.width | u.value, u.width + 1)
-
-
-def _split_bit(x: BitConfig) -> tuple[int, BitConfig]:
-    """The leading bit of x and the config after it."""
-    n = x.width - 1
-    return x.value >> n, BitConfig(x.value & ((1 << n) - 1), n)
 
 
 @lru_cache(maxsize=None)
@@ -54,41 +80,35 @@ def eoml_to_eopl(inst: EomlInstance) -> EoplInstance:
     """Potential-line instance on n+1 bits whose line mirrors the source's."""
     _require_valid(inst)
     n = inst.n
-    zero_n = BitConfig.zeros(n)
-    zero_k = BitConfig.zeros(n + 1)
+    lead = 1 << n  # the extra bit; configs below it are the dummies
+    low = lead - 1
+    read = _Slot(inst).read
 
-    def s_prime(x: BitConfig) -> BitConfig:
-        b, u = _split_bit(x)
-        if x == zero_k:
-            return _join_bit(1, zero_n)
-        if b == 0 and u != zero_n:
+    def s_int(x: int) -> int:
+        if x == 0:
+            return lead
+        if x < lead:
             return x  # dummy self loop
-        if b == 1 and inst.V(u) == 0:
-            return x  # zero-odometer self loop
-        if b == 1 and inst.V(u) > 0:
-            return _join_bit(1, inst.S(u))
-        return x
+        u = x & low
+        return lead | read(u, "S") if read(u, "V") > 0 else x  # else a zero-odometer self loop
 
-    def p_prime(x: BitConfig) -> BitConfig:
-        b, u = _split_bit(x)
-        if x == zero_k:
-            return x
-        if b == 0 and u != zero_n:
-            return x
-        if b == 1 and u == zero_n:
-            return zero_k  # makes the 0^k -> (1,0^n) edge consistent
-        if b == 1 and inst.V(u) == 0:
-            return x
-        if b == 1 and inst.V(u) > 0 and u != zero_n:
-            return _join_bit(1, inst.P(u))
-        return x
+    def p_int(x: int) -> int:
+        if x < lead:
+            return x  # the start and the dummies
+        u = x & low
+        if u == 0:
+            return 0  # makes the 0^k -> (1,0^n) edge consistent
+        return lead | read(u, "P") if read(u, "V") > 0 else x
 
     def v_prime(x: BitConfig) -> int:
-        b, u = _split_bit(x)
-        return inst.V(u) if b else 0
+        x = x.value
+        return read(x & low, "V") if x & lead else 0
 
-    # odometer values stay below 2^n + 1, so n + 1 potential bits suffice
-    return EoplInstance(n=n + 1, m=n + 1, s=s_prime, p=p_prime, v=v_prime)
+    k = n + 1  # odometer values stay below 2^n + 1, so n + 1 potential bits suffice
+    return EoplInstance(
+        n=k, m=k, s=lambda x: BitConfig(s_int(x.value), k), p=lambda x: BitConfig(p_int(x.value), k),
+        v=v_prime,
+    )
 
 
 def eopl_sol_to_eoml(src: EomlInstance, x: BitConfig) -> EomlSolution:
@@ -96,8 +116,7 @@ def eopl_sol_to_eoml(src: EomlInstance, x: BitConfig) -> EomlSolution:
     target = eoml_to_eopl(src)
     if eopl_verify(target, x) is None:
         raise PreconditionError(f"{x} does not solve the reduced instance")
-    _, u = _split_bit(x)
-    classified = eoml_verify(src, u)
+    classified = eoml_verify(src, BitConfig(x.value & ((1 << src.n) - 1), src.n))
     if classified is None:
         raise InvariantViolationError(f"back-map of {x} failed to verify on the source")
     return classified
@@ -114,18 +133,13 @@ class ImmediateSolution:
     solution: EoplSolution
 
 
-def _split(x: BitConfig, n: int) -> tuple[BitConfig, int]:
-    m = x.width - n
-    return BitConfig(x.value >> m, n), x.value & ((1 << m) - 1)
-
-
-def _join(u: BitConfig, pi: int, m: int) -> BitConfig:
-    return u.concat(BitConfig.from_int(pi, m))
-
-
 @lru_cache(maxsize=None)
 def eopl_to_eoml(inst: EoplInstance) -> Union[EomlInstance, ImmediateSolution]:
-    """Metered instance on n+m bits, or the source solution when it is trivial."""
+    """Metered instance on n+m bits, or the source solution when it is trivial.
+
+    A config x is the pair (u, pi) = (x >> m, x & mask) of a source config
+    and a potential; 0 is the all-zeros config of either width.
+    """
     _require_valid(inst)
     n, m = inst.n, inst.m
     zero_n = BitConfig.zeros(n)
@@ -139,91 +153,88 @@ def eopl_to_eoml(inst: EoplInstance) -> Union[EomlInstance, ImmediateSolution]:
     p_ss0 = inst.V(ss0)
     if p_ss0 < 2:
         raise InvariantViolationError("potential after two steps must be at least 2")
-    zero_k = BitConfig.zeros(n + m)
+    s0, ss0 = s0.value, ss0.value
+    mask = (1 << m) - 1
+    read = _Slot(inst).read
 
-    def s_prime(x: BitConfig) -> BitConfig:
-        u, pi = _split(x, n)
-        if (u == zero_n and pi == 1) or u == s0:
+    def s_int(x: int) -> int:
+        u, pi = x >> m, x & mask
+        if (u == 0 and pi == 1) or u == s0:
             return x
-        if x == zero_k:
-            if p_ss0 == 2:
-                return _join(ss0, 2, m)
-            return _join(zero_n, 2, m)
-        if u == zero_n:
+        if x == 0:
+            return ss0 << m | 2 if p_ss0 == 2 else 2
+        if u == 0:
             if 2 <= pi < p_ss0 - 1:
-                return _join(zero_n, pi + 1, m)
+                return pi + 1
             if pi == p_ss0 - 1:
-                return _join(ss0, p_ss0, m)
+                return ss0 << m | p_ss0
             return x  # pi >= p_ss0
-        nxt = inst.S(u)
-        pn = inst.V(nxt)
-        pu = inst.V(u)
-        if inst.P(nxt) != u or nxt == u:
+        nxt, pn, valid = read(u, "S+")
+        pu = read(u, "V")
+        if not valid:
             return x  # invalid edge
         if pi == pu and (pn == pu or pn == pu + 1 or pn == pu - 1):
-            return _join(nxt, pn, m)
+            return nxt << m | pn
         if (pi < pu <= pn) or (pu <= pn <= pi) or (pi > pu >= pn) or (pu >= pn >= pi):
             return x  # irrelevant potential value
         if pu < pn:
             if pu <= pi < pn - 1:
-                return _join(u, pi + 1, m)
+                return x + 1
             if pi == pn - 1:
-                return _join(nxt, pn, m)
+                return nxt << m | pn
         if pu > pn:
             if pu >= pi > pn + 1:
-                return _join(u, pi - 1, m)
+                return x - 1
             if pi == pn + 1:
-                return _join(nxt, pn, m)
+                return nxt << m | pn
         return x
 
-    def p_prime(x: BitConfig) -> BitConfig:
-        u, pi = _split(x, n)
-        if (u == zero_n and pi == 1) or u == s0:
+    def p_int(x: int) -> int:
+        u, pi = x >> m, x & mask
+        if (u == 0 and pi == 1) or u == s0:
             return x
-        if u == zero_n:
+        if u == 0:
             if pi == 0:
                 return x  # the start points to itself
             if pi < p_ss0 and pi not in (1, 2):
-                return _join(zero_n, pi - 1, m)
+                return pi - 1
             if pi < p_ss0 and pi == 2:
-                return zero_k
+                return 0
             # pi >= p_ss0 falls through to the general cases below
         if u == ss0 and pi == p_ss0:
-            if pi == 2:
-                return zero_k
-            return _join(zero_n, pi - 1, m)
-        if pi == inst.V(u):
-            prev = inst.P(u)
-            pp = inst.V(prev)
-            pu = inst.V(u)
-            if inst.S(prev) != u or prev == u:
+            return 0 if pi == 2 else pi - 1
+        pu = read(u, "V")
+        if pi == pu:
+            prev, pp, valid = read(u, "P+")
+            if not valid:
                 return x
             if pu == pp:
-                return _join(prev, pp, m)
+                return prev << m | pp
             if pp < pu:
-                return _join(prev, pu - 1, m)
-            return _join(prev, pu + 1, m)
-        nxt = inst.S(u)
-        pn = inst.V(nxt)
-        pu = inst.V(u)
-        if inst.P(nxt) != u or nxt == u:
+                return prev << m | (pu - 1)
+            return prev << m | (pu + 1)
+        nxt, pn, valid = read(u, "S+")
+        if not valid:
             return x
         if pn == pu or (pi < pu < pn) or (pu < pn <= pi) or (pi > pu > pn) or (pu > pn >= pi):
             return x
         if pu < pn and pu < pi <= pn - 1:
-            return _join(u, pi - 1, m)
+            return x - 1
         if pu > pn and pu > pi >= pn + 1:
-            return _join(u, pi + 1, m)
+            return x + 1
         return x
 
     def v_prime(x: BitConfig) -> int:
-        if x == zero_k:
+        x = x.value
+        if x == 0:
             return 1
-        if s_prime(x) == x and p_prime(x) == x:
-            return 0
-        return _split(x, n)[1]
+        return 0 if s_int(x) == x and p_int(x) == x else x & mask
 
-    return EomlInstance(n=n + m, s=s_prime, p=p_prime, v=v_prime)
+    k = n + m
+    return EomlInstance(
+        n=k, s=lambda x: BitConfig(s_int(x.value), k), p=lambda x: BitConfig(p_int(x.value), k),
+        v=v_prime,
+    )
 
 
 def eoml_sol_to_eopl(src: EoplInstance, x: BitConfig) -> EoplSolution:
@@ -233,7 +244,7 @@ def eoml_sol_to_eopl(src: EoplInstance, x: BitConfig) -> EoplSolution:
         return target.solution
     if eoml_verify(target, x) is None:
         raise PreconditionError(f"{x} does not solve the reduced instance")
-    u, _ = _split(x, src.n)
+    u = BitConfig(x.value >> src.m, src.n)
     candidates = [u, src.P(u), src.P(src.P(u))]
     for candidate in candidates:
         classified = eopl_verify(src, candidate)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction as F
@@ -62,7 +63,21 @@ from clslab.lcp import (
     _split,
     _var_name,
 )
-from clslab.lines import BitConfig, all_configs, load_line_table, table_instance, verify_solution
+from clslab.errors import InvariantViolationError
+from clslab.lines import (
+    BitConfig,
+    EomlInstance,
+    EoplInstance,
+    LineInstance,
+    all_configs,
+    eopl_verify,
+    load_line_table,
+    table_instance,
+    verify_solution,
+)
+from clslab.qlinalg import data_lines, integer
+from clslab.reductions import ImmediateSolution
+from clslab.reductions.lines import _require_valid
 from clslab.qlinalg import solve_columns
 from clslab.reductions.lcp_line import (
     is_valid_config,
@@ -554,12 +569,86 @@ def gen_eopl_monotone(rng: random.Random, n: int, m: int):
     return table_instance("EOPL", n, s, p, v, m)
 
 
+def gen_eopl_line(rng: random.Random, n: int, m: int):
+    """One long line from 0^n with strictly climbing potentials, every other
+    config a self loop with a random potential (the benchmark's EOPL shape)."""
+    cfgs = list(all_configs(n))
+    rest = cfgs[1:]
+    rng.shuffle(rest)
+    length = min(len(rest), (1 << m) - 1) - rng.randint(0, 3)
+    path = [cfgs[0]] + rest[:length]
+    s = {c: c for c in cfgs}
+    p = dict(s)
+    v = {c: rng.randrange(1 << m) for c in cfgs}
+    for a, b in zip(path, path[1:]):
+        s[a], p[b] = b, a
+    for c, val in zip(path, [0] + sorted(rng.sample(range(1, 1 << m), length))):
+        v[c] = val
+    return table_instance("EOPL", n, s, p, v, m)
+
+
+def gen_eopl_tangle(rng: random.Random, n: int, m: int, p_ss0: Optional[int] = None):
+    """Random successors, predecessors and potentials: about half the edges
+    are valid, and potentials jump up, down or stay flat along them.
+
+    The start conditions are patched in.  With ``p_ss0`` the line's first two
+    edges are laid valid and climbing to that potential, so the source is not
+    trivial for the potential-to-metered reduction; without it, it may be.
+    """
+    cfgs = list(all_configs(n))
+    s = {c: rng.choice(cfgs) for c in cfgs}
+    p = {c: rng.choice(cfgs) for c in cfgs}
+    v = {c: rng.randrange(1 << m) for c in cfgs}
+    for c in cfgs:
+        if rng.random() < 0.5:
+            p[s[c]] = c
+    zero = cfgs[0]
+    s[zero], p[zero], v[zero] = rng.choice(cfgs[1:]), zero, 0
+    if p_ss0 is not None:
+        s0 = s[zero]
+        ss0 = rng.choice([c for c in cfgs if c not in (zero, s0)])
+        s[s0], p[s0], p[ss0] = ss0, zero, s0
+        v[s0], v[ss0] = rng.randint(1, p_ss0 - 1), p_ss0
+    return table_instance("EOPL", n, s, p, v, m)
+
+
+def counted(inst):
+    """The same instance with oracles that count their calls into a Counter."""
+    calls = Counter()
+
+    def counting(name, oracle):
+        def call(x):
+            calls[name] += 1
+            return oracle(x)
+
+        return call
+
+    oracles = dict(s=counting("S", inst.s), p=counting("P", inst.p), v=counting("V", inst.v))
+    if isinstance(inst, EoplInstance):
+        return EoplInstance(n=inst.n, m=inst.m, **oracles), calls
+    return EomlInstance(n=inst.n, **oracles), calls
+
+
 # ----------------------------------------------------------------------------
 # hand-built line tables
 
 EOML_TABLE = "EOML 2\n00 01 00 1\n01 10 00 2\n10 10 01 3\n11 11 11 0\n"
 EOPL_TABLE = "EOPL 2 2\n00 01 00 0\n01 10 00 1\n10 10 01 2\n11 11 11 0\n"
 TRIVIAL_EOPL = "EOPL 1 2\n0 1 0 0\n1 1 0 1\n"
+
+
+# Table rows that break the oracles' contract, and the line that names each.
+# Before rows were checked at load time these failed late: a wide S token as
+# exit 3 in follow/enumerate, an odometer out of range as exit 3 or not at
+# all, a repeated config as exit 1 ("truth tables must cover all configs").
+BAD_ROWS = {
+    "successor width": (EOML_TABLE.replace("00 01 00 1", "00 011 00 1"), 2),
+    "predecessor width": (EOML_TABLE.replace("01 10 00 2", "01 10 0 2"), 3),
+    "odometer range": (EOML_TABLE.replace("11 11 11 0", "11 11 11 9"), 5),
+    "negative odometer": (EOML_TABLE.replace("11 11 11 0", "11 11 11 -1"), 5),
+    "repeated config": (EOML_TABLE.replace("10 10 01 3", "01 10 01 3"), 4),
+    "potential range": (EOPL_TABLE.replace("10 10 01 2", "10 10 01 4"), 4),
+}
 
 
 def two_bit_path(kind, vals, m=None):
@@ -626,6 +715,228 @@ def follow_line_ref(inst, max_steps: int):
         x = inst.S(x)
         steps += 1
         trace.append((x, inst.V(x)))
+
+
+# ----------------------------------------------------------------------------
+# the BitConfig-keyed line tables and line reductions, as they were before
+# tables became value-indexed integer rows: references for differential tests
+# (helpers renamed, memos dropped)
+
+
+def _join_bit_ref(b: int, u: BitConfig) -> BitConfig:
+    return BitConfig(b << u.width | u.value, u.width + 1)
+
+
+def _split_bit_ref(x: BitConfig) -> tuple[int, BitConfig]:
+    """The leading bit of x and the config after it."""
+    n = x.width - 1
+    return x.value >> n, BitConfig(x.value & ((1 << n) - 1), n)
+
+
+def eoml_to_eopl_ref(inst: EomlInstance) -> EoplInstance:
+    """Potential-line instance on n+1 bits whose line mirrors the source's."""
+    _require_valid(inst)
+    n = inst.n
+    zero_n = BitConfig.zeros(n)
+    zero_k = BitConfig.zeros(n + 1)
+
+    def s_prime(x: BitConfig) -> BitConfig:
+        b, u = _split_bit_ref(x)
+        if x == zero_k:
+            return _join_bit_ref(1, zero_n)
+        if b == 0 and u != zero_n:
+            return x  # dummy self loop
+        if b == 1 and inst.V(u) == 0:
+            return x  # zero-odometer self loop
+        if b == 1 and inst.V(u) > 0:
+            return _join_bit_ref(1, inst.S(u))
+        return x
+
+    def p_prime(x: BitConfig) -> BitConfig:
+        b, u = _split_bit_ref(x)
+        if x == zero_k:
+            return x
+        if b == 0 and u != zero_n:
+            return x
+        if b == 1 and u == zero_n:
+            return zero_k  # makes the 0^k -> (1,0^n) edge consistent
+        if b == 1 and inst.V(u) == 0:
+            return x
+        if b == 1 and inst.V(u) > 0 and u != zero_n:
+            return _join_bit_ref(1, inst.P(u))
+        return x
+
+    def v_prime(x: BitConfig) -> int:
+        b, u = _split_bit_ref(x)
+        return inst.V(u) if b else 0
+
+    # odometer values stay below 2^n + 1, so n + 1 potential bits suffice
+    return EoplInstance(n=n + 1, m=n + 1, s=s_prime, p=p_prime, v=v_prime)
+
+
+def _split_ref(x: BitConfig, n: int) -> tuple[BitConfig, int]:
+    m = x.width - n
+    return BitConfig(x.value >> m, n), x.value & ((1 << m) - 1)
+
+
+def _join_ref(u: BitConfig, pi: int, m: int) -> BitConfig:
+    return u.concat(BitConfig.from_int(pi, m))
+
+
+def eopl_to_eoml_ref(inst: EoplInstance) -> Union[EomlInstance, ImmediateSolution]:
+    """Metered instance on n+m bits, or the source solution when it is trivial."""
+    _require_valid(inst)
+    n, m = inst.n, inst.m
+    zero_n = BitConfig.zeros(n)
+    for candidate in (zero_n, inst.S(zero_n)):
+        found = eopl_verify(inst, candidate)
+        if found is not None:
+            return ImmediateSolution(found)
+
+    s0 = inst.S(zero_n)
+    ss0 = inst.S(s0)
+    p_ss0 = inst.V(ss0)
+    if p_ss0 < 2:
+        raise InvariantViolationError("potential after two steps must be at least 2")
+    zero_k = BitConfig.zeros(n + m)
+
+    def s_prime(x: BitConfig) -> BitConfig:
+        u, pi = _split_ref(x, n)
+        if (u == zero_n and pi == 1) or u == s0:
+            return x
+        if x == zero_k:
+            if p_ss0 == 2:
+                return _join_ref(ss0, 2, m)
+            return _join_ref(zero_n, 2, m)
+        if u == zero_n:
+            if 2 <= pi < p_ss0 - 1:
+                return _join_ref(zero_n, pi + 1, m)
+            if pi == p_ss0 - 1:
+                return _join_ref(ss0, p_ss0, m)
+            return x  # pi >= p_ss0
+        nxt = inst.S(u)
+        pn = inst.V(nxt)
+        pu = inst.V(u)
+        if inst.P(nxt) != u or nxt == u:
+            return x  # invalid edge
+        if pi == pu and (pn == pu or pn == pu + 1 or pn == pu - 1):
+            return _join_ref(nxt, pn, m)
+        if (pi < pu <= pn) or (pu <= pn <= pi) or (pi > pu >= pn) or (pu >= pn >= pi):
+            return x  # irrelevant potential value
+        if pu < pn:
+            if pu <= pi < pn - 1:
+                return _join_ref(u, pi + 1, m)
+            if pi == pn - 1:
+                return _join_ref(nxt, pn, m)
+        if pu > pn:
+            if pu >= pi > pn + 1:
+                return _join_ref(u, pi - 1, m)
+            if pi == pn + 1:
+                return _join_ref(nxt, pn, m)
+        return x
+
+    def p_prime(x: BitConfig) -> BitConfig:
+        u, pi = _split_ref(x, n)
+        if (u == zero_n and pi == 1) or u == s0:
+            return x
+        if u == zero_n:
+            if pi == 0:
+                return x  # the start points to itself
+            if pi < p_ss0 and pi not in (1, 2):
+                return _join_ref(zero_n, pi - 1, m)
+            if pi < p_ss0 and pi == 2:
+                return zero_k
+            # pi >= p_ss0 falls through to the general cases below
+        if u == ss0 and pi == p_ss0:
+            if pi == 2:
+                return zero_k
+            return _join_ref(zero_n, pi - 1, m)
+        if pi == inst.V(u):
+            prev = inst.P(u)
+            pp = inst.V(prev)
+            pu = inst.V(u)
+            if inst.S(prev) != u or prev == u:
+                return x
+            if pu == pp:
+                return _join_ref(prev, pp, m)
+            if pp < pu:
+                return _join_ref(prev, pu - 1, m)
+            return _join_ref(prev, pu + 1, m)
+        nxt = inst.S(u)
+        pn = inst.V(nxt)
+        pu = inst.V(u)
+        if inst.P(nxt) != u or nxt == u:
+            return x
+        if pn == pu or (pi < pu < pn) or (pu < pn <= pi) or (pi > pu > pn) or (pu > pn >= pi):
+            return x
+        if pu < pn and pu < pi <= pn - 1:
+            return _join_ref(u, pi - 1, m)
+        if pu > pn and pu > pi >= pn + 1:
+            return _join_ref(u, pi + 1, m)
+        return x
+
+    def v_prime(x: BitConfig) -> int:
+        if x == zero_k:
+            return 1
+        if s_prime(x) == x and p_prime(x) == x:
+            return 0
+        return _split_ref(x, n)[1]
+
+    return EomlInstance(n=n + m, s=s_prime, p=p_prime, v=v_prime)
+
+
+def table_instance_ref(
+    kind: str, n: int, s: dict, p: dict, v: dict, m: Optional[int] = None
+) -> LineInstance:
+    """Build an instance from explicit per-config maps."""
+    if len(s) != 1 << n or len(p) != 1 << n or len(v) != 1 << n:
+        raise DimensionError("truth tables must cover all configs")
+    if kind == "EOPL":
+        if m is None:
+            raise DimensionError("potential bit width m required")
+        return EoplInstance(n=n, m=m, s=s.__getitem__, p=p.__getitem__, v=v.__getitem__)
+    if kind == "EOML":
+        return EomlInstance(n=n, s=s.__getitem__, p=p.__getitem__, v=v.__getitem__)
+    raise ParseError(f"unknown instance kind {kind!r}")
+
+
+def load_line_table_ref(text: str) -> LineInstance:
+    """Parse a truth-table file: header ``EOPL n m`` or ``EOML n``, then rows."""
+    lines = data_lines(text)
+    if not lines:
+        raise ParseError("empty instance file")
+    head = lines[0][1].split()
+    if head[0] == "EOPL" and len(head) == 3:
+        kind, n, m = "EOPL", integer(head[1]), integer(head[2])
+    elif head[0] == "EOML" and len(head) == 2:
+        kind, n, m = "EOML", integer(head[1]), None
+    else:
+        raise ParseError(f"line {lines[0][0]}: bad header {lines[0][1]!r}")
+    if n < 1 or n > 20:
+        raise ParseError(f"width {n} out of range")
+    if m is not None and m < 0:
+        raise ParseError(f"potential width {m} is negative")
+    if len(lines) - 1 != 1 << n:
+        raise ParseError(f"expected {1 << n} table rows, got {len(lines) - 1}")
+    # the oracles' contract, checked once per row: n-bit S and P, V in [0, top)
+    top = 1 << m if kind == "EOPL" else (1 << n) + 1
+    s, p, v = {}, {}, {}
+    for num, ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 4:
+            raise ParseError(f"line {num}: bad table row {ln!r}")
+        x, sx, px = map(BitConfig.from_string, parts[:3])
+        if x.width != n:
+            raise ParseError(f"line {num}: row width mismatch")
+        if sx.width != n or px.width != n:
+            raise ParseError(f"line {num}: successor or predecessor is not {n} bits wide")
+        if x in s:
+            raise ParseError(f"line {num}: config {x} is listed twice")
+        vx = integer(parts[3])
+        if not 0 <= vx < top:
+            raise ParseError(f"line {num}: value {vx} outside [0, {top})")
+        s[x], p[x], v[x] = sx, px, vx
+    return table_instance_ref(kind, n, s, p, v, m)
 
 
 # ----------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def _one_round(workload: str, *extra: str):
     return _run(workload, _round_len(workload), *extra)
 
 
-@pytest.mark.parametrize("workload", ["lcp-direct", "plcp-pipeline"])
+@pytest.mark.parametrize("workload", ["lcp-direct", "plcp-pipeline", "line-tables", "circuits"])
 def test_one_round_ends_with_a_strict_json_result_line(workload):
     round_len = _round_len(workload)
     done = _one_round(workload)

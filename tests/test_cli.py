@@ -17,7 +17,7 @@ from clslab.lines import (
     load_line_table,
     tag_holds,
 )
-from support import EOML_TABLE, EOPL_TABLE, TRIVIAL_EOPL, hand_built_line_tables
+from support import BAD_ROWS, EOML_TABLE, EOPL_TABLE, TRIVIAL_EOPL, hand_built_line_tables
 
 
 def write(tmp_path, name, text):
@@ -284,20 +284,6 @@ def test_empty_solution_file_exits_4(tmp_path, capsys):
     assert main(["verify", "eoml", inst, "/dev/null"]) == 4
     assert main(["verify", "eoml", inst, write(tmp_path, "blank.sol", "\n  \n")]) == 4
     assert "empty solution file" in capsys.readouterr().err
-
-
-# Table rows that break the oracles' contract, and the line that names each.
-# Before rows were checked at load time these failed late: a wide S token as
-# exit 3 in follow/enumerate, an odometer out of range as exit 3 or not at
-# all, a repeated config as exit 1 ("truth tables must cover all configs").
-BAD_ROWS = {
-    "successor width": (EOML_TABLE.replace("00 01 00 1", "00 011 00 1"), 2),
-    "predecessor width": (EOML_TABLE.replace("01 10 00 2", "01 10 0 2"), 3),
-    "odometer range": (EOML_TABLE.replace("11 11 11 0", "11 11 11 9"), 5),
-    "negative odometer": (EOML_TABLE.replace("11 11 11 0", "11 11 11 -1"), 5),
-    "repeated config": (EOML_TABLE.replace("10 10 01 3", "01 10 01 3"), 4),
-    "potential range": (EOPL_TABLE.replace("10 10 01 2", "10 10 01 4"), 4),
-}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_ROWS))

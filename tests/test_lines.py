@@ -20,7 +20,7 @@ from clslab import (
     follow_line,
     validate_instance,
 )
-from clslab.errors import ParseError
+from clslab.errors import DimensionError, ParseError
 from clslab.lines import (
     EOML_TAGS,
     EOPL_TAGS,
@@ -38,13 +38,19 @@ from clslab.lines import (
 )
 from clslab.reductions import ImmediateSolution, eoml_to_eopl, eopl_to_eoml
 from support import (
+    BAD_ROWS,
+    EOML_TABLE,
+    EOPL_TABLE,
     BitConfigRef,
     bits,
+    counted,
     follow_line_ref,
     gen_eoml_path,
     gen_eoml_random,
     gen_eopl_monotone,
+    gen_eopl_tangle,
     hand_built_line_tables,
+    load_line_table_ref,
     single_edge,
     two_bit_path,
 )
@@ -140,6 +146,106 @@ def test_truth_table_round_trip():
         assert again.S(x) == inst.S(x)
         assert again.P(x) == inst.P(x)
         assert again.V(x) == inst.V(x)
+
+
+def _loops(n):
+    """Self-loop maps over the n-bit configs, every V 0."""
+    cfgs = list(all_configs(n))
+    return {c: c for c in cfgs}, {c: c for c in cfgs}, {c: 0 for c in cfgs}
+
+
+def _wide_key(table):
+    """The map with its 11 key replaced by the three-bit 011."""
+    out = {x: y for x, y in table.items() if x != bits("11")}
+    out[bits("011")] = table[bits("11")]
+    return out
+
+
+# Maps that break the oracles' contract.  Table rows are ints, which carry no
+# width to check at call time, so construction must reject each of these; a
+# missing or three-bit key would otherwise surface as a bare KeyError at the
+# first oracle call.
+MALFORMED_MAPS = {
+    "missing config": lambda s, p, v: ({x: y for x, y in s.items() if x != bits("10")}, p, v),
+    "three-bit key": lambda s, p, v: (_wide_key(s), _wide_key(p), _wide_key(v)),
+    "wide successor": lambda s, p, v: ({**s, bits("01"): bits("001")}, p, v),
+    "narrow predecessor": lambda s, p, v: (s, {**p, bits("11"): bits("1")}, v),
+    "value too large": lambda s, p, v: (s, p, {**v, bits("01"): 5}),
+    "negative value": lambda s, p, v: (s, p, {**v, bits("01"): -1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MAPS))
+@pytest.mark.parametrize("kind", ["EOPL", "EOML"])
+def test_table_instance_rejects_a_malformed_map_at_construction(kind, case):
+    s, p, v = MALFORMED_MAPS[case](*_loops(2))
+    with pytest.raises(DimensionError):
+        table_instance(kind, 2, s, p, v, 2 if kind == "EOPL" else None)
+
+
+def test_table_instance_keeps_the_range_of_each_kind():
+    s, p, v = _loops(2)
+    # 3 is the top potential of m = 2 and 4 = 2^n the top odometer of n = 2
+    assert table_instance("EOPL", 2, s, p, {**v, bits("11"): 3}, 2).V(bits("11")) == 3
+    assert table_instance("EOML", 2, s, p, {**v, bits("11"): 4}).V(bits("11")) == 4
+    with pytest.raises(DimensionError):
+        table_instance("EOPL", 2, s, p, {**v, bits("11"): 4}, 2)
+    with pytest.raises(DimensionError):
+        table_instance("EOPL", 2, s, p, v)  # no potential width
+
+
+def _rows(inst):
+    return [(inst.S(x), inst.P(x), inst.V(x)) for x in all_configs(inst.n)]
+
+
+def test_loader_gives_the_rows_of_the_dict_reference():
+    rng = random.Random(17)
+    tables = [dump_line_table(inst) for inst in hand_built_line_tables()]
+    for n in (1, 3, 5, 7):
+        tables.append(dump_line_table(gen_eoml_random(rng, n)))
+        tables.append(dump_line_table(gen_eopl_tangle(rng, n, rng.randint(2, 4))))
+    # comments, blank lines and ragged spacing are not rows
+    tables.append("# a comment\n" + EOPL_TABLE.replace("\n", "  # note\n\n").replace(" ", "\t "))
+    for text in tables:
+        new, ref = load_line_table(text), load_line_table_ref(text)
+        assert type(new) is type(ref) and new.n == ref.n and getattr(new, "m", None) == getattr(ref, "m", None)
+        assert _rows(new) == _rows(ref)
+
+
+def _bad_row(bad):
+    return EOML_TABLE.replace("01 10 00 2", bad)
+
+
+MALFORMED_TABLES = {case: text for case, (text, _) in BAD_ROWS.items()} | {
+    "three tokens": _bad_row("01 10 00"),
+    "five tokens": _bad_row("01 10 00 2 2"),
+    "config text": _bad_row("0x 10 00 2"),
+    "successor text": _bad_row("01 1_ 00 2"),
+    "predecessor text": _bad_row("01 10 +0 2"),
+    "wide config, narrow predecessor": _bad_row("011 10 0 2"),
+    "wide config, predecessor text": _bad_row("011 10 0x 2"),
+    "narrow config": _bad_row("1 10 00 2"),
+    "value text": _bad_row("01 10 00 x"),
+    "fractional value": _bad_row("01 10 00 2.0"),
+    "repeated first row": _bad_row("00 10 00 2"),
+    "repeated row, value text": _bad_row("00 10 00 x"),
+    "repeated row of value 0": EOPL_TABLE.replace("01 10 00 1", "00 10 00 1"),
+    "too few rows": "EOML 2\n00 01 00 1\n",
+    "zero width": "EOML 0\n",
+    "negative potential width": "EOPL 1 -1\n0 1 0 0\n1 1 0 1\n",
+    "short header": "EOPL 1\n0 1 0 0\n1 1 0 1\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_loader_rejects_a_malformed_table_like_the_dict_reference(case):
+    text = MALFORMED_TABLES[case]
+    with pytest.raises(ParseError) as new:
+        load_line_table(text)
+    with pytest.raises(ParseError) as ref:
+        load_line_table_ref(text)
+    assert str(new.value) == str(ref.value)
 
 
 def test_solution_line_round_trip():
@@ -257,23 +363,6 @@ def inline_classifier(inst, x):
     if (vx > 0 and inst.V(inst.S(x)) - vx != 1) or (vx > 1 and vx - inst.V(inst.P(x)) != 1):
         return T3(x)
     return None
-
-
-def counted(inst):
-    """The same instance with oracles that count their calls into a Counter."""
-    calls = Counter()
-
-    def counting(name, oracle):
-        def call(x):
-            calls[name] += 1
-            return oracle(x)
-
-        return call
-
-    oracles = dict(s=counting("S", inst.s), p=counting("P", inst.p), v=counting("V", inst.v))
-    if isinstance(inst, EoplInstance):
-        return EoplInstance(n=inst.n, m=inst.m, **oracles), calls
-    return EomlInstance(n=inst.n, **oracles), calls
 
 
 def line_instances():

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 from clslab import (
+    BudgetExceededError,
     PreconditionError,
     R1,
     R2,
@@ -10,9 +12,10 @@ from clslab import (
     T3,
     enumerate_solutions,
     eopl_verify,
+    follow_line,
     validate_instance,
 )
-from clslab.lines import BitConfig, all_configs, table_instance, verify_solution
+from clslab.lines import BitConfig, all_configs, dump_line_table, table_instance, verify_solution
 from clslab.reductions import (
     ImmediateSolution,
     eoml_sol_to_eopl,
@@ -20,7 +23,17 @@ from clslab.reductions import (
     eopl_sol_to_eoml,
     eopl_to_eoml,
 )
-from support import bits, gen_eoml_random, gen_eopl_monotone
+from support import (
+    bits,
+    counted,
+    eoml_to_eopl_ref,
+    eopl_to_eoml_ref,
+    gen_eoml_path,
+    gen_eoml_random,
+    gen_eopl_line,
+    gen_eopl_monotone,
+    gen_eopl_tangle,
+)
 
 
 def path_instance(kind, n, path, vals, m=None):
@@ -260,3 +273,112 @@ def test_subdivision_round_trip_random():
         for sol in enumerate_solutions(tgt):
             mapped = eoml_sol_to_eopl(src, sol.x)
             assert eopl_verify(src, mapped.x) is not None
+
+
+# ----------------------------------------------------------------------------
+# the integer reductions against the BitConfig references in support
+
+
+def assert_same_lines(new, ref, rng):
+    """Every row's S', P' and V' agree: asked in value order, as a dump asks,
+    then in a shuffled order with the oracles shuffled per row."""
+    assert (type(new), new.n, getattr(new, "m", None)) == (type(ref), ref.n, getattr(ref, "m", None))
+    configs = list(all_configs(new.n))
+    for x in configs:
+        assert (new.S(x), new.P(x), new.V(x)) == (ref.S(x), ref.P(x), ref.V(x)), x
+    for x in rng.sample(configs, len(configs)):
+        for name in rng.sample("SPV", 3):
+            assert getattr(new, name)(x) == getattr(ref, name)(x), (name, x)
+
+
+def _edge_shape(src, u):
+    nxt = src.S(u)
+    if src.P(nxt) != u or nxt == u:
+        return "invalid edge"
+    step = src.V(nxt) - src.V(u)
+    return "jump up" if step > 0 else "jump down" if step < 0 else "flat"
+
+
+def test_subdivision_matches_the_bitconfig_reference():
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(80):
+        n, m = rng.randint(2, 4), rng.randint(2, 4)
+        p_ss0 = rng.choice([None, 2, rng.randint(3, (1 << m) - 1)])
+        src = gen_eopl_tangle(rng, n, m, p_ss0)
+        new, ref = eopl_to_eoml(src), eopl_to_eoml_ref(src)
+        if isinstance(ref, ImmediateSolution):
+            seen["immediate"] += 1
+            assert new == ref
+            continue
+        zero = BitConfig.zeros(n)
+        seen["p_ss0 == 2" if src.V(src.S(src.S(zero))) == 2 else "p_ss0 > 2"] += 1
+        seen.update(_edge_shape(src, u) for u in all_configs(n))
+        assert_same_lines(new, ref, rng)
+    cases = ("immediate", "p_ss0 == 2", "p_ss0 > 2", "invalid edge", "jump up", "jump down", "flat")
+    assert all(seen[case] for case in cases), seen
+
+
+def test_prefix_bit_matches_the_bitconfig_reference():
+    rng = random.Random(37)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        src = rng.choice([gen_eoml_random, gen_eoml_path])(rng, n)
+        assert_same_lines(eoml_to_eopl(src), eoml_to_eopl_ref(src), rng)
+
+
+def _asked(calls):
+    return sum(calls.values())
+
+
+def test_a_reduced_dump_reads_the_source_once_per_config():
+    # an eopl6x6-shaped source: each of its 64 configs is carried by 64 of
+    # the 4096 rows, and the rows of one config share its seven reads
+    src = gen_eopl_line(random.Random(41), 6, 6)
+    probe, calls = counted(src)
+    target = eopl_to_eoml(probe)
+    built = _asked(calls)
+    assert dump_line_table(target) == dump_line_table(eopl_to_eoml_ref(src))
+    assert _asked(calls) - built <= min(8 << 6, 1 << 12)
+    # the rows of each u in turn, in the order a dump asks them
+    probe, calls = counted(src)
+    target = eopl_to_eoml(probe)
+    for u in range(1 << 6):
+        before = _asked(calls)
+        for pi in range(1 << 6):
+            x = BitConfig(u << 6 | pi, 12)
+            target.S(x), target.P(x), target.V(x)
+        assert _asked(calls) - before <= 8, u
+
+
+def test_a_prefix_bit_dump_reads_the_source_at_most_three_times_per_row():
+    src = gen_eoml_path(random.Random(43), 6, corrupt=False)
+    assert dump_line_table(eoml_to_eopl(src)) == dump_line_table(eoml_to_eopl_ref(src))
+    probe, calls = counted(src)
+    target = eoml_to_eopl(probe)
+    for x in all_configs(7):
+        before = _asked(calls)
+        target.S(x), target.P(x), target.V(x)
+        assert _asked(calls) - before <= 3, x
+
+
+def _walk(inst, max_steps):
+    try:
+        return follow_line(inst, max_steps)
+    except BudgetExceededError as exc:
+        return str(exc), exc.trace
+
+
+def test_following_a_reduced_line_matches_the_reference():
+    rng = random.Random(47)
+    pairs = []
+    for _ in range(12):
+        src = gen_eoml_path(rng, rng.randint(2, 5))
+        pairs.append((eoml_to_eopl(src), eoml_to_eopl_ref(src)))
+        src = rng.choice([gen_eopl_line(rng, 3, 4), gen_eopl_tangle(rng, 3, 3, rng.randint(2, 7))])
+        new, ref = eopl_to_eoml(src), eopl_to_eoml_ref(src)
+        if not isinstance(ref, ImmediateSolution):
+            pairs.append((new, ref))
+    for new, ref in pairs:
+        for max_steps in (1, 3, 1 << new.n):
+            assert _walk(new, max_steps) == _walk(ref, max_steps)
