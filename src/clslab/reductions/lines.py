@@ -45,29 +45,38 @@ class _Slot:
     It keeps the reads about the current u only.  ``dump_line_table`` asks
     about the rows in value order, so every row that carries one u shares
     them: V(u), S(u), V(S(u)), P(S(u)), P(u), V(P(u)) and S(P(u)).
+
+    The slot is one ``(u, reads)`` pair, read once per call and replaced
+    whole, so threads sharing a reduced instance may lose each other's reads
+    but never take one u's answers for another's.
     """
 
     def __init__(self, inst):
-        self.inst, self.u, self.seen = inst, -1, {}
+        self.inst, self.state = inst, (-1, {})
 
     def read(self, u: int, what: str):
         """V(u), or the value of S(u) or P(u) for "S" or "P".  "S+" and "P+"
         read the edge from u to y = S(u) or P(u): y, V(y) and whether the
         edge is valid, that is, whether y's P or S leads back to u != y."""
-        if u != self.u:
-            self.u, self.seen = u, {}
-        out = self.seen.get(what)
+        last, seen = self.state
+        if last != u:
+            seen = {}
+            self.state = (u, seen)
+        return self._read(u, what, seen)
+
+    def _read(self, u: int, what: str, seen: dict):
+        out = seen.get(what)
         if out is None:
             if what == "V":
                 out = self.inst.V(BitConfig(u, self.inst.n))
             elif len(what) == 1:
                 out = getattr(self.inst, what)(BitConfig(u, self.inst.n)).value
             else:
-                y = self.read(u, what[0])
+                y = self._read(u, what[0], seen)
                 there = BitConfig(y, self.inst.n)
                 back = self.inst.P(there) if what == "S+" else self.inst.S(there)
                 out = (y, self.inst.V(there), back.value == u and y != u)
-            self.seen[what] = out
+            seen[what] = out
         return out
 
 

@@ -1,10 +1,12 @@
 import random
+import threading
 from collections import Counter
 
 import pytest
 
 from clslab import (
     BudgetExceededError,
+    EomlInstance,
     PreconditionError,
     R1,
     R2,
@@ -382,3 +384,29 @@ def test_following_a_reduced_line_matches_the_reference():
     for new, ref in pairs:
         for max_steps in (1, 3, 1 << new.n):
             assert _walk(new, max_steps) == _walk(ref, max_steps)
+
+
+def test_a_thread_moving_the_slot_does_not_mix_two_configs_reads():
+    # thread A asks V'(1,01) and stops inside the source's V(01) read while
+    # the main thread moves the shared slot to 10; A's answer must not land
+    # among 10's reads, nor 10's among A's
+    src = simple_eoml()
+    u1, u2 = bits("01"), bits("10")
+    inside, resume = threading.Event(), threading.Event()
+
+    def v(x):
+        if x == u1 and threading.current_thread() is asker:
+            inside.set()
+            resume.wait(5)
+        return src.v(x)
+
+    x1, x2 = bits("101"), bits("110")
+    got = {}
+    asker = threading.Thread(target=lambda: got.update(a=target.V(x1)))
+    target = eoml_to_eopl(EomlInstance(n=2, s=src.s, p=src.p, v=v))
+    asker.start()
+    assert inside.wait(5)
+    got["b"] = target.V(x2)
+    resume.set()
+    asker.join()
+    assert (got["a"], got["b"], target.V(x2), target.V(x1)) == (2, 3, 3, 2)
