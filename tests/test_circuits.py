@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -30,6 +31,7 @@ from clslab import (
     norm_pow,
 )
 from clslab.circuits import (
+    ArithCircuit,
     dump_circuit,
     dump_problem,
     format_circuit_solution,
@@ -42,6 +44,7 @@ from clslab.circuits import (
     probe_domain,
     unit_grid,
 )
+from clslab.errors import ParseError
 from support import coordinate_potential, kinked_map, scale_shift_map, triangle_violation_ref
 
 
@@ -326,6 +329,91 @@ def test_problem_file_round_trip():
         inst.delta_d,
         inst.lam,
     )
+
+
+def _problem_examples():
+    """One instance of each problem kind with its exact problem-file text."""
+    return [
+        (
+            CloInstance(
+                f=scale_shift_map(2, "1/2", ["1/8", 0]),
+                p=coordinate_potential(2),
+                eps=F(1, 8),
+                lam=F(3, 2),
+                r=INF,
+                dim=2,
+            ),
+            "CLO dim=2 r=inf eps=1/8 lambda=3/2\n"
+            "ARITH 2 5 2\nCONST 1/2\nMUL 0 2\nCONST 1/8\nADD 3 4\nMUL 1 2\n5 6\n"
+            "ARITH 2 0 1\n0\n",
+        ),
+        (
+            ContractionInstance(f=kinked_map(1), r=1, eps=F(1, 4), c=F(2, 3), delta=F(1, 16), dim=1),
+            "CONTRACTION dim=1 r=1 eps=1/4 c=2/3 delta=1/16\n"
+            "ARITH 1 8 1\nCONST 2\nCONST 1/4\nCONST 0\nCONST 1\nMUL 0 1\nSUB 5 2\nMAX 6 3\nMIN 7 4\n8\n",
+        ),
+        (
+            MmcInstance(
+                f=scale_shift_map(1, "1/2", ["1/4"]),
+                d=norm_distance_circuit(1, INF),
+                r=INF,
+                eps=F(1, 4),
+                c=F(1, 2),
+                delta_d=F(2),
+                lam=F(5, 4),
+                dim=1,
+            ),
+            "MMC dim=1 r=inf eps=1/4 c=1/2 delta_d=2 lambda=5/4\n"
+            "ARITH 1 4 1\nCONST 1/2\nMUL 0 1\nCONST 1/4\nADD 2 3\n4\n"
+            "ARITH 2 2 1\nSUB 0 1\nABS 2\n3\n",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("inst, text", _problem_examples(), ids=["clo", "contraction", "mmc"])
+def test_dump_problem_bytes(inst, text):
+    assert dump_problem(inst) == text
+
+
+@pytest.mark.parametrize("inst, text", _problem_examples(), ids=["clo", "contraction", "mmc"])
+def test_load_of_dump_gives_the_same_instance(inst, text):
+    again = load_problem(dump_problem(inst))
+    assert type(again) is type(inst)
+    for field in dataclasses.fields(inst):
+        mine, theirs = getattr(inst, field.name), getattr(again, field.name)
+        if isinstance(mine, ArithCircuit):
+            assert dump_circuit(theirs) == dump_circuit(mine)
+        else:
+            assert theirs == mine
+    assert dump_problem(again) == text
+
+
+# A header with several malformed values reports r first, then the kind's
+# values in header order, then dim.
+@pytest.mark.parametrize(
+    "text",
+    [
+        "CONTRACTION dim=1 r=1 eps=1/4 c=1/2 delta=1/2\nARITH 1 0 1\n0\n",
+        "MMC dim=1 r=1 eps=1/4 c=1/2 delta_d=1 lambda=1\nARITH 1 0 1\n0\nARITH 2 0 1\n0\n",
+    ],
+    ids=["contraction", "mmc"],
+)
+def test_header_values_are_parsed_r_first_then_in_header_order_then_dim(text):
+    head, rest = text.split("\n", 1)
+    tag, *pairs = head.split()
+    keys = [pair.split("=")[0] for pair in pairs]
+    values = [k for k in keys if k not in ("dim", "r")]
+
+    def broken(*bad):
+        return " ".join([tag] + [f"{k}=bad-{k}" if k in bad else p for k, p in zip(keys, pairs)]) + "\n" + rest
+
+    with pytest.raises(ParseError, match="'bad-r'"):
+        load_problem(broken("dim", "r", *values))
+    for k, key in enumerate(values):
+        with pytest.raises(ParseError, match=f"'bad-{key}'"):
+            load_problem(broken("dim", *values[k:]))
+    with pytest.raises(ParseError, match="'bad-dim'"):
+        load_problem(broken("dim"))
 
 
 def test_circuit_file_round_trip():

@@ -237,6 +237,88 @@ def test_usage_errors(tmp_path):
     assert main([]) == 4
 
 
+FIXTURES = {
+    "lcp": D1_LCP,
+    "eopl": EOPL_TABLE,
+    "eoml": EOML_TABLE,
+    "clo": CLO_TEXT,
+    "contraction": CONTRACTION_TEXT,
+    "mmc": MMC_TEXT,
+}
+FAMILY = {"lcp": "lcp", "eopl": "line", "eoml": "line", "clo": "circuit", "contraction": "circuit", "mmc": "circuit"}
+# reduce kind -> (fixture it takes, the source's name in errors, transformer in clslab.reductions)
+REDUCE_SOURCES = {
+    "plcp-eopl": ("lcp", None, "plcp_to_eopl"),
+    "eoml-eopl": ("eoml", "metered-line", "eoml_to_eopl"),
+    "eopl-eoml": ("eopl", "potential-line", "eopl_to_eoml"),
+    "gc-clo": ("mmc", "contraction-with-distance", "gc_to_clo"),
+    "clo-mmc": ("clo", "local-opt", "clo_to_mmc"),
+    "mmc-gc": ("mmc", "contraction-with-distance", "mmc_to_gc"),
+    "contraction-clo": ("contraction", "plain contraction", "contraction_to_clo"),
+}
+GOOD_SOLUTIONS = {
+    "lcp": "Q1 1\n",
+    "eopl": "R1 10\n",
+    "eoml": "T1 10\n",
+    "clo": "C1 1/4\n",
+    "contraction": "CM1 1/2\n",
+    "mmc": "M1 1/4\n",
+}
+
+
+def _load_error(family: str, text: str) -> str:
+    """What the loader of ``family`` says about a file of another family."""
+    first = text.splitlines()[0]
+    return {
+        "lcp": f"not an integer: {first!r}",
+        "line": f"line 1: bad header {first!r}",
+        "circuit": f"unknown problem tag {first.split()[0]!r}",
+    }[family]
+
+
+@pytest.mark.parametrize(
+    "kind, fixture",
+    [(k, f) for k, (src, _, _) in REDUCE_SOURCES.items() for f in FIXTURES if f != src],
+)
+def test_reduce_of_a_wrong_source_exits_4(tmp_path, capsys, kind, fixture):
+    src, name, _ = REDUCE_SOURCES[kind]
+    if FAMILY[fixture] == FAMILY[src]:
+        message = f"{kind} needs a {name} source"
+    else:
+        message = _load_error(FAMILY[src], FIXTURES[fixture])
+    assert main(["reduce", kind, write(tmp_path, fixture, FIXTURES[fixture])]) == 4
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("problem, fixture", [(p, f) for p in GOOD_SOLUTIONS for f in FIXTURES if f != p])
+def test_verify_against_another_kind_of_instance_exits_4(tmp_path, capsys, problem, fixture):
+    if FAMILY[fixture] == FAMILY[problem]:
+        message = f"instance file is not a {problem} instance"
+    else:
+        message = _load_error(FAMILY[problem], FIXTURES[fixture])
+    inst = write(tmp_path, fixture, FIXTURES[fixture])
+    sol = write(tmp_path, "x.sol", GOOD_SOLUTIONS[problem])
+    assert main(["verify", problem, inst, sol]) == 4
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("kind", sorted(REDUCE_SOURCES))
+def test_reduce_looks_its_transformer_up_at_call_time(tmp_path, capsys, monkeypatch, kind):
+    # a tracer that wraps clslab.reductions.<name> after import must see the call
+    import clslab.reductions
+
+    src, _, name = REDUCE_SOURCES[kind]
+    original, calls = getattr(clslab.reductions, name), []
+
+    def counting(source):
+        calls.append(source)
+        return original(source)
+
+    monkeypatch.setattr(clslab.reductions, name, counting)
+    assert main(["reduce", kind, write(tmp_path, src, FIXTURES[src])]) == 0
+    assert len(calls) == 1
+
+
 def test_verify_exit_code_is_the_tag_predicate(tmp_path, capsys):
     for k, inst in enumerate(hand_built_line_tables()):
         kind, tags = ("eopl", EOPL_TAGS) if isinstance(inst, EoplInstance) else ("eoml", EOML_TAGS)
