@@ -221,15 +221,29 @@ def in_unit_box(x: QVector) -> bool:
 # problem instances
 
 
-def _check_range(name: str, value: Fraction, low_open, high_open=None):
-    if value <= low_open:
-        raise PreconditionError(f"{name} must exceed {low_open}")
-    if high_open is not None and value >= high_open:
-        raise PreconditionError(f"{name} must be below {high_open}")
+class _Problem:
+    """The construction check of the three problem classes, read from ``PROBLEMS``."""
+
+    def __post_init__(self):
+        _, blocks, values = PROBLEMS[type(self)]
+        sizes = {"dim": self.dim, "2*dim": 2 * self.dim, "1": 1}
+        for name in blocks:
+            ins, outs = _SHAPES[name]
+            circ = getattr(self, name)
+            if (circ.arity, circ.out_arity) != (sizes[ins], sizes[outs]):
+                raise DimensionError(f"{name} must map {ins} -> {outs}")
+        if self.r not in (1, INF):
+            raise PreconditionError("instance norm must be 1 or inf")
+        for _, field, high in values:
+            value = getattr(self, field)
+            if value <= 0:
+                raise PreconditionError(f"{field} must exceed 0")
+            if high is not None and value >= high:
+                raise PreconditionError(f"{field} must be below {high}")
 
 
 @dataclass(frozen=True, eq=False)
-class CloInstance:
+class CloInstance(_Problem):
     """Local-opt search data: map f, potential p, slack eps, Lipschitz bound lam."""
 
     f: ArithCircuit
@@ -239,19 +253,9 @@ class CloInstance:
     r: NormOrder = 1
     dim: int = 3
 
-    def __post_init__(self):
-        if self.f.arity != self.dim or self.f.out_arity != self.dim:
-            raise DimensionError("f must map dim -> dim")
-        if self.p.arity != self.dim or self.p.out_arity != 1:
-            raise DimensionError("p must map dim -> 1")
-        if self.r not in (1, INF):
-            raise PreconditionError("instance norm must be 1 or inf")
-        _check_range("eps", self.eps, 0)
-        _check_range("lam", self.lam, 0)
-
 
 @dataclass(frozen=True, eq=False)
-class ContractionInstance:
+class ContractionInstance(_Problem):
     """Purportedly c-contracting map with fixpoint slack delta."""
 
     f: ArithCircuit
@@ -261,18 +265,9 @@ class ContractionInstance:
     delta: Fraction
     dim: int = 3
 
-    def __post_init__(self):
-        if self.f.arity != self.dim or self.f.out_arity != self.dim:
-            raise DimensionError("f must map dim -> dim")
-        if self.r not in (1, INF):
-            raise PreconditionError("instance norm must be 1 or inf")
-        _check_range("eps", self.eps, 0, 1)
-        _check_range("c", self.c, 0, 1)
-        _check_range("delta", self.delta, 0)
-
 
 @dataclass(frozen=True, eq=False)
-class MmcInstance:
+class MmcInstance(_Problem):
     """Contraction w.r.t. a supplied distance-like circuit d on pairs.
 
     ``delta_d`` bounds the continuity of d, ``lam`` the continuity of f.
@@ -287,20 +282,29 @@ class MmcInstance:
     lam: Fraction
     dim: int = 3
 
-    def __post_init__(self):
-        if self.f.arity != self.dim or self.f.out_arity != self.dim:
-            raise DimensionError("f must map dim -> dim")
-        if self.d.arity != 2 * self.dim or self.d.out_arity != 1:
-            raise DimensionError("d must map 2*dim -> 1")
-        if self.r not in (1, INF):
-            raise PreconditionError("instance norm must be 1 or inf")
-        _check_range("eps", self.eps, 0, 1)
-        _check_range("c", self.c, 0, 1)
-        _check_range("delta_d", self.delta_d, 0)
-        _check_range("lam", self.lam, 0)
-
     def dist(self, x: QVector, y: QVector) -> Fraction:
         return circuit_eval(self.d, QVector(tuple(x) + tuple(y)))[0]
+
+
+# Each circuit field's (inputs, outputs), counted in the instance's dim.
+_SHAPES = {"f": ("dim", "dim"), "p": ("dim", "1"), "d": ("2*dim", "1")}
+
+# Each problem class -> (file tag, its circuit fields in file order, the
+# header's (key, field, bound) after dim and r).  Every header value must
+# exceed 0, and lie below its bound when it has one.
+PROBLEMS = {
+    CloInstance: ("CLO", ("f", "p"), (("eps", "eps", None), ("lambda", "lam", None))),
+    ContractionInstance: (
+        "CONTRACTION",
+        ("f",),
+        (("eps", "eps", 1), ("c", "c", 1), ("delta", "delta", None)),
+    ),
+    MmcInstance: (
+        "MMC",
+        ("f", "d"),
+        (("eps", "eps", 1), ("c", "c", 1), ("delta_d", "delta_d", None), ("lambda", "lam", None)),
+    ),
+}
 
 
 CircuitProblem = Union[CloInstance, ContractionInstance, MmcInstance]
@@ -738,87 +742,43 @@ def parse_circuit(text: str) -> ArithCircuit:
     return circ
 
 
-def _header_fields(numbered: tuple[int, str], expect: str, keys: tuple[str, ...]) -> dict:
-    num, line = numbered
-    parts = line.split()
-    if not parts or parts[0] != expect:
-        raise ParseError(f"line {num}: expected {expect} header, got {line!r}")
-    fields = dict(part.split("=", 1) for part in parts[1:] if "=" in part)
-    missing = [k for k in keys if k not in fields]
-    if missing:
-        raise ParseError(f"line {num}: {expect} header missing {missing}")
-    return fields
-
-
 def dump_problem(inst: CircuitProblem) -> str:
-    if isinstance(inst, CloInstance):
-        head = (
-            f"CLO dim={inst.dim} r={format_norm(inst.r)} "
-            f"eps={format_rational(inst.eps)} lambda={format_rational(inst.lam)}"
-        )
-        return head + "\n" + dump_circuit(inst.f) + dump_circuit(inst.p)
-    if isinstance(inst, ContractionInstance):
-        head = (
-            f"CONTRACTION dim={inst.dim} r={format_norm(inst.r)} "
-            f"eps={format_rational(inst.eps)} c={format_rational(inst.c)} "
-            f"delta={format_rational(inst.delta)}"
-        )
-        return head + "\n" + dump_circuit(inst.f)
-    head = (
-        f"MMC dim={inst.dim} r={format_norm(inst.r)} "
-        f"eps={format_rational(inst.eps)} c={format_rational(inst.c)} "
-        f"delta_d={format_rational(inst.delta_d)} lambda={format_rational(inst.lam)}"
-    )
-    return head + "\n" + dump_circuit(inst.f) + dump_circuit(inst.d)
+    tag, blocks, values = PROBLEMS[type(inst)]
+    head = [tag, f"dim={inst.dim}", f"r={format_norm(inst.r)}"]
+    head += [f"{key}={format_rational(getattr(inst, field))}" for key, field, _ in values]
+    return " ".join(head) + "\n" + "".join(dump_circuit(getattr(inst, name)) for name in blocks)
 
 
 def load_problem(text: str, probe: bool = True) -> CircuitProblem:
-    """Parse a problem file; optionally probe a coarse grid for domain escapes."""
+    """Parse a problem file; optionally probe a coarse grid for domain escapes.
+
+    The header's values parse after the circuits: r first, then the kind's
+    values in header order, then dim.
+    """
     lines = data_lines(text)
     if not lines:
         raise ParseError("empty problem file")
-    tag = lines[0][1].split()[0]
-    if tag == "CLO":
-        fields = _header_fields(lines[0], "CLO", ("dim", "r", "eps", "lambda"))
-        f, pos = _parse_circuit_lines(lines, 1)
-        p, pos = _parse_circuit_lines(lines, pos)
-        inst: CircuitProblem = CloInstance(
-            f=f,
-            p=p,
-            eps=rational(fields["eps"]),
-            lam=rational(fields["lambda"]),
-            r=parse_norm(fields["r"]),
-            dim=integer(fields["dim"]),
-        )
-    elif tag == "CONTRACTION":
-        fields = _header_fields(lines[0], "CONTRACTION", ("dim", "r", "eps", "c", "delta"))
-        f, pos = _parse_circuit_lines(lines, 1)
-        inst = ContractionInstance(
-            f=f,
-            r=parse_norm(fields["r"]),
-            eps=rational(fields["eps"]),
-            c=rational(fields["c"]),
-            delta=rational(fields["delta"]),
-            dim=integer(fields["dim"]),
-        )
-    elif tag == "MMC":
-        fields = _header_fields(
-            lines[0], "MMC", ("dim", "r", "eps", "c", "delta_d", "lambda")
-        )
-        f, pos = _parse_circuit_lines(lines, 1)
-        d, pos = _parse_circuit_lines(lines, pos)
-        inst = MmcInstance(
-            f=f,
-            d=d,
-            r=parse_norm(fields["r"]),
-            eps=rational(fields["eps"]),
-            c=rational(fields["c"]),
-            delta_d=rational(fields["delta_d"]),
-            lam=rational(fields["lambda"]),
-            dim=integer(fields["dim"]),
-        )
-    else:
+    num, head = lines[0]
+    tag, *parts = head.split()
+    klass = {row[0]: k for k, row in PROBLEMS.items()}.get(tag)
+    if klass is None:
         raise ParseError(f"unknown problem tag {tag!r}")
+    _, blocks, values = PROBLEMS[klass]
+    fields = dict(part.split("=", 1) for part in parts if "=" in part)
+    missing = [k for k in ("dim", "r", *(key for key, _, _ in values)) if k not in fields]
+    if missing:
+        raise ParseError(f"line {num}: {tag} header missing {missing}")
+    args, pos = {}, 1
+    for name in blocks:
+        args[name], pos = _parse_circuit_lines(lines, pos)
+    args["r"] = parse_norm(fields["r"])
+    for key, field, _ in values:
+        args[field] = rational(fields[key])
+    args["dim"] = integer(fields["dim"])
+    try:
+        inst = klass(**args)
+    except DimensionError as exc:
+        raise ParseError(f"line {num}: {exc}") from exc
     if pos != len(lines):
         raise ParseError(f"line {lines[pos][0]}: trailing data after the last circuit")
     if probe:

@@ -9,6 +9,7 @@ prefix.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -29,15 +30,32 @@ from .errors import (
     PreconditionError,
 )
 
-REDUCE_KINDS = (
-    "plcp-eopl",
-    "eoml-eopl",
-    "eopl-eoml",
-    "gc-clo",
-    "clo-mmc",
-    "mmc-gc",
-    "contraction-clo",
-)
+# reduce kind -> (the source type it takes, the source's name in errors, its
+# transformer's name in clslab.reductions).  The transformer is looked up on
+# each call, so a wrapper put on clslab.reductions after import sees the call.
+REDUCTIONS = {
+    "plcp-eopl": (lcp.LcpInstance, "P-LCP", "plcp_to_eopl"),
+    "eoml-eopl": (lines.EomlInstance, "metered-line", "eoml_to_eopl"),
+    "eopl-eoml": (lines.EoplInstance, "potential-line", "eopl_to_eoml"),
+    "gc-clo": (circuits.MmcInstance, "contraction-with-distance", "gc_to_clo"),
+    "clo-mmc": (circuits.CloInstance, "local-opt", "clo_to_mmc"),
+    "mmc-gc": (circuits.MmcInstance, "contraction-with-distance", "mmc_to_gc"),
+    "contraction-clo": (circuits.ContractionInstance, "plain contraction", "contraction_to_clo"),
+}
+REDUCE_KINDS = tuple(REDUCTIONS)
+
+# verify problem -> (the instance type it takes, its solution tags)
+VERIFY = {
+    "lcp": (lcp.LcpInstance, ("Q1", "Q2")),
+    "eopl": (lines.EoplInstance, lines.EOPL_TAGS),
+    "eoml": (lines.EomlInstance, lines.EOML_TAGS),
+    "clo": (circuits.CloInstance, ("C1", "C2a", "C2b")),
+    "contraction": (circuits.ContractionInstance, ("CM1", "CM2")),
+    "mmc": (circuits.MmcInstance, ("M1", "M2a", "M2b", "M2c", "MMVIOL")),
+}
+
+_LINE_TYPES = (lines.EoplInstance, lines.EomlInstance)
+_DESCRIPTOR_HEAD = re.compile(r"\s*(PROCEDURAL.*)(\n?)")
 
 
 def _read(path: str) -> str:
@@ -47,26 +65,45 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _reduce(kind: str, source):
+    """Run ``kind``'s transformer on ``source`` once its type is the one ``kind`` takes."""
+    source_type, name, transformer = REDUCTIONS[kind]
+    if not isinstance(source, source_type):
+        raise ParseError(f"{kind} needs a {name} source")
+    return getattr(reductions, transformer)(source)
+
+
 def _load_line_instance(text: str):
-    """Truth-table instance, or a procedural descriptor wrapping a source file."""
-    stripped = text.lstrip()
-    if not stripped.startswith("PROCEDURAL"):
-        return lines.load_line_table(text)
-    body = stripped.split("\n", 1)
-    if len(body) != 2:
-        raise ParseError("procedural descriptor missing its source instance")
-    kind = body[0].split()
-    if len(kind) != 2 or kind[1] not in ("plcp-eopl", "eoml-eopl", "eopl-eoml"):
-        raise ParseError(f"bad procedural header: {body[0]!r}")
-    name, source_text = kind[1], body[1]
-    if name == "plcp-eopl":
-        return reductions.plcp_to_eopl(lcp.load_lcp(source_text))
-    if name == "eoml-eopl":
-        return reductions.eoml_to_eopl(_load_line_instance(source_text))
-    target = reductions.eopl_to_eoml(_load_line_instance(source_text))
-    if isinstance(target, reductions.ImmediateSolution):
-        raise ParseError("descriptor wraps a trivial source; re-run the reduction")
-    return target
+    """Truth-table instance, or procedural descriptors wrapping a source file.
+
+    Each ``PROCEDURAL <kind>`` header wraps the rest of the file.  The headers
+    are peeled in a loop, then the layers reduce innermost first.
+    """
+    kinds, pos = [], 0
+    while head := _DESCRIPTOR_HEAD.match(text, pos):
+        if not head[2]:
+            raise ParseError("procedural descriptor missing its source instance")
+        kind = head[1].split()
+        if len(kind) != 2 or kind[1] not in ("plcp-eopl", "eoml-eopl", "eopl-eoml"):
+            raise ParseError(f"bad procedural header: {head[1]!r}")
+        kinds.append(kind[1])
+        pos = head.end()
+    load = lcp.load_lcp if kinds[-1:] == ["plcp-eopl"] else lines.load_line_table
+    source = load(text[pos:])
+    for kind in reversed(kinds):
+        source = _reduce(kind, source)
+        if isinstance(source, reductions.ImmediateSolution):
+            raise ParseError("descriptor wraps a trivial source; re-run the reduction")
+    return source
+
+
+def _load_instance(want: type, text: str, paper_sign: bool = False):
+    """An instance file, read by the loader of ``want``'s family."""
+    if want is lcp.LcpInstance:
+        return lcp.load_lcp(text, paper_sign=paper_sign)
+    if want in _LINE_TYPES:
+        return _load_line_instance(text)
+    return circuits.load_problem(text)
 
 
 def _print_vertices(trace) -> None:
@@ -112,61 +149,24 @@ def _write_or_print(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _reduced_line_text(target, kind: str, source_text: str) -> str:
-    width = target.n + (target.m if isinstance(target, lines.EoplInstance) else 0)
-    if width <= 16:
-        return lines.dump_line_table(target)
-    return f"PROCEDURAL {kind}\n" + source_text
-
-
 def cmd_reduce(args) -> int:
-    kind = args.kind
     text = _read(args.file)
-    if kind == "plcp-eopl":
-        inst = lcp.load_lcp(text, paper_sign=args.paper_sign)
-        target = reductions.plcp_to_eopl(inst)
-        _write_or_print(_reduced_line_text(target, kind, lcp.dump_lcp(inst)), args.out)
+    source = _load_instance(REDUCTIONS[args.kind][0], text, args.paper_sign)
+    target = _reduce(args.kind, source)
+    if isinstance(target, reductions.ImmediateSolution):
+        sol_line = lines.format_line_solution(target.solution)
+        print(f"immediate-solution {sol_line}")
+        if args.out:
+            Path(args.out).write_text(sol_line + "\n")
         return EXIT_OK
-    if kind == "eoml-eopl":
-        source = _load_line_instance(text)
-        if not isinstance(source, lines.EomlInstance):
-            raise ParseError("eoml-eopl needs a metered-line source")
-        target = reductions.eoml_to_eopl(source)
-        _write_or_print(_reduced_line_text(target, kind, text), args.out)
-        return EXIT_OK
-    if kind == "eopl-eoml":
-        source = _load_line_instance(text)
-        if not isinstance(source, lines.EoplInstance):
-            raise ParseError("eopl-eoml needs a potential-line source")
-        target = reductions.eopl_to_eoml(source)
-        if isinstance(target, reductions.ImmediateSolution):
-            sol_line = lines.format_line_solution(target.solution)
-            print(f"immediate-solution {sol_line}")
-            if args.out:
-                Path(args.out).write_text(sol_line + "\n")
-            return EXIT_OK
-        _write_or_print(_reduced_line_text(target, kind, text), args.out)
-        return EXIT_OK
-    problem = circuits.load_problem(text)
-    if kind == "gc-clo":
-        if not isinstance(problem, circuits.MmcInstance):
-            raise ParseError("gc-clo needs a contraction-with-distance source")
-        out = reductions.gc_to_clo(problem)
-    elif kind == "clo-mmc":
-        if not isinstance(problem, circuits.CloInstance):
-            raise ParseError("clo-mmc needs a local-opt source")
-        out = reductions.clo_to_mmc(problem)
-    elif kind == "mmc-gc":
-        if not isinstance(problem, circuits.MmcInstance):
-            raise ParseError("mmc-gc needs a contraction-with-distance source")
-        out = reductions.mmc_to_gc(problem)
-    elif kind == "contraction-clo":
-        if not isinstance(problem, circuits.ContractionInstance):
-            raise ParseError("contraction-clo needs a plain contraction source")
-        out = reductions.contraction_to_clo(problem)
-    else:
-        raise ParseError(f"unknown reduction kind {kind!r}")
-    _write_or_print(circuits.dump_problem(out), args.out)
+    if not isinstance(target, _LINE_TYPES):
+        text = circuits.dump_problem(target)
+    elif target.n + (target.m if isinstance(target, lines.EoplInstance) else 0) <= 16:
+        text = lines.dump_line_table(target)
+    else:  # too wide for a table: a descriptor embedding the source
+        embedded = lcp.dump_lcp(source) if isinstance(source, lcp.LcpInstance) else text
+        text = f"PROCEDURAL {args.kind}\n" + embedded
+    _write_or_print(text, args.out)
     return EXIT_OK
 
 
@@ -199,33 +199,27 @@ def cmd_verify(args) -> int:
     if not sol_text:
         raise ParseError("empty solution file")
     sol_line = sol_text.splitlines()[0]
-    if args.problem == "lcp":
-        ok, detail = lcp.check_outcome(lcp.load_lcp(inst_text), lcp.parse_outcome(sol_line))
-    elif args.problem in ("eopl", "eoml"):
-        inst = _load_line_instance(inst_text)
-        want = lines.EoplInstance if args.problem == "eopl" else lines.EomlInstance
-        if not isinstance(inst, want):
-            raise ParseError(f"instance file is not a {args.problem} instance")
+    want, tags = VERIFY[args.problem]
+    inst = _load_instance(want, inst_text)
+    if not isinstance(inst, want):
+        raise ParseError(f"instance file is not a {args.problem} instance")
+    if want is lcp.LcpInstance:
+        sol = lcp.parse_outcome(sol_line)
+    elif want in _LINE_TYPES:
         sol = lines.parse_line_solution(sol_line)
-        tag = type(sol).__name__
-        if tag not in (lines.EOPL_TAGS if args.problem == "eopl" else lines.EOML_TAGS):
-            raise ParseError(f"{tag} is not a {args.problem} solution tag")
+    else:
+        sol = circuits.parse_circuit_solution(sol_line, inst.dim)
+    tag = sol_line.split()[0]
+    if tag not in tags:
+        raise ParseError(f"{tag} is not a {args.problem} solution tag")
+    if want is lcp.LcpInstance:
+        ok, detail = lcp.check_outcome(inst, sol)
+    elif want in _LINE_TYPES:
         ok = lines.tag_holds(inst, tag, sol.x)
         detail = f"{tag} condition {'holds' if ok else 'fails'} at {sol.x}"
-    elif args.problem in ("clo", "contraction", "mmc"):
-        inst = circuits.load_problem(inst_text)
-        expected, verify = {
-            "clo": (circuits.CloInstance, circuits.clo_verify),
-            "contraction": (circuits.ContractionInstance, circuits.contraction_verify),
-            "mmc": (circuits.MmcInstance, circuits.mmc_verify),
-        }[args.problem]
-        if not isinstance(inst, expected):
-            raise ParseError(f"instance file is not a {args.problem} instance")
-        sol = circuits.parse_circuit_solution(sol_line, inst.dim)
-        verdict = verify(inst, sol)
-        ok, detail = verdict.ok, verdict.detail
     else:
-        raise ParseError(f"unknown problem {args.problem!r}")
+        verdict = getattr(circuits, f"{args.problem}_verify")(inst, sol)
+        ok, detail = verdict.ok, verdict.detail
     print(detail)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
@@ -303,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_follow)
 
     p = sub.add_parser("verify", help="check a solution file against an instance")
-    p.add_argument("problem", choices=("lcp", "eopl", "eoml", "clo", "contraction", "mmc"))
+    p.add_argument("problem", choices=tuple(VERIFY))
     p.add_argument("instance")
     p.add_argument("solution")
     p.set_defaults(func=cmd_verify)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -44,7 +45,7 @@ from clslab.circuits import (
     probe_domain,
     unit_grid,
 )
-from clslab.errors import ParseError
+from clslab.errors import DimensionError, ParseError, PreconditionError
 from support import coordinate_potential, kinked_map, scale_shift_map, triangle_violation_ref
 
 
@@ -388,15 +389,60 @@ def test_load_of_dump_gives_the_same_instance(inst, text):
     assert dump_problem(again) == text
 
 
+def test_problem_classes_keep_their_fields_and_hash_by_identity():
+    no = dataclasses.MISSING
+    assert [(f.name, f.default) for f in dataclasses.fields(CloInstance)] == [
+        ("f", no), ("p", no), ("eps", no), ("lam", no), ("r", 1), ("dim", 3)
+    ]
+    assert [(f.name, f.default) for f in dataclasses.fields(ContractionInstance)] == [
+        ("f", no), ("r", no), ("eps", no), ("c", no), ("delta", no), ("dim", 3)
+    ]
+    assert [(f.name, f.default) for f in dataclasses.fields(MmcInstance)] == [
+        ("f", no), ("d", no), ("r", no), ("eps", no), ("c", no), ("delta_d", no), ("lam", no), ("dim", 3)
+    ]
+    for inst, _ in _problem_examples():
+        twin = dataclasses.replace(inst)
+        assert twin != inst and hash(twin) != hash(inst) and inst == inst
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.eps = F(1, 2)
+
+
+# problem class -> (header values that must exceed 0, those that must also lie below 1)
+VALUE_RANGES = {
+    CloInstance: (("eps", "lam"), ()),
+    ContractionInstance: (("eps", "c", "delta"), ("eps", "c")),
+    MmcInstance: (("eps", "c", "delta_d", "lam"), ("eps", "c")),
+}
+
+
+@pytest.mark.parametrize("inst, text", _problem_examples(), ids=["clo", "contraction", "mmc"])
+def test_construction_checks_each_header_value_range_and_the_norm(inst, text):
+    positive, below_one = VALUE_RANGES[type(inst)]
+    for name in positive:
+        with pytest.raises(PreconditionError, match=f"^{name} must exceed 0$"):
+            dataclasses.replace(inst, **{name: F(0)})
+        if name in below_one:
+            with pytest.raises(PreconditionError, match=f"^{name} must be below 1$"):
+                dataclasses.replace(inst, **{name: F(1)})
+        else:
+            assert getattr(dataclasses.replace(inst, **{name: F(7)}), name) == 7
+    with pytest.raises(PreconditionError, match="^instance norm must be 1 or inf$"):
+        dataclasses.replace(inst, r=2)
+    # the circuit shapes are checked before the norm and the values
+    with pytest.raises(DimensionError, match="^f must map dim -> dim$"):
+        dataclasses.replace(inst, f=identity_circuit(inst.dim + 1), r=2, eps=F(0))
+
+
 # A header with several malformed values reports r first, then the kind's
 # values in header order, then dim.
 @pytest.mark.parametrize(
     "text",
     [
+        "CLO dim=1 r=1 eps=1/4 lambda=1\nARITH 1 0 1\n0\nARITH 1 0 1\n0\n",
         "CONTRACTION dim=1 r=1 eps=1/4 c=1/2 delta=1/2\nARITH 1 0 1\n0\n",
         "MMC dim=1 r=1 eps=1/4 c=1/2 delta_d=1 lambda=1\nARITH 1 0 1\n0\nARITH 2 0 1\n0\n",
     ],
-    ids=["contraction", "mmc"],
+    ids=["clo", "contraction", "mmc"],
 )
 def test_header_values_are_parsed_r_first_then_in_header_order_then_dim(text):
     head, rest = text.split("\n", 1)
@@ -414,6 +460,25 @@ def test_header_values_are_parsed_r_first_then_in_header_order_then_dim(text):
             load_problem(broken("dim", *values[k:]))
     with pytest.raises(ParseError, match="'bad-dim'"):
         load_problem(broken("dim"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("CONTRACTION dim=2 r=1 eps=1/4 c=1/2 delta=1/2\nARITH 1 0 1\n0\n", "f must map dim -> dim"),
+        ("CLO dim=1 r=1 eps=1/4 lambda=1\nARITH 1 0 1\n0\nARITH 1 0 2\n0 0\n", "p must map dim -> 1"),
+        (
+            "# distance on the wrong number of inputs\n"
+            "MMC dim=1 r=1 eps=1/4 c=1/2 delta_d=1 lambda=1\nARITH 1 0 1\n0\nARITH 1 0 1\n0\n",
+            "d must map 2*dim -> 1",
+        ),
+    ],
+    ids=["f", "p", "d"],
+)
+def test_a_dim_that_disagrees_with_a_circuit_is_a_parse_error_naming_the_header(text, message):
+    line = 2 if text.startswith("#") else 1
+    with pytest.raises(ParseError, match=re.escape(f"line {line}: {message}")):
+        load_problem(text)
 
 
 def test_circuit_file_round_trip():

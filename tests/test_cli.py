@@ -319,6 +319,99 @@ def test_reduce_looks_its_transformer_up_at_call_time(tmp_path, capsys, monkeypa
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["reduce", "contraction-clo"], CONTRACTION_TEXT.replace("dim=1", "dim=2"), "f must map dim -> dim"),
+        (["reduce", "mmc-gc"], MMC_TEXT.replace("ARITH 2 3 1", "ARITH 3 3 1"), "d must map 2*dim -> 1"),
+        (["verify", "clo", "A", "C1 0"], CLO_TEXT.replace("dim=1", "dim=3"), "f must map dim -> dim"),
+    ],
+    ids=["contraction-f", "mmc-d", "clo-f"],
+)
+def test_a_dim_that_disagrees_with_a_circuit_exits_4_naming_line_1(tmp_path, capsys, argv, text, message):
+    path = write(tmp_path, "A", text)
+    if argv[0] == "verify":
+        argv = argv[:2] + [path, write(tmp_path, "x.sol", argv[3] + "\n")]
+    else:
+        argv = argv + [path]
+    assert main(argv) == 4
+    assert capsys.readouterr() == ("", f"error: line 1: {message}\n")
+
+
+# A descriptor layer's source must be the kind its reduction takes.
+WRONG_DESCRIPTORS = [
+    ("PROCEDURAL eoml-eopl\n" + EOPL_TABLE, "eoml-eopl needs a metered-line source"),
+    ("PROCEDURAL eopl-eoml\n" + EOML_TABLE, "eopl-eoml needs a potential-line source"),
+    ("PROCEDURAL eoml-eopl\n" * 3000 + EOML_TABLE, "eoml-eopl needs a metered-line source"),
+    ("PROCEDURAL eopl-eoml\n" * 3000 + EOPL_TABLE, "eopl-eoml needs a potential-line source"),
+]
+
+
+@pytest.mark.parametrize("text, message", WRONG_DESCRIPTORS, ids=["eoml-eopl", "eopl-eoml", "deep-eoml", "deep-eopl"])
+def test_a_descriptor_over_the_wrong_kind_of_source_exits_4(tmp_path, capsys, text, message):
+    path = write(tmp_path, "d", text)
+    for argv in (
+        ["follow", path],
+        ["enumerate", path],
+        ["verify", "eopl", path, write(tmp_path, "x.sol", "R2 000\n")],
+        ["reduce", "eopl-eoml", path],
+        ["reduce", "eoml-eopl", path],
+    ):
+        assert main(argv) == 4, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+
+
+def test_nested_descriptors_reduce_innermost_first(tmp_path, capsys):
+    from clslab.cli import _load_line_instance
+    from clslab.reductions import eoml_to_eopl, eopl_to_eoml
+
+    text = "PROCEDURAL eoml-eopl\nPROCEDURAL eopl-eoml\n" + EOPL_TABLE
+    emitted = _load_line_instance(text)
+    direct = eoml_to_eopl(eopl_to_eoml(load_line_table(EOPL_TABLE)))
+    assert (emitted.n, emitted.m) == (direct.n, direct.m)
+    for x in all_configs(direct.n):
+        assert (emitted.S(x), emitted.P(x), emitted.V(x)) == (direct.S(x), direct.P(x), direct.V(x))
+    assert main(["follow", write(tmp_path, "d", text)]) == 0
+    assert capsys.readouterr().out.startswith("R")
+
+
+CIRCUIT_TAG_LINES = {
+    "C1": "C1 1/4",
+    "C2a": "C2a 0 1",
+    "C2b": "C2b 0 1",
+    "CM1": "CM1 1/2",
+    "CM2": "CM2 0 1",
+    "M1": "M1 1/4",
+    "M2a": "M2a 0 1",
+    "M2b": "M2b 0 1 0 1",
+    "M2c": "M2c 0 1",
+    "MMVIOL": "MMVIOL 4 0 1/2 1",
+}
+CIRCUIT_TAGS = {
+    "clo": ("C1", "C2a", "C2b"),
+    "contraction": ("CM1", "CM2"),
+    "mmc": ("M1", "M2a", "M2b", "M2c", "MMVIOL"),
+}
+
+
+@pytest.mark.parametrize("problem, tag", [(p, t) for p in CIRCUIT_TAGS for t in CIRCUIT_TAG_LINES])
+def test_verify_with_another_problems_circuit_tag_exits_4(tmp_path, capsys, problem, tag):
+    inst = write(tmp_path, "A", FIXTURES[problem])
+    code = main(["verify", problem, inst, write(tmp_path, "x.sol", CIRCUIT_TAG_LINES[tag] + "\n")])
+    out = capsys.readouterr()
+    if tag in CIRCUIT_TAGS[problem]:
+        assert code in (0, 1) and out.err == ""
+    else:
+        assert (code, out.out, out.err) == (4, "", f"error: {tag} is not a {problem} solution tag\n")
+
+
+@pytest.mark.parametrize("problem, tag", [("eopl", t) for t in EOML_TAGS] + [("eoml", t) for t in EOPL_TAGS])
+def test_verify_with_another_problems_line_tag_exits_4(tmp_path, capsys, problem, tag):
+    inst = write(tmp_path, "A", FIXTURES[problem])
+    assert main(["verify", problem, inst, write(tmp_path, "x.sol", f"{tag} 10\n")]) == 4
+    assert capsys.readouterr() == ("", f"error: {tag} is not a {problem} solution tag\n")
+
+
 def test_verify_exit_code_is_the_tag_predicate(tmp_path, capsys):
     for k, inst in enumerate(hand_built_line_tables()):
         kind, tags = ("eopl", EOPL_TAGS) if isinstance(inst, EoplInstance) else ("eoml", EOML_TAGS)
