@@ -375,41 +375,40 @@ def test_nested_descriptors_reduce_innermost_first(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("R")
 
 
-CIRCUIT_TAG_LINES = {
-    "C1": "C1 1/4",
-    "C2a": "C2a 0 1",
-    "C2b": "C2b 0 1",
-    "CM1": "CM1 1/2",
-    "CM2": "CM2 0 1",
-    "M1": "M1 1/4",
-    "M2a": "M2a 0 1",
-    "M2b": "M2b 0 1 0 1",
-    "M2c": "M2c 0 1",
-    "MMVIOL": "MMVIOL 4 0 1/2 1",
+# family -> a solution line of each of its tags, parseable against the fixtures
+TAG_LINES = {
+    "line": {tag: f"{tag} 10" for tag in EOPL_TAGS + EOML_TAGS},
+    "circuit": {
+        "C1": "C1 1/4",
+        "C2a": "C2a 0 1",
+        "C2b": "C2b 0 1",
+        "CM1": "CM1 1/2",
+        "CM2": "CM2 0 1",
+        "M1": "M1 1/4",
+        "M2a": "M2a 0 1",
+        "M2b": "M2b 0 1 0 1",
+        "M2c": "M2c 0 1",
+        "MMVIOL": "MMVIOL 4 0 1/2 1",
+    },
 }
-CIRCUIT_TAGS = {
+PROBLEM_TAGS = {
+    "eopl": EOPL_TAGS,
+    "eoml": EOML_TAGS,
     "clo": ("C1", "C2a", "C2b"),
     "contraction": ("CM1", "CM2"),
     "mmc": ("M1", "M2a", "M2b", "M2c", "MMVIOL"),
 }
 
 
-@pytest.mark.parametrize("problem, tag", [(p, t) for p in CIRCUIT_TAGS for t in CIRCUIT_TAG_LINES])
-def test_verify_with_another_problems_circuit_tag_exits_4(tmp_path, capsys, problem, tag):
+@pytest.mark.parametrize("problem, tag", [(p, t) for p in PROBLEM_TAGS for t in TAG_LINES[FAMILY[p]]])
+def test_verify_with_another_problems_tag_exits_4(tmp_path, capsys, problem, tag):
     inst = write(tmp_path, "A", FIXTURES[problem])
-    code = main(["verify", problem, inst, write(tmp_path, "x.sol", CIRCUIT_TAG_LINES[tag] + "\n")])
+    code = main(["verify", problem, inst, write(tmp_path, "x.sol", TAG_LINES[FAMILY[problem]][tag] + "\n")])
     out = capsys.readouterr()
-    if tag in CIRCUIT_TAGS[problem]:
+    if tag in PROBLEM_TAGS[problem]:
         assert code in (0, 1) and out.err == ""
     else:
         assert (code, out.out, out.err) == (4, "", f"error: {tag} is not a {problem} solution tag\n")
-
-
-@pytest.mark.parametrize("problem, tag", [("eopl", t) for t in EOML_TAGS] + [("eoml", t) for t in EOPL_TAGS])
-def test_verify_with_another_problems_line_tag_exits_4(tmp_path, capsys, problem, tag):
-    inst = write(tmp_path, "A", FIXTURES[problem])
-    assert main(["verify", problem, inst, write(tmp_path, "x.sol", f"{tag} 10\n")]) == 4
-    assert capsys.readouterr() == ("", f"error: {tag} is not a {problem} solution tag\n")
 
 
 def test_verify_exit_code_is_the_tag_predicate(tmp_path, capsys):
