@@ -488,6 +488,140 @@ def test_circuit_file_round_trip():
     assert circuit_eval(again, x) == circuit_eval(f, x)
 
 
+# A circuit that uses every gate op, as a file and as its gate tuple.
+ALL_OPS_TEXT = (
+    "ARITH 2 9 2\n"
+    "CONST 0\n"
+    "CONST -3/7\n"
+    "CONST 5\n"
+    "ADD 0 1\n"
+    "SUB 5 3\n"
+    "MUL 6 4\n"
+    "MAX 7 2\n"
+    "MIN 8 0\n"
+    "ABS 9\n"
+    "10 7\n"
+)
+ALL_OPS_GATES = (
+    ("CONST", F(0)),
+    ("CONST", F(-3, 7)),
+    ("CONST", F(5)),
+    ("ADD", 0, 1),
+    ("SUB", 5, 3),
+    ("MUL", 6, 4),
+    ("MAX", 7, 2),
+    ("MIN", 8, 0),
+    ("ABS", 9),
+)
+
+
+def test_every_gate_op_dumps_parses_and_builds_to_the_same_gates():
+    circ = ArithCircuit(2, ALL_OPS_GATES, (10, 7))
+    assert dump_circuit(circ) == ALL_OPS_TEXT
+    parsed = parse_circuit(ALL_OPS_TEXT)
+    assert (parsed.arity, parsed.gates, parsed.outputs) == (2, ALL_OPS_GATES, (10, 7))
+    assert [type(part) for gate in parsed.gates for part in gate[1:]] == [F] * 3 + [int] * 11
+    b = CircuitBuilder(2)
+    c0, c1, c5 = b.const(0), b.const("-3/7"), b.const(5)
+    mul = b.mul(b.sub(b.add(0, 1), c1), c5)
+    built = b.build([b.abs(b.min(b.max(mul, c0), 0)), mul])
+    assert built.gates == ALL_OPS_GATES and built.outputs == (10, 7)
+
+
+def test_inline_rewires_every_gate_op():
+    b = CircuitBuilder(3)
+    b.const(1)
+    outs = b.inline(ArithCircuit(2, ALL_OPS_GATES, (10, 7)), [2, 0])
+    assert outs == [12, 9]
+    assert tuple(b.gates) == (
+        ("CONST", F(1)),
+        ("CONST", F(0)),
+        ("CONST", F(-3, 7)),
+        ("CONST", F(5)),
+        ("ADD", 2, 0),
+        ("SUB", 7, 5),
+        ("MUL", 8, 6),
+        ("MAX", 9, 4),
+        ("MIN", 10, 2),
+        ("ABS", 11),
+    )
+    with pytest.raises(DimensionError, match="^inline input count mismatch$"):
+        b.inline(ArithCircuit(2, ALL_OPS_GATES, (10, 7)), [0])
+
+
+@pytest.mark.parametrize(
+    "arity, gates, outputs, message",
+    [
+        (-1, (("NEG", 0),), (), "arity must be nonnegative"),
+        (1, (("NEG", 0),), (), "at least one output required"),
+        (1, (("NEG", 0),), (1,), "unknown gate op 'NEG'"),
+        (1, (("CONST",),), (1,), "bad CONST gate at 0"),
+        (1, (("CONST", F(1), 0),), (1,), "bad CONST gate at 0"),
+        (1, (("CONST", 1),), (1,), "bad CONST gate at 0"),
+        (1, (("CONST", "1/2"),), (1,), "bad CONST gate at 0"),
+        (1, (("ABS",),), (1,), "bad ABS gate at 0"),
+        (1, (("ABS", 0, 0),), (1,), "bad ABS gate at 0"),
+        (1, (("ABS", 1),), (1,), "bad ABS gate at 0"),
+        (1, (("ABS", -1),), (1,), "bad ABS gate at 0"),
+        (1, (("ADD", 0),), (1,), "bad ADD gate at 0"),
+        (1, (("SUB", 0, 0, 0),), (1,), "bad SUB gate at 0"),
+        (1, (("MUL", 0, 1),), (1,), "bad MUL gate at 0"),
+        (1, (("MAX", -1, 0),), (1,), "bad MAX gate at 0"),
+        (1, (("ABS", 0), ("MIN", 0, 2)), (1,), "bad MIN gate at 1"),
+        (1, (("ABS", 0), ("NEG", 0), ("ADD", 9, 9)), (9,), "unknown gate op 'NEG'"),
+        (1, (("ABS", 0),), (2,), "output index out of range"),
+        (1, (("ABS", 0),), (-1,), "output index out of range"),
+    ],
+)
+def test_circuit_construction_errors(arity, gates, outputs, message):
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        ArithCircuit(arity, gates, outputs)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ARITH 1 1 1\nNEG 0\n1\n", "line 2: bad gate 'NEG 0'"),
+        ("ARITH 1 1 1\nCONST\n1\n", "line 2: bad gate 'CONST'"),
+        ("ARITH 1 1 1\nCONST 1 2\n1\n", "line 2: bad gate 'CONST 1 2'"),
+        ("ARITH 1 1 1\nABS\n1\n", "line 2: bad gate 'ABS'"),
+        ("ARITH 1 1 1\nABS 0 0\n1\n", "line 2: bad gate 'ABS 0 0'"),
+        ("ARITH 1 1 1\nADD 0\n1\n", "line 2: bad gate 'ADD 0'"),
+        ("ARITH 1 1 1\nMIN 0 0 0\n1\n", "line 2: bad gate 'MIN 0 0 0'"),
+        ("ARITH 1 1 1\nADD x\n1\n", "line 2: bad gate 'ADD x'"),
+        ("ARITH 1 1 1\nCONST x\n1\n", "not a rational: 'x'"),
+        ("ARITH 1 1 1\nCONST 1/0\n1\n", "not a rational: '1/0'"),
+        ("ARITH 1 1 1\nABS x\n1\n", "not an integer: 'x'"),
+        ("ARITH 1 1 1\nMUL 0 1/2\n1\n", "not an integer: '1/2'"),
+        ("ARITH 1 2 1\nABS x\nNEG 0\n2\n", "not an integer: 'x'"),
+        ("ARITH 1 2 1\nNEG 0\nABS x\n2\n", "line 2: bad gate 'NEG 0'"),
+        ("ARITH 1 1 1\nADD 0 1\n1\n", "circuit at line 1: bad ADD gate at 0"),
+        ("ARITH 1 2 1\nABS 0\nABS 5\n2\n", "circuit at line 1: bad ABS gate at 1"),
+        ("ARITH 1 1 1\nABS -1\n1\n", "circuit at line 1: bad ABS gate at 0"),
+        ("ARITH 1 1 1\nABS 0\n2\n", "circuit at line 1: output index out of range"),
+    ],
+)
+def test_circuit_file_gate_errors(text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_circuit(text)
+
+
+@pytest.mark.parametrize("arity, outputs", [(3, 1), (2, 2), (1, 1)])
+def test_check_metametric_needs_a_pair_circuit(arity, outputs):
+    b = CircuitBuilder(arity)
+    d = b.build([b.const(0)] * outputs)
+    with pytest.raises(DimensionError, match=r"^distance circuit must map 2\*dim -> 1$"):
+        check_metametric(d, [vec(0), vec(1)])
+
+
+def test_load_problem_probes_for_domain_escapes():
+    text = "CONTRACTION dim=1 r=1 eps=1/4 c=1/2 delta=1/2\nARITH 1 2 1\nCONST 2\nMUL 0 1\n2\n"
+    with pytest.raises(DomainEscapeError, match=r"^f leaves the unit box near 2/3$") as err:
+        load_problem(text)
+    assert err.value.point == vec("2/3")
+    assert load_problem(text.replace("CONST 2", "CONST 1")).f.gates[0] == ("CONST", F(1))
+
+
 def test_solution_line_round_trip():
     for sol in (
         C1(vec("1/2")),

@@ -7,7 +7,18 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from clslab import cli
 from clslab.cli import main
+from clslab.errors import (
+    BudgetExceededError,
+    ClslabError,
+    DegeneracyError,
+    DimensionError,
+    DomainEscapeError,
+    InvariantViolationError,
+    ParseError,
+    PreconditionError,
+)
 from clslab.lines import (
     EOML_TAGS,
     EOPL_TAGS,
@@ -111,6 +122,39 @@ def test_pipeline_agreement(tmp_path, capsys):
     assert "both witnesses verified" in capsys.readouterr().out
 
 
+def test_pipeline_takes_only_plcp(tmp_path, capsys):
+    assert main(["pipeline", "eopl", write(tmp_path, "a.lcp", D1_LCP)]) == 4
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "exc, code, err",
+    [
+        (DegeneracyError("tie"), 2, "degeneracy: tie\n"),
+        (ParseError("bad"), 4, "error: bad\n"),
+        (PreconditionError("pre"), 4, "error: pre\n"),
+        (InvariantViolationError("broken"), 3, "internal invariant violated: broken\n"),
+        (BudgetExceededError("spent"), 1, "error: spent\n"),
+        (DomainEscapeError("out"), 1, "error: out\n"),
+        (DimensionError("shape"), 1, "error: shape\n"),
+        (ClslabError("other"), 1, "error: other\n"),
+    ],
+)
+def test_main_maps_each_error_class_to_its_exit_code(monkeypatch, capsys, exc, code, err):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_enumerate", fail)
+    assert main(["enumerate", "x"]) == code
+    assert capsys.readouterr() == ("", err)
+
+
+def test_an_escaping_map_exits_1(tmp_path, capsys):
+    path = write(tmp_path, "c", CONTRACTION_TEXT.replace("CONST 1/2", "CONST 2"))
+    assert main(["reduce", "contraction-clo", path]) == 1
+    assert capsys.readouterr() == ("", "error: f leaves the unit box near 2/3\n")
+
+
 def test_reduce_plcp_to_table_and_follow(tmp_path, capsys):
     lcp_path = write(tmp_path, "a.lcp", D1_LCP)
     out_path = str(tmp_path / "a.eopl")
@@ -158,6 +202,21 @@ def test_reduce_line_reductions(tmp_path, capsys):
     trivial = write(tmp_path, "t.eopl", TRIVIAL_EOPL)
     assert main(["reduce", "eopl-eoml", trivial, "-o", str(tmp_path / "t.eoml")]) == 0
     assert "immediate-solution" in capsys.readouterr().out
+
+
+def test_reduce_out_file_bytes(tmp_path, capsys):
+    out = tmp_path / "t.eoml"
+    assert main(["reduce", "eopl-eoml", write(tmp_path, "t.eopl", TRIVIAL_EOPL), "-o", str(out)]) == 0
+    assert capsys.readouterr() == ("immediate-solution R1 1\n", "")
+    assert out.read_text() == "R1 1\n"
+    out = tmp_path / "c.clo"
+    assert main(["reduce", "contraction-clo", write(tmp_path, "c", CONTRACTION_TEXT), "-o", str(out)]) == 0
+    assert capsys.readouterr() == (f"wrote {out}\n", "")
+    assert out.read_text() == (
+        "CLO dim=1 r=1 eps=1/4 lambda=3/2\n"
+        "ARITH 1 2 1\nCONST 1/2\nMUL 0 1\n2\n"
+        "ARITH 1 4 1\nCONST 1/2\nMUL 0 1\nSUB 2 0\nABS 3\n4\n"
+    )
 
 
 def test_reduce_circuit_chain(tmp_path, capsys):
