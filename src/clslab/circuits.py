@@ -1,10 +1,8 @@
 """Arithmetic circuits over [0,1]^dim and the fixpoint/local-opt problem family.
 
 A circuit is a topologically ordered gate list over {CONST, ADD, SUB, MUL,
-MAX, MIN, ABS}; evaluation is exact over rationals.  Supported norms are the
-sum norm (r = 1) and the max norm (r = inf), both of which stay rational;
-comparisons for other integer orders are exposed through :func:`norm_gt`,
-which compares r-th powers instead of taking roots.
+MAX, MIN, ABS}; evaluation is exact over rationals.  The norms are the sum
+norm (r = 1) and the max norm (r = inf), both of which stay rational.
 """
 
 from __future__ import annotations
@@ -29,7 +27,9 @@ from .qlinalg import Q, QVector, data_lines, format_rational, integer, rational
 INF = float("inf")
 NormOrder = Union[int, float]
 
-_BINARY_OPS = ("ADD", "SUB", "MUL", "MAX", "MIN")
+# Each gate op -> its operand count.  A CONST's operand is its Fraction; every
+# other operand is the index of an earlier value.
+GATE_OPERANDS = {"CONST": 1, "ABS": 1, "ADD": 2, "SUB": 2, "MUL": 2, "MAX": 2, "MIN": 2}
 
 Gate = tuple  # ("CONST", Fraction) | (op, i, j) | ("ABS", i)
 
@@ -48,19 +48,18 @@ class ArithCircuit:
         if not self.outputs:
             raise DimensionError("at least one output required")
         for pos, gate in enumerate(self.gates):
-            limit = self.arity + pos
             op = gate[0]
-            if op == "CONST":
-                if len(gate) != 2 or not isinstance(gate[1], Fraction):
-                    raise DimensionError(f"bad CONST gate at {pos}")
-            elif op == "ABS":
-                if len(gate) != 2 or not (0 <= gate[1] < limit):
-                    raise DimensionError(f"bad ABS gate at {pos}")
-            elif op in _BINARY_OPS:
-                if len(gate) != 3 or not (0 <= gate[1] < limit and 0 <= gate[2] < limit):
-                    raise DimensionError(f"bad {op} gate at {pos}")
-            else:
+            count = GATE_OPERANDS.get(op)
+            if count is None:
                 raise DimensionError(f"unknown gate op {op!r}")
+            limit = self.arity + pos
+            # gate[1] and gate[count] are the first and the last operand
+            if len(gate) != count + 1 or not (
+                isinstance(gate[1], Fraction)
+                if op == "CONST"
+                else 0 <= gate[1] < limit and 0 <= gate[count] < limit
+            ):
+                raise DimensionError(f"bad {op} gate at {pos}")
         top = self.arity + len(self.gates)
         if any(not (0 <= o < top) for o in self.outputs):
             raise DimensionError("output index out of range")
@@ -140,13 +139,9 @@ class CircuitBuilder:
             raise DimensionError("inline input count mismatch")
         mapping = list(inputs)
         for gate in circ.gates:
-            op = gate[0]
-            if op == "CONST":
-                mapping.append(self.const(gate[1]))
-            elif op == "ABS":
-                mapping.append(self.abs(mapping[gate[1]]))
-            else:
-                mapping.append(self._push((op, mapping[gate[1]], mapping[gate[2]])))
+            if gate[0] != "CONST":
+                gate = (gate[0], *[mapping[i] for i in gate[1:]])
+            mapping.append(self._push(gate))
         return [mapping[o] for o in circ.outputs]
 
     def sum(self, indices: Sequence[int]) -> int:
@@ -186,31 +181,14 @@ def norm_distance_circuit(dim: int, r: NormOrder) -> ArithCircuit:
 # norms
 
 
-def _check_order(r: NormOrder) -> NormOrder:
-    if r == INF or (isinstance(r, int) and r >= 1):
-        return r
-    raise PreconditionError(f"unsupported norm order {r!r}")
-
-
 def norm_pow(v: QVector, r: NormOrder) -> Fraction:
-    """Sum norm for r=1, max norm for r=inf; the r-th power of the norm otherwise."""
-    r = _check_order(r)
+    """Sum norm for r=1, max norm for r=inf."""
     entries = [a if a >= 0 else -a for a in v]
     if r == INF:
         return max(entries, default=Q(0))
     if r == 1:
         return sum(entries, Q(0))
-    return sum((a**r for a in entries), Q(0))
-
-
-def norm_gt(u: QVector, scale: Fraction, v: QVector, r: NormOrder) -> bool:
-    """Exact test of ||u|| > scale * ||v|| (scale >= 0) for any supported order."""
-    r = _check_order(r)
-    if scale < 0:
-        raise PreconditionError("scale must be nonnegative")
-    if r in (1, INF):
-        return norm_pow(u, r) > scale * norm_pow(v, r)
-    return norm_pow(u, r) > scale**r * norm_pow(v, r)
+    raise PreconditionError(f"unsupported norm order {r!r}")
 
 
 def in_unit_box(x: QVector) -> bool:
@@ -523,9 +501,7 @@ def mmc_verify(inst: MmcInstance, cand: MmcSolution) -> Verdict:
     return _verify(inst, cand, MmcSolution, "contraction-with-distance")
 
 
-def check_metametric(
-    d: ArithCircuit, points: Sequence[QVector], dim: Optional[int] = None
-) -> Optional[MMviol]:
+def check_metametric(d: ArithCircuit, points: Sequence[QVector]) -> Optional[MMviol]:
     """First axiom violation of d over the sample, or None.
 
     Nonnegativity, symmetry, and zero-implies-equal run over all ordered
@@ -537,9 +513,7 @@ def check_metametric(
     becomes an integer comparison; the check is still exact (no float) and
     exhaustive.
     """
-    if dim is None:
-        dim = d.arity // 2
-    if d.arity != 2 * dim or d.out_arity != 1:
+    if d.arity % 2 or d.out_arity != 1:
         raise DimensionError("distance circuit must map 2*dim -> 1")
     pts = list(points)
     n = len(pts)
@@ -586,9 +560,9 @@ def unit_grid(dim: int, points_per_axis: int) -> list[QVector]:
     return [QVector(c) for c in itertools.product(axis, repeat=dim)]
 
 
-def probe_domain(f: ArithCircuit, dim: int, points_per_axis: int = 4) -> Optional[QVector]:
-    """First grid point that f maps outside the unit box, or None."""
-    for x in unit_grid(dim, points_per_axis):
+def probe_domain(f: ArithCircuit, dim: int) -> Optional[QVector]:
+    """First point of the 4-per-axis grid that f maps outside the unit box, or None."""
+    for x in unit_grid(dim, 4):
         if not in_unit_box(circuit_eval(f, x)):
             return x
     return None
@@ -687,11 +661,8 @@ def parse_norm(text: str) -> NormOrder:
 
 def dump_circuit(circ: ArithCircuit) -> str:
     lines = [f"ARITH {circ.arity} {len(circ.gates)} {circ.out_arity}"]
-    for gate in circ.gates:
-        if gate[0] == "CONST":
-            lines.append(f"CONST {format_rational(gate[1])}")
-        else:
-            lines.append(" ".join(str(part) for part in gate))
+    # str of a CONST's Fraction is its format_rational text
+    lines += [" ".join(map(str, gate)) for gate in circ.gates]
     lines.append(" ".join(str(o) for o in circ.outputs))
     return "\n".join(lines) + "\n"
 
@@ -713,16 +684,11 @@ def _parse_circuit_lines(
     gates: list[Gate] = []
     for k in range(n_gates):
         num, gate_text = lines[pos + 1 + k]
-        parts = gate_text.split()
-        op = parts[0]
-        if op == "CONST" and len(parts) == 2:
-            gates.append(("CONST", rational(parts[1])))
-        elif op == "ABS" and len(parts) == 2:
-            gates.append(("ABS", integer(parts[1])))
-        elif op in _BINARY_OPS and len(parts) == 3:
-            gates.append((op, integer(parts[1]), integer(parts[2])))
-        else:
+        op, *operands = gate_text.split()
+        if len(operands) != GATE_OPERANDS.get(op):
             raise ParseError(f"line {num}: bad gate {gate_text!r}")
+        read = rational if op == "CONST" else integer
+        gates.append((op, *map(read, operands)))
     out_num, out_text = lines[pos + 1 + n_gates]
     outs = [integer(tok) for tok in out_text.split()]
     if len(outs) != n_outputs:
@@ -749,8 +715,8 @@ def dump_problem(inst: CircuitProblem) -> str:
     return " ".join(head) + "\n" + "".join(dump_circuit(getattr(inst, name)) for name in blocks)
 
 
-def load_problem(text: str, probe: bool = True) -> CircuitProblem:
-    """Parse a problem file; optionally probe a coarse grid for domain escapes.
+def load_problem(text: str) -> CircuitProblem:
+    """Parse a problem file, then probe a coarse grid for domain escapes.
 
     The header's values parse after the circuits: r first, then the kind's
     values in header order, then dim.
@@ -781,10 +747,9 @@ def load_problem(text: str, probe: bool = True) -> CircuitProblem:
         raise ParseError(f"line {num}: {exc}") from exc
     if pos != len(lines):
         raise ParseError(f"line {lines[pos][0]}: trailing data after the last circuit")
-    if probe:
-        escape = probe_domain(inst.f, inst.dim)
-        if escape is not None:
-            raise DomainEscapeError(f"f leaves the unit box near {escape}", point=escape)
+    escape = probe_domain(inst.f, inst.dim)
+    if escape is not None:
+        raise DomainEscapeError(f"f leaves the unit box near {escape}", point=escape)
     return inst
 
 

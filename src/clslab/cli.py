@@ -24,7 +24,6 @@ from .errors import (
     BudgetExceededError,
     ClslabError,
     DegeneracyError,
-    DomainEscapeError,
     InvariantViolationError,
     ParseError,
     PreconditionError,
@@ -55,7 +54,12 @@ VERIFY = {
 }
 
 _LINE_TYPES = (lines.EoplInstance, lines.EomlInstance)
-_DESCRIPTOR_HEAD = re.compile(r"\s*(PROCEDURAL.*)(\n?)")
+_DESCRIPTOR_HEAD = re.compile(r"\s*(PROCEDURAL(?!\S).*)(\n?)")
+
+# The widest layer a descriptor may build, in bits (n, plus m for EOPL).  Each
+# eoml-eopl / eopl-eoml pair about doubles the width, and following a line
+# allocates integers of that many bits.
+MAX_DESCRIPTOR_WIDTH = 1 << 16
 
 
 def _read(path: str) -> str:
@@ -63,6 +67,18 @@ def _read(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
+def _width(inst) -> int:
+    """A line instance's config bits, plus its potential bits for EOPL."""
+    return inst.n + (inst.m if isinstance(inst, lines.EoplInstance) else 0)
 
 
 def _reduce(kind: str, source):
@@ -94,6 +110,9 @@ def _load_line_instance(text: str):
         source = _reduce(kind, source)
         if isinstance(source, reductions.ImmediateSolution):
             raise ParseError("descriptor wraps a trivial source; re-run the reduction")
+        width = _width(source)
+        if width > MAX_DESCRIPTOR_WIDTH:
+            raise ParseError(f"descriptor layer {kind} is {width} bits wide, over the limit {MAX_DESCRIPTOR_WIDTH}")
     return source
 
 
@@ -143,7 +162,7 @@ def cmd_check_pmatrix(args) -> int:
 
 def _write_or_print(text: str, out: Optional[str]) -> None:
     if out:
-        Path(out).write_text(text)
+        _write(out, text)
         print(f"wrote {out}")
     else:
         sys.stdout.write(text)
@@ -155,13 +174,13 @@ def cmd_reduce(args) -> int:
     target = _reduce(args.kind, source)
     if isinstance(target, reductions.ImmediateSolution):
         sol_line = lines.format_line_solution(target.solution)
-        print(f"immediate-solution {sol_line}")
         if args.out:
-            Path(args.out).write_text(sol_line + "\n")
+            _write(args.out, sol_line + "\n")
+        print(f"immediate-solution {sol_line}")
         return EXIT_OK
     if not isinstance(target, _LINE_TYPES):
         text = circuits.dump_problem(target)
-    elif target.n + (target.m if isinstance(target, lines.EoplInstance) else 0) <= 16:
+    elif _width(target) <= 16:
         text = lines.dump_line_table(target)
     else:  # too wide for a table: a descriptor embedding the source
         embedded = lcp.dump_lcp(source) if isinstance(source, lcp.LcpInstance) else text
@@ -225,8 +244,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    if args.problem != "plcp":
-        raise ParseError("only the plcp pipeline is available")
     inst = lcp.load_lcp(_read(args.file), paper_sign=args.paper_sign)
     if all(x >= 0 for x in inst.q):
         print("q >= 0: both routes return y = 0")
@@ -331,10 +348,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvariantViolationError,) as exc:
+    except InvariantViolationError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (BudgetExceededError, DomainEscapeError, ClslabError) as exc:
+    except ClslabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
 

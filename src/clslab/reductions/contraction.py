@@ -7,7 +7,6 @@ source before returning, so a certificate is never issued on faith.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,7 +17,6 @@ from ..circuits import (
     C2b,
     CM1,
     CM2,
-    INF,
     M1,
     M2a,
     M2b,
@@ -64,9 +62,7 @@ def _norm_gap_potential(f: ArithCircuit, dim: int, r: NormOrder) -> ArithCircuit
     parts = [b.abs(b.sub(fx[i], i)) for i in range(dim)]
     if r == 1:
         return b.build([b.sum(parts)])
-    if r == INF:
-        return b.build([b.max_chain(parts)])
-    raise PreconditionError("norm-gap potentials support only r in {1, inf}")
+    return b.build([b.max_chain(parts)])
 
 
 # ----------------------------------------------------------------------------
@@ -117,14 +113,10 @@ def clo_sol_to_gc(inst: MmcInstance, sol: CloSolution) -> MmcSolution:
 
 
 def _continuity_factor_bound(lam: Fraction, r: NormOrder) -> Fraction:
-    """A rational upper bound on 2^(1/r - 1) * lam."""
+    """2^(1/r - 1) * lam: lam for r = 1, lam / 2 for r = inf."""
     if r == 1:
         return lam
-    if r == INF:
-        return lam / 2
-    # dyadic round-up at 1/64 granularity for finite r >= 2
-    factor = Fraction(math.ceil(2 ** (1 / r - 1) * 64 + 2**-20), 64)
-    return factor * lam
+    return lam / 2
 
 
 @lru_cache(maxsize=None)

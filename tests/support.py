@@ -46,7 +46,6 @@ from clslab.circuits import (
     identity_circuit,
     in_unit_box,
     norm_distance_circuit,
-    norm_gt,
     norm_pow,
 )
 from clslab.errors import BudgetExceededError, DomainEscapeError, ParseError, PreconditionError
@@ -1088,6 +1087,17 @@ def clo_catalog() -> list[tuple[CloInstance, QVector]]:
 
 def _dist_ref(inst: MmcInstance, x: QVector, y: QVector) -> F:
     return circuits.circuit_eval(inst.d, QVector(tuple(x) + tuple(y)))[0]
+
+
+def norm_gt(u: QVector, scale: F, v: QVector, r) -> bool:
+    """||u|| > scale * ||v|| in the sum norm (r = 1) or the max norm (r = inf),
+    read off the entries without ``norm_pow``."""
+
+    def norm(w: QVector) -> F:
+        sizes = [abs(a) for a in w]
+        return sum(sizes, F(0)) if r == 1 else max(sizes, default=F(0))
+
+    return norm(u) > scale * norm(v)
 
 
 def _ineq_ref(label: str, lhs: F, rel: str, rhs: F, ok: bool) -> Verdict:

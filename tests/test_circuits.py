@@ -39,7 +39,6 @@ from clslab.circuits import (
     identity_circuit,
     load_problem,
     norm_distance_circuit,
-    norm_gt,
     parse_circuit,
     parse_circuit_solution,
     probe_domain,
@@ -77,8 +76,9 @@ def test_norm_examples():
     assert norm_pow(vec("1/2", "-1/2"), 1) == 1
     assert norm_pow(vec("1/2", "-1/3"), INF) == F(1, 2)
     assert norm_pow(QVector.zero(2), 1) == 0
-    assert norm_pow(vec("1/2", "1/2"), 2) == F(1, 2)  # r-th power for finite r >= 2
-    assert norm_gt(vec(1, 1), F(1), vec("1/2", "1/2"), 2)
+    for r in (2, 0, 3):
+        with pytest.raises(PreconditionError, match=f"^unsupported norm order {r}$"):
+            norm_pow(vec("1/2", "1/2"), r)
 
 
 @settings(max_examples=100, deadline=None)

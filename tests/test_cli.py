@@ -219,6 +219,16 @@ def test_reduce_out_file_bytes(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "kind, text", [("eopl-eoml", TRIVIAL_EOPL), ("eoml-eopl", EOML_TABLE)], ids=["immediate-solution", "table"]
+)
+def test_an_unwritable_out_path_exits_4_and_prints_nothing(tmp_path, capsys, kind, text):
+    out = tmp_path / "absent" / "out.txt"
+    assert main(["reduce", kind, write(tmp_path, "src", text), "-o", str(out)]) == 4
+    reason = f"[Errno 2] No such file or directory: '{out}'"
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
+
+
 def test_reduce_circuit_chain(tmp_path, capsys):
     clo_text = "\n".join(
         [
@@ -403,10 +413,13 @@ WRONG_DESCRIPTORS = [
     ("PROCEDURAL eopl-eoml\n" + EOML_TABLE, "eopl-eoml needs a potential-line source"),
     ("PROCEDURAL eoml-eopl\n" * 3000 + EOML_TABLE, "eoml-eopl needs a metered-line source"),
     ("PROCEDURAL eopl-eoml\n" * 3000 + EOPL_TABLE, "eopl-eoml needs a potential-line source"),
+    ("PROCEDURALX eoml-eopl\n" + EOML_TABLE, "line 1: bad header 'PROCEDURALX eoml-eopl'"),
 ]
 
 
-@pytest.mark.parametrize("text, message", WRONG_DESCRIPTORS, ids=["eoml-eopl", "eopl-eoml", "deep-eoml", "deep-eopl"])
+@pytest.mark.parametrize(
+    "text, message", WRONG_DESCRIPTORS, ids=["eoml-eopl", "eopl-eoml", "deep-eoml", "deep-eopl", "longer-word"]
+)
 def test_a_descriptor_over_the_wrong_kind_of_source_exits_4(tmp_path, capsys, text, message):
     path = write(tmp_path, "d", text)
     for argv in (
@@ -418,6 +431,23 @@ def test_a_descriptor_over_the_wrong_kind_of_source_exits_4(tmp_path, capsys, te
     ):
         assert main(argv) == 4, argv
         assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+
+
+def test_a_descriptor_wider_than_the_limit_exits_4(tmp_path, capsys):
+    # each pair about doubles the width: 13 pairs end at 49150 bits, 14 at 98302
+    pair = "PROCEDURAL eoml-eopl\nPROCEDURAL eopl-eoml\n"
+    assert main(["reduce", "eopl-eoml", write(tmp_path, "w13", pair * 13 + EOPL_TABLE)]) == 0
+    capsys.readouterr()
+    wide = write(tmp_path, "w14", pair * 14 + EOPL_TABLE)
+    message = "error: descriptor layer eoml-eopl is 98302 bits wide, over the limit 65536\n"
+    for argv in (
+        ["reduce", "eopl-eoml", wide],
+        ["follow", wide],
+        ["enumerate", wide],
+        ["verify", "eopl", wide, write(tmp_path, "x.sol", "R2 000\n")],
+    ):
+        assert main(argv) == 4, argv
+        assert capsys.readouterr() == ("", message), argv
 
 
 def test_nested_descriptors_reduce_innermost_first(tmp_path, capsys):

@@ -114,8 +114,6 @@ def test_pair_potential_constants_and_distance_axioms():
 def test_continuity_factor_bound():
     assert _continuity_factor_bound(F(3), 1) == 3
     assert _continuity_factor_bound(F(3), INF) == F(3, 2)
-    bound = _continuity_factor_bound(F(1), 2)
-    assert bound >= F(2) ** F(-1, 2) and bound <= 1
 
 
 def test_pair_potential_rejects_negative_p():
