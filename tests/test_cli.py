@@ -223,10 +223,11 @@ def test_reduce_out_file_bytes(tmp_path, capsys):
     "kind, text", [("eopl-eoml", TRIVIAL_EOPL), ("eoml-eopl", EOML_TABLE)], ids=["immediate-solution", "table"]
 )
 def test_an_unwritable_out_path_exits_4_and_prints_nothing(tmp_path, capsys, kind, text):
-    out = tmp_path / "absent" / "out.txt"
-    assert main(["reduce", kind, write(tmp_path, "src", text), "-o", str(out)]) == 4
-    reason = f"[Errno 2] No such file or directory: '{out}'"
-    assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
+    src = write(tmp_path, "src", text)
+    absent = tmp_path / "absent" / "out.txt"
+    for out, reason in ((absent, "[Errno 2] No such file or directory"), (tmp_path, "[Errno 21] Is a directory")):
+        assert main(["reduce", kind, src, "-o", str(out)]) == 4
+        assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}: '{out}'\n")
 
 
 def test_reduce_circuit_chain(tmp_path, capsys):
