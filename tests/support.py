@@ -113,6 +113,14 @@ def make_lcp(rows, q) -> LcpInstance:
     return LcpInstance(QMatrix.of(rows), QVector.of(q))
 
 
+def ceil_log2_ref(value: F) -> int:
+    """The least m with 2^m >= value, for a positive rational, by counting m up."""
+    m = 0
+    while (value.denominator << m) < value.numerator:
+        m += 1
+    return m
+
+
 def verify_lcp_solution_ref(inst: LcpInstance, y: QVector) -> LcpSolutionReport:
     """``verify_lcp_solution`` over Fractions: s = q + M y entry by entry.
 

@@ -77,6 +77,9 @@ def test_budget_exhaustion_exits_1_with_partial_trace(tmp_path, capsys):
     ]
     assert main(["solve-lcp", path, "--budget", "2"]) == 0
     assert main(["pipeline", "plcp", path, "--budget", "0"]) == 1
+    capsys.readouterr()
+    assert main(["follow", write(tmp_path, "p.eopl", EOPL_TABLE), "--max-steps", "1", "--trace"]) == 1
+    assert capsys.readouterr() == ("step 00 0\nstep 01 1\nbudget exhausted after 1 steps\n", "")
 
 
 def test_explicit_zero_is_not_the_default(tmp_path, capsys):
@@ -120,6 +123,45 @@ def test_pipeline_agreement(tmp_path, capsys):
     assert main(["pipeline", "plcp", write(tmp_path, "d.lcp", DEGENERATE_LCP)]) == 2
     assert main(["pipeline", "plcp", write(tmp_path, "q2.lcp", NONP_LCP)]) == 0
     assert "both witnesses verified" in capsys.readouterr().out
+
+
+def _certificate(solution: str) -> str:
+    return (
+        "CERTIFICATE\nsource: plcp\ntarget: eopl\nforward: pivot-path line over 2-bit configs\n"
+        f"solution: {solution}\nverdict: pass\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, text, flags, out",
+    [
+        (["pipeline", "plcp"], D1_LCP, [], "direct:  Q1 1\nreduced: Q1 1\nagreement: exact\n" + _certificate("Q1 1")),
+        (
+            ["pipeline", "plcp"],
+            NONP_LCP,
+            [],
+            "direct:  Q2 S={1} minor=0\nreduced: Q2 S={1} minor=0\nagreement: both witnesses verified\n"
+            + _certificate("Q2 S={1} minor=0"),
+        ),
+        (
+            ["pipeline", "plcp"],
+            D1_LCP,
+            ["--trace"],
+            "step 00 0\nstep 11 18\nstep 10 27\n"
+            "direct:  Q1 1\nreduced: Q1 1\nagreement: exact\n" + _certificate("Q1 1"),
+        ),
+        (
+            ["solve-lcp"],
+            DIAG_LCP,
+            ["--trace"],
+            "vertex y=(0 0) s=(2 0) z=6\nvertex y=(0 2/3) s=(0 0) z=4\nvertex y=(2 2) s=(0 0) z=0\nQ1 2 2\n",
+        ),
+    ],
+    ids=["pipeline-q1", "pipeline-q2", "pipeline-trace", "solve-lcp-trace"],
+)
+def test_stdout_bytes(tmp_path, capsys, command, text, flags, out):
+    assert main(command + [write(tmp_path, "a.lcp", text)] + flags) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 def test_pipeline_takes_only_plcp(tmp_path, capsys):
@@ -408,18 +450,25 @@ def test_a_dim_that_disagrees_with_a_circuit_exits_4_naming_line_1(tmp_path, cap
     assert capsys.readouterr() == ("", f"error: line 1: {message}\n")
 
 
-# A descriptor layer's source must be the kind its reduction takes.
+# Descriptors that no command loads: a layer's source must be the kind its
+# reduction takes, the header must name a kind and be followed by a source,
+# and no layer may reduce to an immediate solution.
 WRONG_DESCRIPTORS = [
     ("PROCEDURAL eoml-eopl\n" + EOPL_TABLE, "eoml-eopl needs a metered-line source"),
     ("PROCEDURAL eopl-eoml\n" + EOML_TABLE, "eopl-eoml needs a potential-line source"),
     ("PROCEDURAL eoml-eopl\n" * 3000 + EOML_TABLE, "eoml-eopl needs a metered-line source"),
     ("PROCEDURAL eopl-eoml\n" * 3000 + EOPL_TABLE, "eopl-eoml needs a potential-line source"),
     ("PROCEDURALX eoml-eopl\n" + EOML_TABLE, "line 1: bad header 'PROCEDURALX eoml-eopl'"),
+    ("PROCEDURAL foo\n" + TRIVIAL_EOPL, "bad procedural header: 'PROCEDURAL foo'"),
+    ("PROCEDURAL eopl-eoml", "procedural descriptor missing its source instance"),
+    ("PROCEDURAL eopl-eoml\n" + TRIVIAL_EOPL, "descriptor wraps a trivial source; re-run the reduction"),
 ]
 
 
 @pytest.mark.parametrize(
-    "text, message", WRONG_DESCRIPTORS, ids=["eoml-eopl", "eopl-eoml", "deep-eoml", "deep-eopl", "longer-word"]
+    "text, message",
+    WRONG_DESCRIPTORS,
+    ids=["eoml-eopl", "eopl-eoml", "deep-eoml", "deep-eopl", "longer-word", "unknown-kind", "no-source", "trivial-source"],
 )
 def test_a_descriptor_over_the_wrong_kind_of_source_exits_4(tmp_path, capsys, text, message):
     path = write(tmp_path, "d", text)

@@ -10,6 +10,7 @@ from clslab import (
     BudgetExceededError,
     DegeneracyError,
     DimensionError,
+    ParseError,
     PreconditionError,
     QMatrix,
     QVector,
@@ -306,6 +307,25 @@ def test_file_round_trip_and_paper_sign():
     flipped = load_lcp(text, paper_sign=True)
     assert flipped.m == QMatrix.of([[-2, 1], [0, -3]])
     assert flipped.q == inst.q
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2\n1 x\n0 1\n-1 -1\n", "line 2: not a rational: 'x'"),
+        ("2\n1 0\n0 1\n-1 y\n", "line 4: not a rational: 'y'"),
+        ("2\n1\n0 1\n-1 -1\n", "line 2: matrix row has 1 entries, want 2"),
+        ("# c\n2\n1 0\n\n0 1 2\n-1 -1\n", "line 5: matrix row has 3 entries, want 2"),
+        ("2\n1 0\n0 1\n-1\n", "line 4: q has 1 entries, want 2"),
+        ("2\n1 0\n0 1\n", "expected 4 data lines for d=2, got 3"),
+        ("2\n1 0\n0 1\n-1 -1\n5 5\n", "expected 4 data lines for d=2, got 5"),
+    ],
+    ids=["token-in-m", "token-in-q", "short-m-row", "long-m-row", "short-q", "too-few-lines", "too-many-lines"],
+)
+def test_load_lcp_error_texts(text, message):
+    with pytest.raises(ParseError) as err:
+        load_lcp(text)
+    assert str(err.value) == message
 
 
 def test_outcome_round_trip():

@@ -28,6 +28,7 @@ from clslab.reductions.lcp_line import _config_point, _config_tight, potential, 
 from support import (
     BitConfigRef,
     bits,
+    ceil_log2_ref,
     config_tight_ref,
     gen_reduction_safe_lcp,
     itoe_ref,
@@ -46,6 +47,18 @@ def test_context_constants_d1():
     assert ctx.n == 2
     assert ctx.delta == 3  # 2! * 1^3 + 1
     assert ctx.m == 6  # ceil(log2(2 * 27)) = 6
+
+
+def test_context_m_matches_the_ceil_log2_reference():
+    rng = random.Random(11)
+    for d in range(1, 7):
+        # rational entries; q's first entry is the largest in size and the
+        # unique minimum, so Delta is not an integer and the start is not degenerate
+        rows = [[F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)] for _ in range(d)]
+        q = [F(-(30 * (d - i) + 1), 3) for i in range(d)]
+        ctx = make_context(make_lcp(rows, q))
+        assert ctx.delta.denominator > 1
+        assert ctx.m == ceil_log2_ref(2 * ctx.delta**3), d
 
 
 def test_is_valid_config_examples():
@@ -72,6 +85,15 @@ def test_etoi_itoe_examples():
     # invalid configs decode to the all-zeros sentinel triple
     y, s, z = etoi(ctx2, bits("0011"))
     assert all(v == 0 for v in y) and all(v == 0 for v in s) and z == 0
+
+
+def test_itoe_returns_the_sentinel_for_both_invalid_inputs():
+    ctx = make_context(make_lcp([[2, 0, 0], [0, 3, 0], [0, 0, 1]], [-4, -6, -1]))
+    sentinel = BitConfig(0b11, 6)
+    # y_1 s_1 != 0: not complementary
+    assert itoe(ctx, QVector.of([1, 0, 0]), QVector.of([1, 0, 1]), F(0)) == sentinel
+    # y_2 = s_2 = 0 and y_3 = s_3 = 0: two duplicate labels
+    assert itoe(ctx, QVector.of([1, 0, 0]), QVector.of([0, 0, 0]), F(1)) == sentinel
 
 
 def test_procedures_d1_walkthrough():
