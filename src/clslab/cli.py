@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes are a total function of outcomes: 0 success, 1 verification
-failure, 2 degeneracy, 3 internal invariant violation, 4 usage or parse
-error.  Traces stream line-buffered so an aborted run still leaves a usable
+failure, 2 degeneracy, 3 internal invariant violation, 4 usage, parse or
+shape error.  Traces stream line-buffered so an aborted run still leaves a usable
 prefix.
 """
 
@@ -24,6 +24,7 @@ from .errors import (
     BudgetExceededError,
     ClslabError,
     DegeneracyError,
+    DimensionError,
     InvariantViolationError,
     ParseError,
     PreconditionError,
@@ -41,7 +42,6 @@ REDUCTIONS = {
     "mmc-gc": (circuits.MmcInstance, "contraction-with-distance", "mmc_to_gc"),
     "contraction-clo": (circuits.ContractionInstance, "plain contraction", "contraction_to_clo"),
 }
-REDUCE_KINDS = tuple(REDUCTIONS)
 
 # verify problem -> (the instance type it takes, its solution tags)
 VERIFY = {
@@ -82,11 +82,19 @@ def _width(inst) -> int:
 
 
 def _reduce(kind: str, source):
-    """Run ``kind``'s transformer on ``source`` once its type is the one ``kind`` takes."""
+    """Run ``kind``'s transformer on ``source`` once its type is the one ``kind`` takes.
+
+    A line target wider than ``MAX_DESCRIPTOR_WIDTH`` is refused, so ``reduce``
+    writes no descriptor that a later load would refuse.
+    """
     source_type, name, transformer = REDUCTIONS[kind]
     if not isinstance(source, source_type):
         raise ParseError(f"{kind} needs a {name} source")
-    return getattr(reductions, transformer)(source)
+    target = getattr(reductions, transformer)(source)
+    width = _width(target) if isinstance(target, _LINE_TYPES) else 0
+    if width > MAX_DESCRIPTOR_WIDTH:
+        raise ParseError(f"descriptor layer {kind} is {width} bits wide, over the limit {MAX_DESCRIPTOR_WIDTH}")
+    return target
 
 
 def _load_line_instance(text: str):
@@ -110,9 +118,6 @@ def _load_line_instance(text: str):
         source = _reduce(kind, source)
         if isinstance(source, reductions.ImmediateSolution):
             raise ParseError("descriptor wraps a trivial source; re-run the reduction")
-        width = _width(source)
-        if width > MAX_DESCRIPTOR_WIDTH:
-            raise ParseError(f"descriptor layer {kind} is {width} bits wide, over the limit {MAX_DESCRIPTOR_WIDTH}")
     return source
 
 
@@ -160,14 +165,6 @@ def cmd_check_pmatrix(args) -> int:
     return EXIT_VERIFY_FAIL
 
 
-def _write_or_print(text: str, out: Optional[str]) -> None:
-    if out:
-        _write(out, text)
-        print(f"wrote {out}")
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_reduce(args) -> int:
     text = _read(args.file)
     source = _load_instance(REDUCTIONS[args.kind][0], text, args.paper_sign)
@@ -185,7 +182,11 @@ def cmd_reduce(args) -> int:
     else:  # too wide for a table: a descriptor embedding the source
         embedded = lcp.dump_lcp(source) if isinstance(source, lcp.LcpInstance) else text
         text = f"PROCEDURAL {args.kind}\n" + embedded
-    _write_or_print(text, args.out)
+    if args.out:
+        _write(args.out, text)
+        print(f"wrote {args.out}")
+    else:
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -259,8 +260,14 @@ def cmd_pipeline(args) -> int:
     reduced = lcp.format_outcome(mapped)
     print(f"direct:  {lcp.format_outcome(direct.outcome)}")
     print(f"reduced: {reduced}")
-    certificate = reductions.format_certificate(
-        "plcp", "eopl", f"pivot-path line over {target.n}-bit configs", reduced
+    # the round-trip certificate, printed only once the back-mapped solution checks out
+    certificate = (
+        "CERTIFICATE\n"
+        "source: plcp\n"
+        "target: eopl\n"
+        f"forward: pivot-path line over {target.n}-bit configs\n"
+        f"solution: {reduced}\n"
+        "verdict: pass\n"
     )
     if isinstance(direct.outcome, lcp.Q1) and isinstance(mapped, lcp.Q1):
         if direct.outcome.y == mapped.y:
@@ -301,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_pmatrix)
 
     p = sub.add_parser("reduce", help="transform an instance file")
-    p.add_argument("kind", choices=REDUCE_KINDS)
+    p.add_argument("kind", choices=tuple(REDUCTIONS))
     p.add_argument("file")
     p.add_argument("-o", "--out", default=None)
     p.add_argument("--paper-sign", action="store_true")
@@ -345,7 +352,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DegeneracyError as exc:
         print(f"degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ParseError, PreconditionError) as exc:
+    except (ParseError, PreconditionError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantViolationError as exc:

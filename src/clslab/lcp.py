@@ -474,7 +474,7 @@ def p_matrix_witness(m: QMatrix) -> Optional[Q2]:
 def is_p_matrix(m: QMatrix) -> bool:
     """True iff every principal minor is strictly positive."""
     # cheap rejection: 1x1 minors are the diagonal
-    if any(m[i, i] <= 0 for i in range(m.rows)):
+    if m.is_square and any(m[i, i] <= 0 for i in range(m.rows)):
         return False
     return p_matrix_witness(m) is None
 
@@ -606,21 +606,16 @@ def load_lcp(text: str, paper_sign: bool = False) -> LcpInstance:
     if d < 1 or len(lines) != d + 2:
         raise ParseError(f"expected {d + 2} data lines for d={d}, got {len(lines)}")
     rows = []
-    for num, ln in lines[1 : d + 1]:
+    for k, (num, ln) in enumerate(lines[1:]):
         try:
             row = [rational(tok) for tok in ln.split()]
         except ParseError as exc:
             raise ParseError(f"line {num}: {exc}") from exc
         if len(row) != d:
-            raise ParseError(f"line {num}: matrix row has {len(row)} entries, want {d}")
+            what = "matrix row" if k < d else "q"
+            raise ParseError(f"line {num}: {what} has {len(row)} entries, want {d}")
         rows.append(row)
-    q_num, q_line = lines[d + 1]
-    try:
-        q_row = [rational(tok) for tok in q_line.split()]
-    except ParseError as exc:
-        raise ParseError(f"line {q_num}: {exc}") from exc
-    if len(q_row) != d:
-        raise ParseError(f"line {q_num}: q has {len(q_row)} entries, want {d}")
+    q_row = rows.pop()
     if paper_sign:
         rows = [[-a for a in row] for row in rows]
     return LcpInstance(QMatrix.of(rows), QVector.of(q_row))

@@ -87,9 +87,6 @@ class BitConfig:
             raise ValueError(f"{value} does not fit in {width} bits")
         return BitConfig(value, width)
 
-    def to_int(self) -> int:
-        return self.value
-
     def is_zero(self) -> bool:
         return self.value == 0
 
@@ -337,12 +334,10 @@ def follow_line(
         memo.seen = {key: out for key, out in memo.seen.items() if key[1] == x}
 
 
-def enumerate_solutions(inst: LineInstance, limit_n: int = 20) -> list[LineSolution]:
-    """Classify every config by the verifier; guarded against width blowup."""
-    if limit_n > 20:
-        raise PreconditionError("limit_n must be at most 20")
-    if inst.n > limit_n:
-        raise PreconditionError(f"instance width {inst.n} exceeds limit {limit_n}")
+def enumerate_solutions(inst: LineInstance) -> list[LineSolution]:
+    """Classify every config by the verifier; refuses instances over 20 bits wide."""
+    if inst.n > 20:
+        raise PreconditionError(f"instance width {inst.n} exceeds limit 20")
     out = []
     for x in all_configs(inst.n):
         sol = verify_solution(inst, x)

@@ -1,6 +1,5 @@
 """Instance transformers and solution back-mappers between the lab's problems."""
 
-from .certificate import format_certificate
 from .contraction import (
     clo_sol_to_contraction,
     clo_sol_to_gc,
@@ -29,7 +28,6 @@ from .lines import (
 )
 
 __all__ = [
-    "format_certificate",
     "PlcpEoplContext",
     "make_context",
     "is_valid_config",

@@ -38,7 +38,7 @@ from ..qlinalg import Q, QVector, principal_minor
 
 @dataclass(frozen=True)
 class PlcpEoplContext:
-    """Derived constants: config width n = 2d, entry bound, potential scale.
+    """Derived constants: config width n = 2d, potential scale Delta and width m.
 
     ``start`` is the start vertex (y, s, z) and ``calibration`` the raw edge
     sign that reads forward, both read off the start tableau; they follow
@@ -47,20 +47,10 @@ class PlcpEoplContext:
 
     inst: LcpInstance
     n: int
-    i_max: Fraction
     delta: Fraction
     m: int
     start: tuple[QVector, QVector, Fraction] = field(compare=False)
     calibration: int = field(compare=False)
-
-
-def _ceil_log2(value: Fraction) -> int:
-    if value <= 0:
-        raise PreconditionError("log of a nonpositive value")
-    m = 0
-    while (value.denominator << m) < value.numerator:
-        m += 1
-    return m
 
 
 @lru_cache(maxsize=None)
@@ -72,22 +62,17 @@ def make_context(inst: LcpInstance) -> PlcpEoplContext:
     start = _start_tableau(inst, lexicographic=False)  # raises DegeneracyError on a tied minimum
     entries = [abs(inst.m[i, j]) for i in range(d) for j in range(d)]
     entries += [abs(x) for x in inst.q]
-    i_max = max(entries)
-    delta = Fraction(math.factorial(2 * d)) * i_max ** (2 * d + 1) + 1
-    m = _ceil_log2(2 * delta**3)
+    delta = Fraction(math.factorial(2 * d)) * max(entries) ** (2 * d + 1) + 1
+    # the least m with 2^m >= 2 Delta^3, which is the least with 2^m >= ceil(2 Delta^3)
+    m = (math.ceil(2 * delta**3) - 1).bit_length()
     return PlcpEoplContext(
         inst=inst,
         n=2 * d,
-        i_max=i_max,
         delta=delta,
         m=m,
         start=start.point(),
         calibration=_calibration(start),
     )
-
-
-def _invalid_sentinel(d: int) -> BitConfig:
-    return BitConfig(0b11, 2 * d)
 
 
 def _config_tight(ctx: PlcpEoplContext, u: BitConfig) -> Optional[frozenset[int]]:
@@ -167,11 +152,9 @@ def etoi(ctx: PlcpEoplContext, u: BitConfig) -> tuple[QVector, QVector, Fraction
 def itoe(ctx: PlcpEoplContext, y: QVector, s: QVector, z: Fraction) -> BitConfig:
     """Encode polytope coordinates as a config; dummy sentinel when not a vertex."""
     d = ctx.inst.d
-    if any(y[i] * s[i] != 0 for i in range(d)):
-        return _invalid_sentinel(d)
     labels = [i for i in range(d) if y[i] == 0 and s[i] == 0]
-    if len(labels) > 1:
-        return _invalid_sentinel(d)
+    if len(labels) > 1 or any(y[i] * s[i] != 0 for i in range(d)):
+        return BitConfig(0b11, 2 * d)
     first = 0
     for i in range(d):
         first = first << 1 | (s[i] == 0)

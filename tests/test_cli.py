@@ -178,7 +178,7 @@ def test_pipeline_takes_only_plcp(tmp_path, capsys):
         (InvariantViolationError("broken"), 3, "internal invariant violated: broken\n"),
         (BudgetExceededError("spent"), 1, "error: spent\n"),
         (DomainEscapeError("out"), 1, "error: out\n"),
-        (DimensionError("shape"), 1, "error: shape\n"),
+        (DimensionError("shape"), 4, "error: shape\n"),
         (ClslabError("other"), 1, "error: other\n"),
     ],
 )
@@ -337,6 +337,21 @@ def test_verify_command(tmp_path, capsys):
     assert main(["verify", "clo", clo, write(tmp_path, "c2a.sol", "C2a 0 1\n")]) == 1
 
 
+@pytest.mark.parametrize(
+    "problem, text, claim, message",
+    [
+        ("lcp", DIAG_LCP, "Q1 1", "candidate length must be d"),
+        ("lcp", DIAG_LCP, "Q2 S={5} minor=1", "index out of range 1..2: [5]"),
+        ("eopl", EOPL_TABLE, "R1 1", "config width 1, instance width 2"),
+    ],
+    ids=["short-q1", "q2-index", "short-config"],
+)
+def test_a_solution_of_the_wrong_shape_exits_4(tmp_path, capsys, problem, text, claim, message):
+    argv = ["verify", problem, write(tmp_path, "i", text), write(tmp_path, "s", claim + "\n")]
+    assert main(argv) == 4
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_enumerate_command(tmp_path, capsys):
     eopl = write(tmp_path, "p.eopl", EOPL_TABLE)
     assert main(["enumerate", eopl]) == 0
@@ -489,15 +504,21 @@ def test_a_descriptor_wider_than_the_limit_exits_4(tmp_path, capsys):
     assert main(["reduce", "eopl-eoml", write(tmp_path, "w13", pair * 13 + EOPL_TABLE)]) == 0
     capsys.readouterr()
     wide = write(tmp_path, "w14", pair * 14 + EOPL_TABLE)
+    # 27 layers load; reducing them once more would write the 98302-bit layer
+    w27 = write(tmp_path, "w27", "PROCEDURAL eopl-eoml\n" + pair * 13 + EOPL_TABLE)
+    out = tmp_path / "w28"
     message = "error: descriptor layer eoml-eopl is 98302 bits wide, over the limit 65536\n"
     for argv in (
         ["reduce", "eopl-eoml", wide],
         ["follow", wide],
         ["enumerate", wide],
         ["verify", "eopl", wide, write(tmp_path, "x.sol", "R2 000\n")],
+        ["reduce", "eoml-eopl", w27],
+        ["reduce", "eoml-eopl", w27, "-o", str(out)],
     ):
         assert main(argv) == 4, argv
         assert capsys.readouterr() == ("", message), argv
+    assert not out.exists()
 
 
 def test_nested_descriptors_reduce_innermost_first(tmp_path, capsys):

@@ -120,6 +120,9 @@ def test_p_matrix_examples():
     assert w == Q2(frozenset({1}), F(0))
     w = p_matrix_witness(QMatrix.of([[1, 2], [3, 1]]))
     assert w.index_set == frozenset({1, 2}) and w.minor == -5
+    for rows in ([[1], [1]], [[1, 1]]):  # tall and wide
+        with pytest.raises(DimensionError, match="^P-matrix test needs a square matrix$"):
+            is_p_matrix(QMatrix.of(rows))
 
 
 def test_p_matrix_witness_is_lex_smallest():

@@ -92,8 +92,9 @@ def test_follow_line_examples():
 def test_enumerate_solutions_examples():
     inst = two_bit_path("EOPL", [0, 1, 2], m=2)
     assert enumerate_solutions(inst) == [R1(bits("10"))]
-    with pytest.raises(PreconditionError):
-        enumerate_solutions(inst, limit_n=1)
+    wide = EoplInstance(n=21, m=1, s=lambda x: x, p=lambda x: x, v=lambda x: 0)
+    with pytest.raises(PreconditionError, match="^instance width 21 exceeds limit 20$"):
+        enumerate_solutions(wide)
     eoml = two_bit_path("EOML", [1, 2, 3])
     sols = enumerate_solutions(eoml)
     assert sols == [T1(bits("10"))]
@@ -255,7 +256,7 @@ def test_solution_line_round_trip():
 
 def test_bitconfig_helpers():
     x = BitConfig.from_int(5, 4)
-    assert str(x) == "0101" and x.to_int() == 5
+    assert str(x) == "0101" and x.value == 5
     a, b = x.split(2)
     assert str(a) == "01" and str(b) == "01"
     assert str(a.concat(b)) == "0101"
@@ -282,7 +283,7 @@ def test_bitconfig_matches_the_tuple_reference(pair):
     # str spells every bit, so equal strings mean equal widths and values
     text = str(ref_a)
     assert str(a) == text and a.width == ref_a.width == wa
-    assert a.to_int() == ref_a.to_int() == va
+    assert a.value == ref_a.to_int() == va
     assert a.is_zero() == ref_a.is_zero()
     assert str(BitConfig.zeros(wa)) == str(BitConfigRef.zeros(wa))
     if text:
