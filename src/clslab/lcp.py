@@ -606,13 +606,13 @@ def load_lcp(text: str, paper_sign: bool = False) -> LcpInstance:
     if d < 1 or len(lines) != d + 2:
         raise ParseError(f"expected {d + 2} data lines for d={d}, got {len(lines)}")
     rows = []
-    for k, (num, ln) in enumerate(lines[1:]):
+    for num, ln in lines[1:]:
         try:
             row = [rational(tok) for tok in ln.split()]
         except ParseError as exc:
             raise ParseError(f"line {num}: {exc}") from exc
         if len(row) != d:
-            what = "matrix row" if k < d else "q"
+            what = "matrix row" if len(rows) < d else "q"
             raise ParseError(f"line {num}: {what} has {len(row)} entries, want {d}")
         rows.append(row)
     q_row = rows.pop()
