@@ -72,6 +72,17 @@ class LcpInstance:
         if self.m.rows < 1:
             raise DimensionError("dimension must be at least 1")
 
+    def __hash__(self) -> int:
+        # the generated hash over (m, q), computed on first use and kept:
+        # the line oracles' memos key on the instance, and each fresh hash
+        # runs Fraction.__hash__ over all d^2 + d entries
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.m, self.q))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     @property
     def d(self) -> int:
         return self.m.rows
@@ -642,9 +653,17 @@ def parse_outcome(line: str) -> LcpOutcome:
     if parts[0] == "Q1":
         return Q1(QVector.of(parts[1:]))
     if parts[0] == "Q2":
-        fields = dict(p.split("=", 1) for p in parts[1:] if "=" in p)
-        if "S" not in fields or "minor" not in fields:
+        # exactly one S= and one minor= token, nothing else
+        fields = {}
+        for part in parts[1:]:
+            key, eq, value = part.partition("=")
+            if not eq or key not in ("S", "minor") or key in fields:
+                raise ParseError(f"malformed Q2 line: {line!r}")
+            fields[key] = value
+        if len(fields) != 2:
             raise ParseError(f"malformed Q2 line: {line!r}")
-        idx = frozenset(integer(tok) for tok in fields["S"].strip("{}").split(",") if tok)
-        return Q2(idx, rational(fields["minor"]))
+        idx = [integer(tok) for tok in fields["S"].strip("{}").split(",") if tok]
+        if len(set(idx)) != len(idx):
+            raise ParseError(f"repeated index in Q2 line: {line!r}")
+        return Q2(frozenset(idx), rational(fields["minor"]))
     raise ParseError(f"unknown outcome tag {parts[0]!r}")

@@ -9,6 +9,12 @@ same tableau gives the edge orientations and the next vertex.  The successor
 follows the pivot edge the orientation rule points along, but only when the
 covering variable z strictly drops, so the potential
 floor(Delta^2 (Delta - z)) strictly climbs along the line.
+
+The oracles are memoised with keys that hold the context (and through it
+the instance), so ``PlcpEoplContext`` and ``LcpInstance`` each compute their
+hash on first use and keep it: a fresh hash runs ``Fraction.__hash__`` (a
+modular inverse) over Delta and every entry of M and q, and every memo
+lookup asks for one.
 """
 
 from __future__ import annotations
@@ -51,6 +57,16 @@ class PlcpEoplContext:
     m: int
     start: tuple[QVector, QVector, Fraction] = field(compare=False)
     calibration: int = field(compare=False)
+
+    def __hash__(self) -> int:
+        # the generated hash over the compared fields, computed on first use
+        # and kept, so a memo lookup does not re-hash delta and the instance
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.inst, self.n, self.delta, self.m))
+            object.__setattr__(self, "_hash", h)
+            return h
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +170,9 @@ def itoe(ctx: PlcpEoplContext, y: QVector, s: QVector, z: Fraction) -> BitConfig
     d = ctx.inst.d
     labels = [i for i in range(d) if y[i] == 0 and s[i] == 0]
     if len(labels) > 1 or any(y[i] * s[i] != 0 for i in range(d)):
-        return BitConfig(0b11, 2 * d)
+        # a duplicate-label bit whose first-half bit does not read the slack
+        # side: a dummy at every d
+        return BitConfig(1, 2 * d)
     first = 0
     for i in range(d):
         first = first << 1 | (s[i] == 0)

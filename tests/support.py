@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction as F
 from typing import Optional, Union
 from unittest import mock
@@ -111,6 +113,26 @@ def det_cofactor(a: QMatrix) -> F:
 
 def make_lcp(rows, q) -> LcpInstance:
     return LcpInstance(QMatrix.of(rows), QVector.of(q))
+
+
+def copies(obj) -> dict:
+    """The object pickled, ``copy``-ed, ``deepcopy``-ed and ``replace``-d."""
+    return {
+        "pickle": pickle.loads(pickle.dumps(obj)),
+        "copy": copy.copy(obj),
+        "deepcopy": copy.deepcopy(obj),
+        "replace": replace(obj),
+    }
+
+
+def dd_lcp(rng: random.Random, d: int) -> LcpInstance:
+    """Diagonally dominant (diagonal 4d..5d, off-diagonal in {-1, 0, 1}) with
+    every q_i negative and distinct, so the pivoting path has no ties."""
+    rows = [[rng.randint(-1, 1) for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        rows[i][i] = rng.randint(4 * d, 5 * d)
+    q = [F(-rng.randint(5, 9) * 101 - i - 1, 101) for i in range(d)]
+    return make_lcp(rows, q)
 
 
 def ceil_log2_ref(value: F) -> int:
@@ -485,12 +507,12 @@ def config_tight_ref(d: int, bits: tuple[int, ...]) -> Optional[frozenset[int]]:
 
 
 def itoe_ref(d: int, y: QVector, s: QVector) -> tuple[int, ...]:
-    """``lcp_line.itoe`` as a bit tuple."""
+    """``lcp_line.itoe`` as a bit tuple; the sentinel is 0...01."""
     if any(y[i] * s[i] != 0 for i in range(d)):
-        return (0,) * (2 * d - 2) + (1, 1)
+        return (0,) * (2 * d - 1) + (1,)
     labels = [i for i in range(d) if y[i] == 0 and s[i] == 0]
     if len(labels) > 1:
-        return (0,) * (2 * d - 2) + (1, 1)
+        return (0,) * (2 * d - 1) + (1,)
     bits = [0] * (2 * d)
     if labels:
         bits[d + labels[0]] = 1

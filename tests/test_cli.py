@@ -42,6 +42,7 @@ DIAG_LCP = "2\n2 0\n0 3\n-4 -6\n"
 NONNEG_LCP = "2\n2 0\n0 3\n3 1\n"
 DEGENERATE_LCP = "2\n1 0\n0 1\n-1 -1\n"
 NONP_LCP = "1\n0\n-1\n"
+PD_LCP = "2\n2 1\n1 2\n-1 -1\n"
 CONTRACTION_TEXT = "CONTRACTION dim=1 r=1 eps=1/4 c=1/2 delta=1/2\nARITH 1 2 1\nCONST 1/2\nMUL 0 1\n2\n"
 CLO_TEXT = "CLO dim=1 r=1 eps=1/4 lambda=1\nARITH 1 2 1\nCONST 1/2\nMUL 0 1\n2\nARITH 1 0 1\n0\n"
 MMC_TEXT = (
@@ -343,8 +344,11 @@ def test_verify_command(tmp_path, capsys):
         ("lcp", DIAG_LCP, "Q1 1", "candidate length must be d"),
         ("lcp", DIAG_LCP, "Q2 S={5} minor=1", "index out of range 1..2: [5]"),
         ("eopl", EOPL_TABLE, "R1 1", "config width 1, instance width 2"),
+        ("lcp", PD_LCP, "Q2 S=1 minor=2 extra", "malformed Q2 line: 'Q2 S=1 minor=2 extra'"),
+        ("lcp", PD_LCP, "Q2 S={1,1} minor=2", "repeated index in Q2 line: 'Q2 S={1,1} minor=2'"),
+        ("lcp", PD_LCP, "Q2 S={1} minor=2 S={2}", "malformed Q2 line: 'Q2 S={1} minor=2 S={2}'"),
     ],
-    ids=["short-q1", "q2-index", "short-config"],
+    ids=["short-q1", "q2-index", "short-config", "q2-stray-token", "q2-repeated-index", "q2-repeated-key"],
 )
 def test_a_solution_of_the_wrong_shape_exits_4(tmp_path, capsys, problem, text, claim, message):
     argv = ["verify", problem, write(tmp_path, "i", text), write(tmp_path, "s", claim + "\n")]

@@ -1,6 +1,6 @@
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction as F
 
 import pytest
@@ -36,6 +36,7 @@ from clslab.lcp import (
 )
 from support import (
     FullTableau,
+    copies,
     full_tableau,
     full_tableau_of_tight,
     gen_nonp_lcp,
@@ -332,8 +333,67 @@ def test_load_lcp_error_texts(text, message):
 
 
 def test_outcome_round_trip():
-    for out in (Q1(QVector.of(["1/2", 0])), Q2(frozenset({1, 3}), F(-5, 2))):
+    for out in (
+        Q1(QVector.of(["1/2", 0])),
+        Q2(frozenset({1, 3}), F(-5, 2)),
+        Q2(frozenset({2}), F(0)),
+        Q2(frozenset(), F(1)),
+    ):
         assert parse_outcome(format_outcome(out)) == out
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("Q2 S=1 minor=2 extra", "malformed Q2 line: 'Q2 S=1 minor=2 extra'"),
+        ("Q2 S={1} minor=2 S={2}", "malformed Q2 line: 'Q2 S={1} minor=2 S={2}'"),
+        ("Q2 S={1} minor=2 minor=2", "malformed Q2 line: 'Q2 S={1} minor=2 minor=2'"),
+        ("Q2 S={1} minor=2 note=x", "malformed Q2 line: 'Q2 S={1} minor=2 note=x'"),
+        ("Q2 S={1}", "malformed Q2 line: 'Q2 S={1}'"),
+        ("Q2 S={1,1} minor=2", "repeated index in Q2 line: 'Q2 S={1,1} minor=2'"),
+        ("Q2 S={2,1,2} minor=2", "repeated index in Q2 line: 'Q2 S={2,1,2} minor=2'"),
+    ],
+    ids=["stray-token", "repeated-s", "repeated-minor", "unknown-key", "missing-minor",
+         "repeated-index", "repeated-index-apart"],
+)
+def test_parse_outcome_rejects_junk_in_a_q2_line(line, message):
+    with pytest.raises(ParseError) as err:
+        parse_outcome(line)
+    assert str(err.value) == message
+
+
+def test_parse_outcome_q2_fields_in_either_order():
+    assert parse_outcome("Q2 minor=-1 S={3,1}") == Q2(frozenset({1, 3}), F(-1))
+    assert parse_outcome("Q2 S=2 minor=0") == Q2(frozenset({2}), F(0))
+
+
+def test_instance_hash_is_the_field_hash_and_is_kept():
+    inst = make_lcp([[2, 1], [1, 2]], ["1/3", -2])
+    before = repr(inst)
+    assert hash(inst) == hash((inst.m, inst.q))
+    assert hash(inst) == hash((inst.m, inst.q))
+    assert repr(inst) == before == repr(make_lcp([[2, 1], [1, 2]], ["1/3", -2]))
+    assert [f.name for f in fields(inst)] == ["m", "q"]
+    with pytest.raises(FrozenInstanceError):
+        inst.q = QVector.of([1, 1])
+    with pytest.raises(FrozenInstanceError):
+        inst._hash = 0
+    assert inst == make_lcp([[2, 1], [1, 2]], ["1/3", -2])
+    assert inst != make_lcp([[2, 1], [1, 2]], ["1/3", -1])
+
+
+@pytest.mark.parametrize("hashed_first", [False, True], ids=["unhashed", "hashed"])
+def test_instance_copies_equal_and_hash_like_a_fresh_one(hashed_first):
+    inst = make_lcp([[4, -1, 0], [1, 5, 1], [0, 0, 3]], [-1, "2/7", -3])
+    if hashed_first:
+        hash(inst)
+    fresh = make_lcp([[4, -1, 0], [1, 5, 1], [0, 0, 3]], [-1, "2/7", -3])
+    for how, twin in copies(inst).items():
+        assert twin == fresh and fresh == twin, how
+        assert hash(twin) == hash(fresh) == hash((fresh.m, fresh.q)), how
+        assert repr(twin) == repr(fresh), how
+        with pytest.raises(FrozenInstanceError):
+            twin.m = fresh.m
 
 
 def test_solver_budget_guard():

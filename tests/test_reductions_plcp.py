@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from clslab import (
     DegeneracyError,
     PreconditionError,
+    QMatrix,
     QVector,
     R2,
     enumerate_solutions,
@@ -24,12 +26,21 @@ from clslab.reductions import (
     make_context,
     plcp_to_eopl,
 )
-from clslab.reductions.lcp_line import _config_point, _config_tight, potential, predecessor, successor
+from clslab.reductions.lcp_line import (
+    PlcpEoplContext,
+    _config_point,
+    _config_tight,
+    potential,
+    predecessor,
+    successor,
+)
 from support import (
     BitConfigRef,
     bits,
     ceil_log2_ref,
     config_tight_ref,
+    copies,
+    dd_lcp,
     gen_reduction_safe_lcp,
     itoe_ref,
     make_lcp,
@@ -89,11 +100,79 @@ def test_etoi_itoe_examples():
 
 def test_itoe_returns_the_sentinel_for_both_invalid_inputs():
     ctx = make_context(make_lcp([[2, 0, 0], [0, 3, 0], [0, 0, 1]], [-4, -6, -1]))
-    sentinel = BitConfig(0b11, 6)
+    sentinel = BitConfig(0b000001, 6)
     # y_1 s_1 != 0: not complementary
     assert itoe(ctx, QVector.of([1, 0, 0]), QVector.of([1, 0, 1]), F(0)) == sentinel
     # y_2 = s_2 = 0 and y_3 = s_3 = 0: two duplicate labels
     assert itoe(ctx, QVector.of([1, 0, 0]), QVector.of([0, 0, 0]), F(1)) == sentinel
+
+
+def test_itoe_sentinel_is_invalid_at_every_small_d():
+    for d in range(1, 6):
+        ctx = make_context(make_lcp([[2 if i == j else 0 for j in range(d)] for i in range(d)],
+                                    [-(i + 1) for i in range(d)]))
+        # y_1 s_1 != 0: not complementary
+        sentinel = itoe(ctx, QVector.of([1] * d), QVector.of([1] * d), F(0))
+        assert sentinel == BitConfig(1, 2 * d), d
+        assert _config_tight(ctx, sentinel) is None, d
+        assert not is_valid_config(ctx, sentinel), d
+
+
+def test_context_hash_is_the_field_hash_and_is_kept():
+    inst = make_lcp([[3, 1], [-1, 2]], [-1, "-1/2"])
+    ctx = make_context(inst)
+    before = repr(ctx)
+    assert hash(ctx) == hash((inst, ctx.n, ctx.delta, ctx.m))
+    assert hash(ctx) == hash((inst, ctx.n, ctx.delta, ctx.m))
+    assert repr(ctx) == before
+    assert [f.name for f in fields(ctx)] == ["inst", "n", "delta", "m", "start", "calibration"]
+    with pytest.raises(FrozenInstanceError):
+        ctx.delta = F(1)
+    # start and calibration take no part in equality or hashing
+    twin = replace(ctx, calibration=-ctx.calibration)
+    assert twin == ctx and hash(twin) == hash(ctx)
+
+
+@pytest.mark.parametrize("hashed_first", [False, True], ids=["unhashed", "hashed"])
+def test_context_copies_equal_and_hash_like_a_fresh_one(hashed_first):
+    inst = make_lcp([[4, -1, 0], [1, 5, 1], [0, 0, 3]], [-1, "2/7", -3])
+    ctx = make_context(inst)
+    if hashed_first:
+        hash(ctx)
+    fresh = PlcpEoplContext(
+        inst=make_lcp([[4, -1, 0], [1, 5, 1], [0, 0, 3]], [-1, "2/7", -3]),
+        n=ctx.n,
+        delta=ctx.delta,
+        m=ctx.m,
+        start=ctx.start,
+        calibration=ctx.calibration,
+    )
+    start = successor(ctx, BitConfig.zeros(ctx.n))
+    for how, twin in copies(ctx).items():
+        assert twin == fresh and fresh == twin, how
+        assert hash(twin) == hash(fresh) == hash((fresh.inst, fresh.n, fresh.delta, fresh.m)), how
+        assert repr(twin) == repr(fresh), how
+        assert twin.start == ctx.start and twin.calibration == ctx.calibration, how
+        # an equal context answers from the memo the original filled
+        hits = successor.cache_info().hits
+        assert successor(twin, BitConfig.zeros(twin.n)) == start, how
+        assert successor.cache_info().hits == hits + 1, how
+
+
+def test_following_a_line_hashes_each_instance_once(monkeypatch):
+    calls = []
+    generated = QMatrix.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return generated(self)
+
+    monkeypatch.setattr(QMatrix, "__hash__", counting)
+    inst = dd_lcp(random.Random(19), 6)
+    sol, trace = follow_line(plcp_to_eopl(inst), 10000)
+    assert len(trace) == 8  # one step to the start vertex, then six pivots
+    assert isinstance(eopl_sol_to_plcp(inst, sol.x), Q1)
+    assert len(calls) <= 1
 
 
 def test_procedures_d1_walkthrough():
