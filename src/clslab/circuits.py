@@ -1,8 +1,12 @@
 """Arithmetic circuits over [0,1]^dim and the fixpoint/local-opt problem family.
 
 A circuit is a topologically ordered gate list over {CONST, ADD, SUB, MUL,
-MAX, MIN, ABS}; evaluation is exact over rationals.  The norms are the sum
-norm (r = 1) and the max norm (r = inf), both of which stay rational.
+MAX, MIN, ABS}; evaluation is exact over rationals.  It runs on
+(numerator, denominator) int pairs with delayed reduction (Knuth, TAOCP
+vol. 2, 4.5.1): a value is reduced by its gcd only once its denominator
+passes ``REDUCE_BITS`` bits, comparisons cross-multiply, and each output is
+built once as a canonical Fraction.  The norms are the sum norm (r = 1) and
+the max norm (r = inf), both of which stay rational.
 """
 
 from __future__ import annotations
@@ -69,36 +73,63 @@ class ArithCircuit:
         return len(self.outputs)
 
 
-def _eval_raw(circ: ArithCircuit, xs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    vals = list(xs)
-    append = vals.append
+# A value whose denominator passes this many bits is reduced by its gcd.
+# Below it, values stay unreduced: equal rationals may differ in form, so
+# every comparison cross-multiplies and every output goes through Fraction.
+# On the benchmark's circuits a bound of 128 bits spent more in gcds than it
+# saved in products; 1024 ran about as fast as never reducing.
+REDUCE_BITS = 1024
+
+
+def _eval_ints(circ: ArithCircuit, nums: list[int], dens: list[int]) -> tuple[Fraction, ...]:
+    """Run the gates on (numerator, denominator) int pairs, denominators positive.
+
+    ``nums`` and ``dens`` hold the inputs and get every gate's value appended.
+    A gate's value is the same rational as over Fractions; only its form may
+    differ, and each output is built once into its canonical Fraction.
+    """
+    push_n, push_d = nums.append, dens.append
     for gate in circ.gates:
         op = gate[0]
-        if op == "ADD":
-            append(vals[gate[1]] + vals[gate[2]])
-        elif op == "SUB":
-            append(vals[gate[1]] - vals[gate[2]])
+        if op == "CONST":
+            push_n(gate[1].numerator)
+            push_d(gate[1].denominator)
+            continue
+        i = gate[1]
+        n, d = nums[i], dens[i]
+        if op == "ABS":
+            push_n(-n if n < 0 else n)
+            push_d(d)
+            continue
+        j = gate[2]
+        bn, bd = nums[j], dens[j]
+        if op == "ADD" or op == "SUB":
+            if op == "SUB":
+                bn = -bn
+            if d == bd:
+                n += bn
+            else:
+                n, d = n * bd + bn * d, d * bd
         elif op == "MUL":
-            append(vals[gate[1]] * vals[gate[2]])
+            n, d = n * bn, d * bd
         elif op == "MAX":
-            a, b = vals[gate[1]], vals[gate[2]]
-            append(a if a >= b else b)
-        elif op == "MIN":
-            a, b = vals[gate[1]], vals[gate[2]]
-            append(a if a <= b else b)
-        elif op == "ABS":
-            a = vals[gate[1]]
-            append(a if a >= 0 else -a)
-        else:  # CONST
-            append(gate[1])
-    return tuple(vals[o] for o in circ.outputs)
+            if n * bd < bn * d:
+                n, d = bn, bd
+        elif n * bd > bn * d:  # MIN
+            n, d = bn, bd
+        if d.bit_length() > REDUCE_BITS:
+            g = math.gcd(n, d)
+            n, d = n // g, d // g
+        push_n(n)
+        push_d(d)
+    return tuple(Fraction(nums[o], dens[o]) for o in circ.outputs)
 
 
 def circuit_eval(circ: ArithCircuit, x: QVector) -> QVector:
     """Evaluate all gates in order; exact rationals."""
     if len(x) != circ.arity:
         raise DimensionError(f"input length {len(x)}, circuit arity {circ.arity}")
-    return QVector(_eval_raw(circ, tuple(x)))
+    return QVector(_eval_ints(circ, [a.numerator for a in x], [a.denominator for a in x]))
 
 
 class CircuitBuilder:
@@ -401,11 +432,16 @@ class _Evals:
     def __init__(self, inst: CircuitProblem):
         self.inst, self.seen = inst, {}
 
-    def value(self, circ: str, x: QVector) -> QVector:
-        """The instance's circuit named ``circ`` ("f", "p" or "d") at x."""
-        key = (circ, x)
+    def value(self, circ: str, *points: QVector) -> QVector:
+        """The instance's circuit named ``circ`` at the points laid end to end.
+
+        That is f(x), p(x) or d(x, y).  The memo keys on the points themselves,
+        which keep their hashes, so a hit hashes no Fraction.
+        """
+        key = (circ, *points)
         out = self.seen.get(key)
         if out is None:
+            x = points[0] if len(points) == 1 else QVector(sum((pt.entries for pt in points), ()))
             out = self.seen[key] = circuit_eval(getattr(self.inst, circ), x)
         return out
 
@@ -416,7 +452,7 @@ class _Evals:
         return self.value("p", x)[0]
 
     def d(self, x: QVector, y: QVector) -> Fraction:
-        return self.value("d", QVector(tuple(x) + tuple(y)))[0]
+        return self.value("d", x, y)[0]
 
     def norm(self, x: QVector, y: QVector) -> Fraction:
         """|x - y| in the instance norm (1 or inf)."""
@@ -517,11 +553,12 @@ def check_metametric(d: ArithCircuit, points: Sequence[QVector]) -> Optional[MMv
         raise DimensionError("distance circuit must map 2*dim -> 1")
     pts = list(points)
     n = len(pts)
-    raw = [tuple(p) for p in pts]
-    table: list[list[Fraction]] = [[Q(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = _eval_raw(d, raw[i] + raw[j])[0]
+    nums = [[a.numerator for a in p] for p in pts]
+    dens = [[a.denominator for a in p] for p in pts]
+    table = [
+        [_eval_ints(d, nx + ny, dx + dy)[0] for ny, dy in zip(nums, dens)]
+        for nx, dx in zip(nums, dens)
+    ]
     for i in range(n):
         for j in range(n):
             if table[i][j] < 0:
@@ -572,6 +609,11 @@ def probe_domain(f: ArithCircuit, dim: int) -> Optional[QVector]:
 # desk-scale solvers
 
 
+def _check_budget(budget: Optional[int]) -> None:
+    if budget is not None and budget < 0:
+        raise PreconditionError(f"budget must be nonnegative, got {budget}")
+
+
 def _step(ev: _Evals, x: QVector) -> QVector:
     fx = ev.f(x)
     if not in_unit_box(fx):
@@ -588,12 +630,14 @@ def clo_solve_iterate(
 ) -> tuple[CloSolution, tuple[QVector, ...]]:
     """Iterate f from start; stop at the first Lipschitz violation or eps-stall of p.
 
-    Stops within ceil(p(start)/eps) + 1 iterations when no violation shows up.
+    Stops within ceil(p(start)/eps) + 1 iterations when no violation shows up;
+    the default budget is that plus one, and at least 2.
     """
+    _check_budget(budget)
     _check_domain(inst, start)
     ev = _Evals(inst)
     if budget is None:
-        budget = int(math.ceil(ev.p(start) / inst.eps)) + 2
+        budget = max(math.ceil(ev.p(start) / inst.eps) + 2, 2)
     x = start
     trace = [x]
     for _ in range(budget):
@@ -615,6 +659,7 @@ def fixpoint_iterate(
     Consecutive iterate pairs are tested for contraction/continuity
     violations on the way; hitting the budget raises with the trace.
     """
+    _check_budget(budget)
     _check_domain(inst, start)
     metered = isinstance(inst, MmcInstance)
     fix, pair_tags = (M1, (M2a, M2c)) if metered else (CM1, (CM2,))

@@ -300,31 +300,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paper-sign", action="store_true", help="negate M on ingestion")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(func=cmd_solve_lcp)
 
     p = sub.add_parser("check-pmatrix", help="test all principal minors")
     p.add_argument("file")
     p.add_argument("--paper-sign", action="store_true")
-    p.set_defaults(func=cmd_check_pmatrix)
 
     p = sub.add_parser("reduce", help="transform an instance file")
     p.add_argument("kind", choices=tuple(REDUCTIONS))
     p.add_argument("file")
     p.add_argument("-o", "--out", default=None)
     p.add_argument("--paper-sign", action="store_true")
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("follow", help="walk the line from the all-zeros config")
     p.add_argument("file")
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=cmd_follow)
 
     p = sub.add_parser("verify", help="check a solution file against an instance")
     p.add_argument("problem", choices=tuple(VERIFY))
     p.add_argument("instance")
     p.add_argument("solution")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("pipeline", help="reduce, follow, back-map, and cross-check")
     p.add_argument("problem", choices=("plcp",))
@@ -332,23 +327,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paper-sign", action="store_true")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("enumerate", help="classify every config of a line instance")
     p.add_argument("file")
-    p.set_defaults(func=cmd_enumerate)
 
     return parser
 
 
+# Built once per process: parsing keeps no state on the parser, argparse finds
+# sys.stdout and sys.stderr when it prints, and main looks each command's
+# cmd_* function up by name on every call.
+PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except DegeneracyError as exc:
         print(f"degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -64,7 +64,8 @@ class BitConfig:
         return f"BitConfig({self.value}, {self.width})"
 
     def __str__(self) -> str:
-        return format(self.value, f"0{self.width}b") if self.width else ""
+        # a 1 above the top bit keeps the leading zeros; drop it with the "0b"
+        return bin(self.value | 1 << self.width)[3:]
 
     @staticmethod
     def zeros(width: int) -> "BitConfig":

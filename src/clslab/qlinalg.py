@@ -71,6 +71,17 @@ class QVector:
     def zero(n: int) -> "QVector":
         return QVector((Q(0),) * n)
 
+    def __hash__(self) -> int:
+        # the generated hash over (entries,), computed on first use and kept:
+        # circuit memos key on vectors, and each fresh hash runs
+        # Fraction.__hash__ over every entry
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.entries,))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     def __len__(self) -> int:
         return len(self.entries)
 

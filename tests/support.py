@@ -972,6 +972,35 @@ def load_line_table_ref(text: str) -> LineInstance:
 # circuit fixtures
 
 
+def eval_raw_ref(circ: ArithCircuit, xs: tuple[F, ...]) -> tuple[F, ...]:
+    """The gate loop over Fractions, one normalised Fraction per gate.
+
+    Independent oracle for the int-pair kernel behind ``circuit_eval``.
+    """
+    vals = list(xs)
+    append = vals.append
+    for gate in circ.gates:
+        op = gate[0]
+        if op == "ADD":
+            append(vals[gate[1]] + vals[gate[2]])
+        elif op == "SUB":
+            append(vals[gate[1]] - vals[gate[2]])
+        elif op == "MUL":
+            append(vals[gate[1]] * vals[gate[2]])
+        elif op == "MAX":
+            a, b = vals[gate[1]], vals[gate[2]]
+            append(a if a >= b else b)
+        elif op == "MIN":
+            a, b = vals[gate[1]], vals[gate[2]]
+            append(a if a <= b else b)
+        elif op == "ABS":
+            a = vals[gate[1]]
+            append(a if a >= 0 else -a)
+        else:  # CONST
+            append(gate[1])
+    return tuple(vals[o] for o in circ.outputs)
+
+
 def triangle_violation_ref(d: ArithCircuit, points) -> Optional[MMviol]:
     """The triangle pass of ``check_metametric`` over Fractions.
 
@@ -1247,7 +1276,7 @@ def clo_solve_iterate_ref(
     _check_domain_ref(inst, start)
     if budget is None:
         p0 = circuits.circuit_eval(inst.p, start)[0]
-        budget = int(math.ceil(p0 / inst.eps)) + 2
+        budget = max(int(math.ceil(p0 / inst.eps)) + 2, 2)
     x = start
     trace = [x]
     for _ in range(budget):

@@ -1,9 +1,11 @@
 import dataclasses
+import math
 import re
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from clslab import (
     BudgetExceededError,
@@ -31,7 +33,10 @@ from clslab import (
     mmc_verify,
     norm_pow,
 )
+from clslab import circuits
 from clslab.circuits import (
+    GATE_OPERANDS,
+    REDUCE_BITS,
     ArithCircuit,
     dump_circuit,
     dump_problem,
@@ -45,7 +50,13 @@ from clslab.circuits import (
     unit_grid,
 )
 from clslab.errors import DimensionError, ParseError, PreconditionError
-from support import coordinate_potential, kinked_map, scale_shift_map, triangle_violation_ref
+from support import (
+    coordinate_potential,
+    eval_raw_ref,
+    kinked_map,
+    scale_shift_map,
+    triangle_violation_ref,
+)
 
 
 def vec(*entries):
@@ -70,6 +81,125 @@ def test_circuit_eval_is_deterministic():
     f = kinked_map(2)
     x = vec("3/7", "1/9")
     assert circuit_eval(f, x) == circuit_eval(f, x)
+
+
+def _pairs(circ, inputs):
+    """Every value of ``circ`` at ``inputs`` as the kernel keeps it: (num, den) pairs."""
+    nums, dens = [a.numerator for a in inputs], [a.denominator for a in inputs]
+    circuits._eval_ints(circ, nums, dens)
+    return list(zip(nums, dens))
+
+
+def _canonical(values):
+    return [(a.numerator, a.denominator) for a in values]
+
+
+small_q = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@st.composite
+def gate_lists(draw):
+    """(arity, inputs, gates): random gates, then up to 12 squarings of the last value.
+
+    Each squaring doubles the bits, so ten of them take a denominator of 2 or
+    more past ``REDUCE_BITS``.
+    """
+    arity = draw(st.integers(0, 3))
+    inputs = tuple(draw(st.lists(small_q, min_size=arity, max_size=arity)))
+    gates = []
+    for _ in range(draw(st.integers(0, 20))):
+        top = arity + len(gates)
+        op = draw(st.sampled_from(sorted(GATE_OPERANDS) if top else ["CONST"]))
+        if op == "CONST":
+            gates.append(("CONST", draw(small_q)))
+        else:
+            count = GATE_OPERANDS[op]
+            gates.append((op, *draw(st.lists(st.integers(0, top - 1), min_size=count, max_size=count))))
+    for _ in range(draw(st.integers(0, 12)) if arity + len(gates) else 0):
+        top = arity + len(gates)
+        gates.append(("MUL", top - 1, top - 1))
+    return arity, inputs, tuple(gates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gate_lists())
+def test_int_pair_kernel_matches_the_fraction_reference(case):
+    arity, inputs, gates = case
+    top = arity + len(gates)
+    assume(top > 0)
+    circ = ArithCircuit(arity, gates, tuple(range(top)))  # every value is an output
+    got = circuit_eval(circ, QVector(inputs))
+    want = eval_raw_ref(circ, inputs)
+    assert all(type(a) is F for a in got)
+    assert _canonical(got) == _canonical(want)
+    # a kept value is within the bound or already reduced
+    for n, d in _pairs(circ, inputs):
+        assert d > 0 and (d.bit_length() <= REDUCE_BITS or math.gcd(n, d) == 1)
+
+
+def test_max_min_abs_ties_keep_the_first_operand():
+    b = CircuitBuilder(1)  # x = 1/2
+    two_halves = b.add(0, 0)  # equal denominators add without a gcd: (2, 2)
+    one = b.const(1)
+    sixths = b.add(b.const("1/6"), b.const("1/3"))  # (9, 18)
+    zero = b.sub(two_halves, one)  # (0, 2)
+    neg = b.sub(b.const("-3/4"), sixths)  # (-90, 72)
+    outs = [
+        b.max(two_halves, one),
+        b.max(one, two_halves),
+        b.min(two_halves, one),
+        b.min(one, two_halves),
+        b.max(sixths, 0),
+        b.min(0, sixths),
+        b.max(zero, b.const(0)),
+        b.min(b.const(0), zero),
+        b.abs(zero),
+        b.abs(neg),
+    ]
+    circ = b.build(outs)
+    x = (F(1, 2),)
+    pairs = _pairs(circ, x)
+    assert [pairs[o] for o in outs] == [
+        (2, 2), (1, 1), (2, 2), (1, 1), (9, 18), (1, 2), (0, 2), (0, 1), (0, 2), (90, 72)
+    ]
+    got = circuit_eval(circ, QVector(x))
+    assert _canonical(got) == _canonical(eval_raw_ref(circ, x))
+    assert list(got) == [1, 1, 1, 1, F(1, 2), F(1, 2), 0, 0, 0, F(5, 4)]
+
+
+def test_a_squaring_chain_is_reduced_once_it_passes_the_bound():
+    b = CircuitBuilder(1)
+    v = b.add(0, 0)  # x + x = (2, 2) at x = 1/2
+    for _ in range(12):
+        v = b.mul(v, v)
+    circ = b.build([v])
+    # (2, 2) squares unreduced up to (2^512, 2^512); the next square's
+    # denominator 2^1024 passes the bound, so it and every later one is (1, 1)
+    assert (2**1024).bit_length() == REDUCE_BITS + 1
+    unreduced = [(2 ** (1 << k), 2 ** (1 << k)) for k in range(10)]
+    assert _pairs(circ, (F(1, 2),)) == [(1, 2)] + unreduced + [(1, 1)] * 3
+    assert circuit_eval(circ, vec("1/2")) == vec(1)
+
+
+def test_a_memo_hit_hashes_no_fraction():
+    inst = MmcInstance(
+        f=kinked_map(2), d=norm_distance_circuit(2, 1), r=1, eps=F(1, 4), c=F(1, 2), delta_d=F(1), lam=F(1), dim=2
+    )
+    ev = circuits._Evals(inst)
+    x, y = vec("1/3", "2/7"), vec("3/4", "1/5")
+    first = (ev.f(x), ev.d(x, y), ev.d(y, x))
+    hashed = []
+    real = F.__hash__
+
+    def counting(self):
+        hashed.append(self)
+        return real(self)
+
+    with mock.patch.object(F, "__hash__", counting):
+        assert (ev.f(x), ev.d(x, y), ev.d(y, x)) == first
+        assert ev.d(vec("1/3", "2/7"), y) == first[1]  # an equal vector hits too
+    assert len(ev.seen) == 3
+    assert hashed == [F(1, 3), F(2, 7)]  # only the fresh vector's own hash
 
 
 def test_norm_examples():
@@ -305,6 +435,24 @@ def test_budget_exhaustion_reports_trace():
     with pytest.raises(BudgetExceededError) as err:
         fixpoint_iterate(inst, vec(1), budget=5)
     assert len(err.value.trace) >= 5
+
+
+def test_clo_default_budget_is_at_least_two():
+    # p = -1 everywhere: ceil(p(start)/eps) + 2 is -2, yet x = 0 stalls at once
+    b = CircuitBuilder(1)
+    minus_one = b.build([b.const(-1)])
+    inst = CloInstance(f=identity_circuit(1), p=minus_one, eps=F(1, 4), lam=F(1), r=1, dim=1)
+    assert clo_solve_iterate(inst, vec(0)) == clo_solve_iterate(inst, vec(0), budget=1) == (C1(vec(0)), (vec(0),))
+    with pytest.raises(BudgetExceededError, match="^no stall within 0 iterations$"):
+        clo_solve_iterate(inst, vec(0), budget=0)
+
+
+def test_a_negative_budget_is_a_precondition_error():
+    clo = CloInstance(f=identity_circuit(1), p=coordinate_potential(1), eps=F(1, 4), lam=F(1), r=1, dim=1)
+    contraction = ContractionInstance(f=identity_circuit(1), r=1, eps=F(1, 2), c=F(1, 2), delta=F(1, 8), dim=1)
+    for run, inst in ((clo_solve_iterate, clo), (fixpoint_iterate, contraction)):
+        with pytest.raises(PreconditionError, match="^budget must be nonnegative, got -1$"):
+            run(inst, vec(0), budget=-1)
 
 
 def test_problem_file_round_trip():

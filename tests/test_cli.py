@@ -368,6 +368,55 @@ def test_usage_errors(tmp_path):
     assert main([]) == 4
 
 
+USAGE_ARGVS = [
+    [],
+    ["--help"],
+    ["-h"],
+    ["solve-lcp", "--help"],
+    ["verify", "-h"],
+    ["nope"],
+    ["reduce", "nope", "x"],
+    ["solve-lcp"],
+    ["solve-lcp", "a", "--budget", "x"],
+    ["follow", "a", "--bogus"],
+    ["pipeline", "lcp", "a"],
+]
+
+
+def test_repeated_in_process_calls_print_the_same_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    lcp = write(tmp_path, "a.lcp", D1_LCP)
+    argvs = USAGE_ARGVS + [
+        ["solve-lcp", lcp],
+        ["solve-lcp", lcp, "--trace", "--lex"],
+        ["pipeline", "plcp", lcp],
+        ["check-pmatrix", str(tmp_path / "absent")],
+        ["solve-lcp", lcp, "--budget", "-1"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    rounds = [[run(argv) for argv in argvs] for _ in range(3)]
+    assert rounds[0] == rounds[1] == rounds[2]
+    # the same bytes as a parser built for the call
+    fresh = []
+    for argv in argvs:
+        with monkeypatch.context() as m:
+            m.setattr(cli, "PARSER", cli.build_parser())
+            fresh.append(run(argv))
+    assert fresh == rounds[0]
+    assert [code for code, _, _ in rounds[0]] == [4, 0, 0, 0, 0, 4, 4, 4, 4, 4, 4, 0, 0, 0, 4, 4]
+    helps = [out for _, out, _ in rounds[0][1:5]]
+    assert helps[0] == helps[1] and helps[0].startswith("usage: clslab [-h]")
+    assert helps[2].startswith("usage: clslab solve-lcp") and helps[3].startswith("usage: clslab verify")
+    for code, out, err in rounds[0][5:11]:
+        assert out == "" and err.startswith("usage: clslab") and "error: " in err
+    assert rounds[0][8][2].endswith("clslab solve-lcp: error: argument --budget: invalid int value: 'x'\n")
+    assert rounds[0][-1][1:] == ("", "error: budget must be nonnegative, got -1\n")
+
+
 FIXTURES = {
     "lcp": D1_LCP,
     "eopl": EOPL_TABLE,

@@ -263,6 +263,15 @@ def test_bitconfig_helpers():
     assert BitConfig.zeros(3).is_zero()
 
 
+@pytest.mark.parametrize(
+    "value, width, text",
+    [(0, 0, ""), (0, 1, "0"), (1, 1, "1"), (1, 4, "0001"), (5, 8, "00000101"), (0, 3, "000"), (6, 3, "110")],
+)
+def test_bitconfig_str_bytes(value, width, text):
+    assert str(BitConfig(value, width)).encode() == text.encode()
+    assert str(BitConfig.from_int(value, width)) == text
+
+
 @st.composite
 def config_pairs(draw):
     """Two (value, width) pairs of width 0-20; the second is often the first,

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,7 @@ from clslab import (
     rational,
     solve_linear,
 )
-from support import det_cofactor
+from support import copies, det_cofactor
 
 small_fraction = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -110,3 +111,36 @@ def test_matrix_vector_shapes():
     with pytest.raises(DimensionError):
         m.apply(QVector.of([1]))
     assert m.apply(QVector.of([1, 1])) == QVector.of([3, 7])
+
+
+def test_vector_hash_is_the_field_hash_and_is_kept():
+    v = QVector.of(["1/3", -2, 0, "7/5"])
+    before = repr(v)
+    assert hash(v) == hash((v.entries,)) == hash(QVector.of(["1/3", -2, 0, "7/5"]))
+    assert v._hash == hash((v.entries,))
+    assert hash(v) == hash((v.entries,))
+    assert repr(v) == before == "QVector(entries=(Fraction(1, 3), Fraction(-2, 1), Fraction(0, 1), Fraction(7, 5)))"
+    assert [f.name for f in fields(v)] == ["entries"]
+    with pytest.raises(FrozenInstanceError):
+        v.entries = ()
+    with pytest.raises(FrozenInstanceError):
+        v._hash = 0
+    assert v == QVector.of(["1/3", -2, 0, "7/5"])
+    assert v != QVector.of(["1/3", -2, 0, "7/4"])
+    assert {v: 1}[QVector.of(["2/6", -2, 0, "14/10"])] == 1
+
+
+@pytest.mark.parametrize("hashed_first", [False, True], ids=["unhashed", "hashed"])
+def test_vector_copies_equal_and_hash_like_a_fresh_one(hashed_first):
+    v = QVector.of([-1, "2/7", 3])
+    if hashed_first:
+        hash(v)
+    fresh = QVector.of([-1, "2/7", 3])
+    for how, twin in copies(v).items():
+        assert twin == fresh and fresh == twin, how
+        assert hash(twin) == hash(fresh) == hash((fresh.entries,)), how
+        assert repr(twin) == repr(fresh) and str(twin) == "-1 2/7 3", how
+        with pytest.raises(FrozenInstanceError):
+            twin.entries = fresh.entries
+        with pytest.raises(FrozenInstanceError):
+            twin._hash = 0
