@@ -83,7 +83,6 @@ from .circuits import (
     contraction_verify,
     fixpoint_iterate,
     mmc_verify,
-    norm_pow,
 )
 
 __version__ = "0.1.0"

@@ -7,6 +7,12 @@ vol. 2, 4.5.1): a value is reduced by its gcd only once its denominator
 passes ``REDUCE_BITS`` bits, comparisons cross-multiply, and each output is
 built once as a canonical Fraction.  The norms are the sum norm (r = 1) and
 the max norm (r = inf), both of which stay rational.
+
+The solution checks run on integers too: each point is read as integer
+numerators over one common denominator, norms and scalars are unreduced
+(numerator, denominator) pairs, and every comparison is the sign of a cross
+product.  A check returns its truth and its operands; only the verifiers
+format a ``Verdict``'s text from them.
 """
 
 from __future__ import annotations
@@ -208,20 +214,6 @@ def norm_distance_circuit(dim: int, r: NormOrder) -> ArithCircuit:
     raise PreconditionError("distance circuits support only r in {1, inf}")
 
 
-# ----------------------------------------------------------------------------
-# norms
-
-
-def norm_pow(v: QVector, r: NormOrder) -> Fraction:
-    """Sum norm for r=1, max norm for r=inf."""
-    entries = [a if a >= 0 else -a for a in v]
-    if r == INF:
-        return max(entries, default=Q(0))
-    if r == 1:
-        return sum(entries, Q(0))
-    raise PreconditionError(f"unsupported norm order {r!r}")
-
-
 def in_unit_box(x: QVector) -> bool:
     return all(0 <= a <= 1 for a in x)
 
@@ -290,9 +282,6 @@ class MmcInstance(_Problem):
     delta_d: Fraction
     lam: Fraction
     dim: int = 3
-
-    def dist(self, x: QVector, y: QVector) -> Fraction:
-        return circuit_eval(self.d, QVector(tuple(x) + tuple(y)))[0]
 
 
 # Each circuit field's (inputs, outputs), counted in the instance's dim.
@@ -400,11 +389,27 @@ class Verdict:
 
 _RELATIONS = {"<": lt, "<=": le, ">": gt, ">=": ge}
 
+# An exact rational as an unreduced (numerator, denominator) int pair, the
+# denominator positive.
+Pair = tuple[int, int]
 
-def _ineq(label: str, lhs: Fraction, rel: str, rhs: Fraction) -> Verdict:
-    ok = _RELATIONS[rel](lhs, rhs)
-    state = "holds" if ok else "fails"
-    return Verdict(ok, f"{label}: {format_rational(lhs)} {rel} {format_rational(rhs)} {state}")
+
+def _pair(a: Fraction) -> Pair:
+    return a.numerator, a.denominator
+
+
+def _sum(a: Pair, b: Pair) -> Pair:
+    return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+
+
+def _scaled(k: Fraction, a: Pair) -> Pair:
+    return k.numerator * a[0], k.denominator * a[1]
+
+
+def _ineq(label: str, lhs: Pair, rel: str, rhs: Pair):
+    """``lhs rel rhs`` by the sign of a cross product, as a check's outcome."""
+    ok = _RELATIONS[rel](lhs[0] * rhs[1], rhs[0] * lhs[1])
+    return ok, f"{label}: {{}} {rel} {{}} {'holds' if ok else 'fails'}", (lhs, rhs)
 
 
 def _points(sol) -> tuple[QVector, ...]:
@@ -426,11 +431,14 @@ class _Evals:
 
     A verifier call holds one of these and an iterator one for its whole run,
     so checks may read f(x), p(x) and d(x, y) as often as they like.  Every
-    evaluation goes through the module-level ``circuit_eval``.
+    evaluation goes through the module-level ``circuit_eval``.  Scalars come
+    out as ``Pair``s, and each point a norm reads is kept as integer
+    numerators over one common denominator, so norms and comparisons run on
+    integers.  Both memos die with the object.
     """
 
     def __init__(self, inst: CircuitProblem):
-        self.inst, self.seen = inst, {}
+        self.inst, self.seen, self.forms = inst, {}, {}
 
     def value(self, circ: str, *points: QVector) -> QVector:
         """The instance's circuit named ``circ`` at the points laid end to end.
@@ -448,60 +456,83 @@ class _Evals:
     def f(self, x: QVector) -> QVector:
         return self.value("f", x)
 
-    def p(self, x: QVector) -> Fraction:
-        return self.value("p", x)[0]
+    def p(self, x: QVector) -> Pair:
+        return _pair(self.value("p", x)[0])
 
-    def d(self, x: QVector, y: QVector) -> Fraction:
-        return self.value("d", x, y)[0]
+    def d(self, x: QVector, y: QVector) -> Pair:
+        return _pair(self.value("d", x, y)[0])
 
-    def norm(self, x: QVector, y: QVector) -> Fraction:
-        """|x - y| in the instance norm (1 or inf)."""
-        return norm_pow(x - y, self.inst.r)
+    def form(self, x: QVector) -> tuple[tuple[int, ...], int]:
+        """x's entries as numerators over the lcm of their denominators."""
+        out = self.forms.get(x)
+        if out is None:
+            den = math.lcm(*[a.denominator for a in x])
+            out = self.forms[x] = tuple([a.numerator * (den // a.denominator) for a in x]), den
+        return out
+
+    def norm(self, x: QVector, y: QVector) -> Pair:
+        """|x - y| in the instance norm: the sum (r = 1) or the max (r = inf)."""
+        nx, dx = self.form(x)
+        ny, dy = self.form(y)
+        if dx == dy:
+            sizes, den = map(abs, map(sub, nx, ny)), dx
+        else:
+            sizes, den = [abs(a * dy - b * dx) for a, b in zip(nx, ny)], dx * dy
+        return (sum(sizes) if self.inst.r == 1 else max(sizes, default=0)), den
 
 
-def _expands(label: str, circ: str, dist: str, bound: str, ev: _Evals, cand) -> Verdict:
+def _expands(label: str, circ: str, dist: str, bound: str, ev: _Evals, cand):
     """dist(g(x), g(y)) > bound * dist(x, y) for g = ``circ``, with ``dist`` "norm" or "d"."""
     measure = getattr(ev, dist)
     lhs = measure(ev.value(circ, cand.x), ev.value(circ, cand.y))
-    return _ineq(label, lhs, ">", getattr(ev.inst, bound) * measure(cand.x, cand.y))
+    return _ineq(label, lhs, ">", _scaled(getattr(ev.inst, bound), measure(cand.x, cand.y)))
 
 
-def _near_fixpoint(label: str, dist: str, bound: str, ev: _Evals, cand) -> Verdict:
+def _near_fixpoint(label: str, dist: str, bound: str, ev: _Evals, cand):
     """dist(f(x), x) <= bound."""
-    return _ineq(label, getattr(ev, dist)(ev.f(cand.x), cand.x), "<=", getattr(ev.inst, bound))
+    return _ineq(label, getattr(ev, dist)(ev.f(cand.x), cand.x), "<=", _pair(getattr(ev.inst, bound)))
 
 
-def _stall(ev: _Evals, cand: C1) -> Verdict:
-    return _ineq("p(f(x)) >= p(x) - eps", ev.p(ev.f(cand.x)), ">=", ev.p(cand.x) - ev.inst.eps)
+def _stall(ev: _Evals, cand: C1):
+    rhs = _sum(ev.p(cand.x), _pair(-ev.inst.eps))
+    return _ineq("p(f(x)) >= p(x) - eps", ev.p(ev.f(cand.x)), ">=", rhs)
 
 
-def _distance_jump(ev: _Evals, cand: M2b) -> Verdict:
-    lhs = abs(ev.d(cand.x, cand.y) - ev.d(cand.x2, cand.y2))
-    pair_diff = QVector(tuple(cand.x - cand.x2) + tuple(cand.y - cand.y2))
-    rhs = ev.inst.delta_d * norm_pow(pair_diff, ev.inst.r)
-    return _ineq("|d(x,y)-d(x',y')| > delta_d*|(x,y)-(x',y')|", lhs, ">", rhs)
+def _distance_jump(ev: _Evals, cand: M2b):
+    a, b = ev.d(cand.x, cand.y), ev.d(cand.x2, cand.y2)
+    gap = _sum(a, (-b[0], b[1]))
+    # |(x,y)-(x',y')| from its halves: their sum in the 1-norm, their max in the inf-norm
+    u, v = ev.norm(cand.x, cand.x2), ev.norm(cand.y, cand.y2)
+    if ev.inst.r == 1:
+        size = _sum(u, v)
+    else:
+        size = u if u[0] * v[1] >= v[0] * u[1] else v
+    lhs = (abs(gap[0]), gap[1])
+    return _ineq("|d(x,y)-d(x',y')| > delta_d*|(x,y)-(x',y')|", lhs, ">", _scaled(ev.inst.delta_d, size))
 
 
-def _axiom_violation(ev: _Evals, cand: MMviol) -> Verdict:
+def _axiom_violation(ev: _Evals, cand: MMviol):
     if cand.kind == 1 and len(cand.points) == 2:
-        return _ineq("nonnegativity violated: d(x,y) < 0", ev.d(*cand.points), "<", Q(0))
+        return _ineq("nonnegativity violated: d(x,y) < 0", ev.d(*cand.points), "<", (0, 1))
     if cand.kind == 2 and len(cand.points) == 2:
         x, y = cand.points
         value = ev.d(x, y)
-        ok = value == 0 and x != y
-        return Verdict(ok, f"zero-implies-equal violated: d(x,y)={format_rational(value)}, x!=y is {x != y}")
+        return value[0] == 0 and x != y, "zero-implies-equal violated: d(x,y)={}, x!=y is {}", (value, x != y)
     if cand.kind == 3 and len(cand.points) == 2:
         x, y = cand.points
         a, b = ev.d(x, y), ev.d(y, x)
-        return Verdict(a != b, f"symmetry violated: d(x,y)={format_rational(a)}, d(y,x)={format_rational(b)}")
+        return a[0] * b[1] != b[0] * a[1], "symmetry violated: d(x,y)={}, d(y,x)={}", (a, b)
     if cand.kind == 4 and len(cand.points) == 3:
         x, y, z = cand.points
-        return _ineq("triangle violated: d(x,z) > d(x,y)+d(y,z)", ev.d(x, z), ">", ev.d(x, y) + ev.d(y, z))
-    return Verdict(False, f"malformed axiom witness: kind={cand.kind}, {len(cand.points)} points")
+        rhs = _sum(ev.d(x, y), ev.d(y, z))
+        return _ineq("triangle violated: d(x,z) > d(x,y)+d(y,z)", ev.d(x, z), ">", rhs)
+    return False, "malformed axiom witness: kind={}, {} points", (cand.kind, len(cand.points))
 
 
-# The solution check of every circuit tag, check(evals, cand) -> Verdict, for a
-# candidate whose points lie in the unit box.
+# The solution check of every circuit tag, for a candidate whose points lie in
+# the unit box: check(evals, cand) -> (truth, template, operands).  The
+# iterators read the truth alone; ``_verify`` fills the template's slots with
+# the operands, a ``Pair`` as its canonical rational and anything else as is.
 CHECKS = {
     C1: _stall,
     C2a: partial(_expands, "|f(x)-f(y)| > lam*|x-y|", "f", "norm", "lam"),
@@ -521,7 +552,9 @@ def _verify(inst: CircuitProblem, cand, kind, shape: str) -> Verdict:
     if type(cand) not in get_args(kind):
         return Verdict(False, f"not a {shape} solution shape: {cand!r}")
     _check_domain(inst, *_points(cand))
-    return CHECKS[type(cand)](_Evals(inst), cand)
+    ok, template, operands = CHECKS[type(cand)](_Evals(inst), cand)
+    texts = [format_rational(Fraction(*op)) if type(op) is tuple else op for op in operands]
+    return Verdict(ok, template.format(*texts))
 
 
 def clo_verify(inst: CloInstance, cand: CloSolution) -> Verdict:
@@ -553,6 +586,8 @@ def check_metametric(d: ArithCircuit, points: Sequence[QVector]) -> Optional[MMv
         raise DimensionError("distance circuit must map 2*dim -> 1")
     pts = list(points)
     n = len(pts)
+    if any(len(pt) != d.arity // 2 for pt in pts):
+        raise DimensionError(f"every point needs {d.arity // 2} coordinates for this distance circuit")
     nums = [[a.numerator for a in p] for p in pts]
     dens = [[a.denominator for a in p] for p in pts]
     table = [
@@ -616,13 +651,14 @@ def _check_budget(budget: Optional[int]) -> None:
 
 def _step(ev: _Evals, x: QVector) -> QVector:
     fx = ev.f(x)
-    if not in_unit_box(fx):
+    nums, den = ev.form(fx)
+    if not all(0 <= n <= den for n in nums):
         raise DomainEscapeError(f"f escapes the unit box at {x}", point=fx)
     return fx
 
 
 def _first_holding(ev: _Evals, cands):
-    return next((cand for cand in cands if CHECKS[type(cand)](ev, cand)), None)
+    return next((cand for cand in cands if CHECKS[type(cand)](ev, cand)[0]), None)
 
 
 def clo_solve_iterate(
@@ -637,7 +673,7 @@ def clo_solve_iterate(
     _check_domain(inst, start)
     ev = _Evals(inst)
     if budget is None:
-        budget = max(math.ceil(ev.p(start) / inst.eps) + 2, 2)
+        budget = max(math.ceil(Fraction(*ev.p(start)) / inst.eps) + 2, 2)
     x = start
     trace = [x]
     for _ in range(budget):

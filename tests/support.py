@@ -48,7 +48,6 @@ from clslab.circuits import (
     identity_circuit,
     in_unit_box,
     norm_distance_circuit,
-    norm_pow,
 )
 from clslab.errors import BudgetExceededError, DomainEscapeError, ParseError, PreconditionError
 from clslab.qlinalg import Q, format_rational
@@ -1146,6 +1145,16 @@ def clo_catalog() -> list[tuple[CloInstance, QVector]]:
 
 def _dist_ref(inst: MmcInstance, x: QVector, y: QVector) -> F:
     return circuits.circuit_eval(inst.d, QVector(tuple(x) + tuple(y)))[0]
+
+
+def norm_pow(v: QVector, r) -> F:
+    """Sum norm for r = 1, max norm for r = inf, over Fractions."""
+    entries = [a if a >= 0 else -a for a in v]
+    if r == INF:
+        return max(entries, default=Q(0))
+    if r == 1:
+        return sum(entries, Q(0))
+    raise PreconditionError(f"unsupported norm order {r!r}")
 
 
 def norm_gt(u: QVector, scale: F, v: QVector, r) -> bool:

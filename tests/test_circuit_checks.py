@@ -8,6 +8,7 @@ iterators, which evaluate the circuits afresh for every check.
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -32,6 +33,7 @@ from clslab.circuits import (
     ContractionInstance,
     MmcInstance,
     QVector,
+    circuit_eval,
     clo_solve_iterate,
     clo_verify,
     contraction_verify,
@@ -40,7 +42,7 @@ from clslab.circuits import (
     mmc_verify,
     norm_distance_circuit,
 )
-from clslab.errors import BudgetExceededError, DomainEscapeError
+from clslab.errors import BudgetExceededError, DomainEscapeError, PreconditionError
 from support import (
     clo_solve_iterate_ref,
     clo_verify_ref,
@@ -50,6 +52,7 @@ from support import (
     kinked_map,
     mean_potential,
     mmc_verify_ref,
+    norm_pow,
     scale_shift_map,
 )
 
@@ -298,3 +301,136 @@ def test_domain_escape_matches_the_reference():
         got = _iterate(inst, QVector.of(["3/4"]), 5)
         assert got[0] == DomainEscapeError.__name__
         assert got == _iterate(inst, QVector.of(["3/4"]), 5, new=False)
+
+
+# ----------------------------------------------------------------------------
+# the integer checks against the Fraction references, ties at the bound included
+
+# each point tag -> the instance field its check compares against, and the
+# relation it uses
+BOUNDS = {
+    C1: ("eps", ">="), C2a: ("lam", ">"), C2b: ("lam", ">"), CM1: ("delta", "<="), CM2: ("c", ">"),
+    M1: ("eps", "<="), M2a: ("c", ">"), M2b: ("delta_d", ">"), M2c: ("lam", ">"),
+}
+TAGS = {
+    CloInstance: [C1, C2a, C2b],
+    ContractionInstance: [CM1, CM2],
+    MmcInstance: [M1, M2a, M2b, M2c],
+}
+
+
+def _doubled_map(dim, factor, shifts):
+    """x -> factor * ((x + x) * 1/2) + shift; the kernel leaves x + x and its half unreduced."""
+    b = CircuitBuilder(dim)
+    half, fac = b.const(F(1, 2)), b.const(factor)
+    return b.build([b.add(b.mul(b.mul(b.add(i, i), half), fac), b.const(s)) for i, s in enumerate(shifts)])
+
+
+def _tie(inst, tag, x, y, x2, y2):
+    """The value of ``tag``'s bound at which its check on these points is an equality, or None."""
+
+    def at(circ, *pts):
+        return circuit_eval(circ, QVector(sum((pt.entries for pt in pts), ())))
+
+    def norm(u, v):
+        return norm_pow(u - v, inst.r)
+
+    if tag is C1:
+        return at(inst.p, x)[0] - at(inst.p, at(inst.f, x))[0]
+    if tag is CM1:
+        return norm(at(inst.f, x), x)
+    if tag is M1:
+        return at(inst.d, at(inst.f, x), x)[0]
+    if tag is M2a:
+        lhs, base = at(inst.d, at(inst.f, x), at(inst.f, y))[0], at(inst.d, x, y)[0]
+    elif tag is M2b:
+        lhs = abs(at(inst.d, x, y)[0] - at(inst.d, x2, y2)[0])
+        base = norm_pow(QVector((x - x2).entries + (y - y2).entries), inst.r)
+    else:
+        g = inst.p if tag is C2b else inst.f
+        lhs, base = norm(at(g, x), at(g, y)), norm(x, y)
+    return lhs / base if base else None
+
+
+def _tied_case(rng, tag, r):
+    """An instance of ``tag``'s class in norm ``r`` and four points with
+    denominators up to 12; when it is a legal header value, ``tag``'s bound is
+    set to tie its check on those points.  Returns (instance, points, tied)."""
+    dim = rng.choice([1, 2])
+    factor = rng.choice([F(0), F(1, 3), F(1, 2), F(3, 4), F(1), F(5, 4)])
+    f = _doubled_map(dim, factor, [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)])
+    klass = next(k for k, tags in TAGS.items() if tag in tags)
+    if klass is CloInstance:
+        inst = CloInstance(f=f, p=_potential(rng, dim), eps=F(1, 4), lam=F(1), r=r, dim=dim)
+    elif klass is ContractionInstance:
+        inst = ContractionInstance(f=f, r=r, eps=F(1, 4), c=F(1, 2), delta=F(1, 8), dim=dim)
+    else:
+        inst = MmcInstance(
+            f=f, d=_distance(rng, dim), r=r, eps=F(1, 8), c=F(1, 2), delta_d=F(1), lam=F(1, 2), dim=dim
+        )
+    sides = [rng.randint(1, 12) for _ in range(4 * dim)]
+    coords = [F(rng.randint(0, q), q) for q in sides]
+    pts = [QVector(tuple(coords[i : i + dim])) for i in range(0, 4 * dim, dim)]
+    value = _tie(inst, tag, *pts)
+    if value is not None:
+        try:
+            return replace(inst, **{BOUNDS[tag][0]: value}), pts, True
+        except PreconditionError:  # not a legal header value
+            pass
+    return inst, pts, False
+
+
+def _compare_verdicts(inst, pts, tied):
+    """Every tag of the instance's class on these points, integer check against
+    reference; ``tied`` is the tag whose bound ties, or None."""
+    x, y, x2, y2 = pts
+    new, ref = VERIFIERS[type(inst)]
+    shapes = {M2b: (x, y, x2, y2), C1: (x,), CM1: (x,), M1: (x,)}
+    cands = [tag(*shapes.get(tag, (x, y))) for tag in TAGS[type(inst)]]
+    if isinstance(inst, MmcInstance):
+        cands += [MMviol(1, (x, y)), MMviol(2, (x, y)), MMviol(3, (x, y)), MMviol(4, (x, y, x2)),
+                  MMviol(4, (x, x2, y)), MMviol(5, (x,))]
+    for cand in cands:
+        verdict = new(inst, cand)
+        assert verdict == ref(inst, cand), cand
+        if type(cand) is tied:
+            # an equality: the strict relation fails, the weak ones hold
+            lhs, rel, rhs, _ = verdict.detail.rsplit(": ", 1)[1].split()
+            assert (lhs, rel) == (rhs, BOUNDS[tied][1]), verdict
+            assert verdict.ok == (rel != ">"), verdict
+
+
+@settings(max_examples=300, deadline=None)
+@given(tag=st.sampled_from(list(BOUNDS)), r=st.sampled_from([1, INF]), rng=st.randoms(use_true_random=False))
+def test_integer_checks_match_the_fraction_references_verdict_for_verdict(tag, r, rng):
+    inst, pts, tied = _tied_case(rng, tag, r)
+    _compare_verdicts(inst, pts, tag if tied else None)
+
+
+@pytest.mark.parametrize("r", [1, INF])
+@pytest.mark.parametrize("tag", list(BOUNDS))
+def test_every_point_tag_ties_at_its_bound_in_both_norms(tag, r):
+    rng = random.Random(f"{tag.__name__} {r}")
+    for _ in range(500):
+        inst, pts, tied = _tied_case(rng, tag, r)
+        if tied:
+            _compare_verdicts(inst, pts, tag)
+            return
+    pytest.fail(f"no legal tie for {tag.__name__} at r={r}")
+
+
+def test_the_iterators_format_no_verdict_text(monkeypatch):
+    formatted = []
+    real = circuits.format_rational
+    monkeypatch.setattr(circuits, "format_rational", lambda value: formatted.append(value) or real(value))
+    ended = Counter()
+    for seed in range(200):
+        rng = random.Random(seed)
+        inst = _instance(rng)
+        outcome = _iterate(inst, _point(rng, inst.dim), _budget(rng, inst))
+        ended[outcome[0]] += 1
+    assert ended["ok"] > 100 and formatted == []
+    # the verifiers format through the same name
+    inst = ContractionInstance(f=identity_circuit(1), r=1, eps=F(1, 4), c=F(1, 2), delta=F(1, 8), dim=1)
+    assert contraction_verify(inst, CM1(QVector.of(["1/3"]))).detail == "|f(x)-x| <= delta: 0 <= 1/8 holds"
+    assert formatted == [F(0), F(1, 8)]

@@ -31,7 +31,6 @@ from clslab import (
     contraction_verify,
     fixpoint_iterate,
     mmc_verify,
-    norm_pow,
 )
 from clslab import circuits
 from clslab.circuits import (
@@ -54,6 +53,7 @@ from support import (
     coordinate_potential,
     eval_raw_ref,
     kinked_map,
+    norm_pow,
     scale_shift_map,
     triangle_violation_ref,
 )
@@ -471,7 +471,8 @@ def test_problem_file_round_trip():
     assert isinstance(again, MmcInstance)
     x, y = vec("1/4", 0, 1), vec("1/3", "1/2", "1/7")
     assert circuit_eval(again.f, x) == circuit_eval(inst.f, x)
-    assert again.dist(x, y) == inst.dist(x, y)
+    xy = QVector(x.entries + y.entries)
+    assert circuit_eval(again.d, xy) == circuit_eval(inst.d, xy)
     assert (again.eps, again.c, again.delta_d, again.lam) == (
         inst.eps,
         inst.c,
@@ -760,6 +761,20 @@ def test_check_metametric_needs_a_pair_circuit(arity, outputs):
     d = b.build([b.const(0)] * outputs)
     with pytest.raises(DimensionError, match=r"^distance circuit must map 2\*dim -> 1$"):
         check_metametric(d, [vec(0), vec(1)])
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [vec(0, 0, 0), vec(1, 1, 1)],  # longer than d's halves: no false nonnegativity witness
+        [vec(0), vec(1)],
+        [vec(0, 1), vec(1)],
+        [vec(0, 1), vec(1, 0), vec(1)],
+    ],
+)
+def test_check_metametric_rejects_points_of_the_wrong_dimension(points):
+    with pytest.raises(DimensionError, match=r"^every point needs 2 coordinates for this distance circuit$"):
+        check_metametric(norm_distance_circuit(2, 1), points)
 
 
 def test_load_problem_probes_for_domain_escapes():
