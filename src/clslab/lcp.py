@@ -153,7 +153,7 @@ def _parse_var(name: str, d: int) -> int:
     if name == "z":
         return 2 * d
     kind, idx = name[0], name[1:]
-    if kind in ("y", "s") and idx.isdigit() and 1 <= int(idx) <= d:
+    if kind in ("y", "s") and idx.isascii() and idx.isdigit() and 1 <= int(idx) <= d:
         return (0 if kind == "y" else d) + int(idx) - 1
     raise PreconditionError(f"unknown variable {name!r} for dimension {d}")
 

@@ -5,11 +5,17 @@ potential that strictly increases along the line (solutions R1/R2), the other
 an odometer that counts steps exactly (solutions T1/T2/T3).  Oracles are
 plain callables, so instances can be backed by explicit truth tables or by
 procedures closing over another instance.
+
+Each instance also answers ``node(x)``: S(x), P(x) and V(x) at once, as
+ints, for the config whose value is x, with the oracle contract checked once.
+Tables and the line reductions compute it straight from their integer rows and
+case lists; other instances get it from their oracles.  ``dump_line_table``
+reads one node per row and builds no ``BitConfig``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import index
 from typing import Callable, Iterator, Optional, Union
 
@@ -122,7 +128,8 @@ class EoplInstance:
     """Successor/predecessor/potential oracles; the potential must climb along the line.
 
     Contract on the oracles: total and deterministic on all n-bit inputs,
-    with values of ``v`` integers in [0, 2^m - 1].
+    with values of ``v`` integers in [0, 2^m - 1].  ``raw_node``, when given,
+    answers ``node`` unchecked; without it ``node`` asks the oracles.
     """
 
     n: int
@@ -130,6 +137,7 @@ class EoplInstance:
     s: Callable[[BitConfig], BitConfig]
     p: Callable[[BitConfig], BitConfig]
     v: Callable[[BitConfig], int]
+    raw_node: Optional[Callable[[int], tuple[int, int, int]]] = field(default=None, repr=False)
 
     def _checked(self, x: BitConfig) -> BitConfig:
         if x.width != self.n:
@@ -149,10 +157,34 @@ class EoplInstance:
         return out
 
     def V(self, x: BitConfig) -> int:
-        out = self.v(self._checked(x))
+        return self._value(self.v(self._checked(x)))
+
+    def _value(self, out: int) -> int:
         if not (0 <= out < (1 << self.m)):
             raise InvariantViolationError(f"potential {out} outside [0, 2^{self.m})")
         return out
+
+    def node(self, x: int) -> tuple[int, int, int]:
+        """S(x), P(x) and V(x) as ints for the config of value x in [0, 2^n).
+
+        The contract is checked once: S and P in [0, 2^n), V in the kind's range.
+        """
+        n = self.n
+        if self.raw_node is None:
+            c = BitConfig(x, n)
+            s, p, v = _int_of(self.s(c), n), _int_of(self.p(c), n), self.v(c)
+        else:
+            s, p, v = self.raw_node(x)
+        if not 0 <= s < 1 << n:
+            raise InvariantViolationError("successor oracle changed the width")
+        if not 0 <= p < 1 << n:
+            raise InvariantViolationError("predecessor oracle changed the width")
+        return s, p, self._value(v)
+
+
+def _int_of(out: BitConfig, n: int) -> int:
+    """An oracle's answer as an int, or -1 when it is not n bits wide."""
+    return out.value if out.width == n else -1
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,13 +195,16 @@ class EomlInstance:
     s: Callable[[BitConfig], BitConfig]
     p: Callable[[BitConfig], BitConfig]
     v: Callable[[BitConfig], int]
+    raw_node: Optional[Callable[[int], tuple[int, int, int]]] = field(default=None, repr=False)
 
-    # the same checked successor and predecessor as the potential line's, each
-    # under its own name on this class
-    _checked, S, P = EoplInstance._checked, EoplInstance.S, EoplInstance.P
+    # the same checked successor, predecessor and node as the potential line's,
+    # each under its own name on this class; V and node check the odometer
+    _checked, S, P, node = EoplInstance._checked, EoplInstance.S, EoplInstance.P, EoplInstance.node
 
     def V(self, x: BitConfig) -> int:
-        out = self.v(self._checked(x))
+        return self._value(self.v(self._checked(x)))
+
+    def _value(self, out: int) -> int:
         if not (0 <= out <= (1 << self.n)):
             raise InvariantViolationError(f"odometer {out} outside [0, 2^{self.n}]")
         return out
@@ -351,15 +386,37 @@ def enumerate_solutions(inst: LineInstance) -> list[LineSolution]:
 # truth-table construction and file format
 
 
+class _Rows:
+    """A table's value-indexed S, P and V rows, read as its instance's oracles.
+
+    One object with bound methods: a closure per oracle would cost its
+    instance more allocated blocks, and a memo of instances keeps them all.
+    """
+
+    __slots__ = ("n", "succ", "pred", "val")
+
+    def __init__(self, n: int, succ: list[int], pred: list[int], val: list[int]):
+        self.n, self.succ, self.pred, self.val = n, succ, pred, val
+
+    def s(self, x: BitConfig) -> BitConfig:
+        return BitConfig(self.succ[x.value], self.n)
+
+    def p(self, x: BitConfig) -> BitConfig:
+        return BitConfig(self.pred[x.value], self.n)
+
+    def v(self, x: BitConfig) -> int:
+        return self.val[x.value]
+
+    def node(self, x: int) -> tuple[int, int, int]:
+        return self.succ[x], self.pred[x], self.val[x]
+
+
 def _lists_instance(
     kind: str, n: int, m: Optional[int], succ: list[int], pred: list[int], val: list[int]
 ) -> LineInstance:
     """An instance over value-indexed rows, already checked against the contract."""
-    oracles = dict(
-        s=lambda x: BitConfig(succ[x.value], n),
-        p=lambda x: BitConfig(pred[x.value], n),
-        v=lambda x: val[x.value],
-    )
+    rows = _Rows(n, succ, pred, val)
+    oracles = dict(s=rows.s, p=rows.p, v=rows.v, raw_node=rows.node)
     if kind == "EOPL":
         return EoplInstance(n=n, m=m, **oracles)
     return EomlInstance(n=n, **oracles)
@@ -433,14 +490,19 @@ def load_line_table(text: str) -> LineInstance:
 
 def dump_line_table(inst: LineInstance) -> str:
     """Serialize any instance with n <= 16 as an explicit truth table."""
-    if inst.n > 16:
+    n = inst.n
+    if n > 16:
         raise PreconditionError("truth-table form is limited to 16-bit configs")
     if isinstance(inst, EoplInstance):
-        lines = [f"EOPL {inst.n} {inst.m}"]
+        lines = [f"EOPL {n} {inst.m}"]
     else:
-        lines = [f"EOML {inst.n}"]
-    for x in all_configs(inst.n):
-        lines.append(f"{x} {inst.S(x)} {inst.P(x)} {inst.V(x)}")
+        lines = [f"EOML {n}"]
+    # each config's text at the table width, as BitConfig prints it, by value
+    names = [bin(x | 1 << n)[3:] for x in range(1 << n)]
+    node = inst.node
+    for x, name in enumerate(names):
+        s, p, v = node(x)
+        lines.append(f"{name} {names[s]} {names[p]} {v}")
     return "\n".join(lines) + "\n"
 
 

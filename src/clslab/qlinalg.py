@@ -35,10 +35,18 @@ def rational(value) -> Fraction:
 
 
 def integer(text: str) -> int:
-    """Parse a base-10 integer token; anything else is a ParseError."""
+    """Parse a base-10 integer token; anything else is a ParseError.
+
+    The token is ASCII digits after an optional sign: ``int`` alone would
+    also take underscores, surrounding whitespace and non-ASCII digits.
+    """
+    if not (text.isdigit() and text.isascii()):  # unsigned digits, the common case
+        unsigned = text[1:] if text[:1] in ("+", "-") else ""
+        if not (unsigned.isdigit() and unsigned.isascii()):
+            raise ParseError(f"not an integer: {text!r}")
     try:
         return int(text)
-    except ValueError as exc:
+    except ValueError as exc:  # longer than int's digit limit
         raise ParseError(f"not an integer: {text!r}") from exc
 
 

@@ -11,7 +11,9 @@ lists are evaluated strictly top to bottom, first match wins.
 
 Both reductions run their case lists on integer configs and read the source
 once per config: a one-config slot keeps the source's answers about the
-current source config, which every row that carries it shares.
+current source config, which every row that carries it shares.  Each target
+also answers ``node(x)`` from the same case lists, so a table dump runs each
+list once per row and takes the metered odometer from the S' and P' just found.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def eoml_to_eopl(inst: EomlInstance) -> EoplInstance:
     k = n + 1  # odometer values stay below 2^n + 1, so n + 1 potential bits suffice
     return EoplInstance(
         n=k, m=k, s=lambda x: BitConfig(s_int(x.value), k), p=lambda x: BitConfig(p_int(x.value), k),
-        v=v_prime,
+        v=v_prime, raw_node=lambda x: (s_int(x), p_int(x), read(x & low, "V") if x & lead else 0),
     )
 
 
@@ -233,16 +235,15 @@ def eopl_to_eoml(inst: EoplInstance) -> Union[EomlInstance, ImmediateSolution]:
             return x + 1
         return x
 
-    def v_prime(x: BitConfig) -> int:
-        x = x.value
-        if x == 0:
-            return 1
-        return 0 if s_int(x) == x and p_int(x) == x else x & mask
+    def node(x: int) -> tuple[int, int, int]:
+        s, p = s_int(x), p_int(x)
+        # the odometer: 1 at the start, 0 on a config off every line, else pi
+        return s, p, 1 if x == 0 else 0 if s == x and p == x else x & mask
 
     k = n + m
     return EomlInstance(
         n=k, s=lambda x: BitConfig(s_int(x.value), k), p=lambda x: BitConfig(p_int(x.value), k),
-        v=v_prime,
+        v=lambda x: node(x.value)[2], raw_node=node,
     )
 
 

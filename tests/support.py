@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import copy
+import functools
+import importlib.util
 import math
 import pickle
 import random
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction as F
+from pathlib import Path
 from typing import Optional, Union
 from unittest import mock
 
@@ -965,6 +969,35 @@ def load_line_table_ref(text: str) -> LineInstance:
             raise ParseError(f"line {num}: value {vx} outside [0, {top})")
         s[x], p[x], v[x] = sx, px, vx
     return table_instance_ref(kind, n, s, p, v, m)
+
+
+def dump_line_table_ref(inst: LineInstance) -> str:
+    """``dump_line_table`` as it was before ``node``: per row a ``BitConfig``
+    and one call each to the checked S, P and V."""
+    if inst.n > 16:
+        raise PreconditionError("truth-table form is limited to 16-bit configs")
+    if isinstance(inst, EoplInstance):
+        lines = [f"EOPL {inst.n} {inst.m}"]
+    else:
+        lines = [f"EOML {inst.n}"]
+    for x in all_configs(inst.n):
+        lines.append(f"{x} {inst.S(x)} {inst.P(x)} {inst.V(x)}")
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def bench_gen():
+    """The benchmark's instance generators, ``perfbench/gen.py``.
+
+    The module imports nothing from clslab, so it is loaded from its file
+    under a name of its own, whatever the import path.
+    """
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 # ----------------------------------------------------------------------------

@@ -711,7 +711,7 @@ MUTATION_CASES = [
     (["verify", "contraction", "A", "B"], {"A": CONTRACTION_TEXT, "B": "CM1 1/2\n"}),
     (["verify", "mmc", "A", "B"], {"A": MMC_TEXT, "B": "MMVIOL 4 0 1/2 1\n"}),
 ]
-NON_INTEGERS = ["x", "1.5", "1/2", "--1", "1e3", "0x10", "#"]
+NON_INTEGERS = ["x", "1.5", "1/2", "--1", "1e3", "0x10", "#", "0_1", "٢"]
 OUT_OF_RANGE = ["-1", "0", "2", "7", "99", "-99", "100000"]
 TOKEN = re.compile(r"[^\s=,{}]+")
 
@@ -735,6 +735,23 @@ def test_one_bad_token_never_raises(tmp_path_factory, case, which, pick, token):
         paths[key] = str(base / key)
         (base / key).write_text(text)
     assert main([paths.get(arg, arg) for arg in argv]) in (0, 1, 2, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["follow"], EOPL_TABLE.replace("01 10 00 1", "01 10 00 0_1")),  # int() reads 1
+        (["follow"], EOPL_TABLE.replace("EOPL 2 2", "EOPL ٢ 2")),  # an Arabic-Indic two
+        (["solve-lcp"], "٢\n2 0\n0 3\n-4 -6\n"),
+        (["verify", "lcp", "DIAG"], "Q2 S={1_0} minor=0\n"),
+    ],
+    ids=["underscored value", "non-ASCII table width", "non-ASCII LCP dimension", "underscored Q2 index"],
+)
+def test_an_integer_token_that_is_not_ascii_digits_exits_4(tmp_path, capsys, argv, text):
+    diag = write(tmp_path, "diag.lcp", DIAG_LCP)
+    argv = [diag if arg == "DIAG" else arg for arg in argv]
+    assert main(argv + [write(tmp_path, "a.txt", text)]) == 4
+    assert "not an integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, files", MUTATION_CASES)

@@ -162,6 +162,17 @@ def test_lemke_pivot_examples():
     assert isinstance(ray, Ray)
 
 
+def test_variable_names_take_ascii_digits_only():
+    inst = make_lcp([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [-1, -2, -3])
+    start = lemke_start(inst)
+    assert lemke_pivot(inst, start, "y3") == lemke_pivot(inst, start, "y03")
+    # a superscript digit is a digit to str.isdigit but not to int, and an
+    # Arabic-Indic three is a 3 to both
+    for name in ("y¹", "y٣", "s٣", "y_3", "y+3"):
+        with pytest.raises(PreconditionError):
+            lemke_pivot(inst, start, name)
+
+
 def test_duplicate_label_examples():
     v = lemke_start(make_lcp([[1, 0], [0, 1]], [-1, -2]))
     assert duplicate_label(v) == 2

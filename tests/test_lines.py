@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -20,7 +21,7 @@ from clslab import (
     follow_line,
     validate_instance,
 )
-from clslab.errors import DimensionError, ParseError
+from clslab.errors import DimensionError, InvariantViolationError, ParseError
 from clslab.lines import (
     EOML_TAGS,
     EOPL_TAGS,
@@ -42,8 +43,10 @@ from support import (
     EOML_TABLE,
     EOPL_TABLE,
     BitConfigRef,
+    bench_gen,
     bits,
     counted,
+    dump_line_table_ref,
     follow_line_ref,
     gen_eoml_path,
     gen_eoml_random,
@@ -450,3 +453,65 @@ def test_follow_reads_the_step_memo_instead_of_asking_again():
     assert (sol, trace) == follow_line_ref(inst, 1 << 6)
     assert len(trace) == 16
     assert calls["S"] <= 31 and calls["P"] <= 16 and calls["V"] <= 30, calls
+
+
+# ----------------------------------------------------------------------------
+# dumps: one checked node per row
+
+
+def test_dump_matches_the_bitconfig_reference():
+    rng = random.Random(53)
+    gen = bench_gen()
+    insts = list(hand_built_line_tables())
+    for n in (2, 3, 5, 8):
+        insts.append(load_line_table(gen.eopl_table(rng, n, rng.randint(3, 7)).text))
+        insts.append(load_line_table(gen.eoml_table(rng, n, corrupt=n >= 5).text))
+        insts.append(gen_eopl_tangle(rng, n, rng.randint(2, 4)))
+        insts.append(gen_eoml_random(rng, n))
+    insts += [counted(inst)[0] for inst in insts]  # public constructor: no raw node
+    insts.append(EoplInstance(0, 1, s=lambda x: x, p=lambda x: x, v=lambda x: 1))  # width 0
+    for inst in insts:
+        assert dump_line_table(inst) == dump_line_table_ref(inst)
+    for text in (EOPL_TABLE, EOML_TABLE):
+        assert dump_line_table(load_line_table(text)) == text
+
+
+def _at_10(oracle, bad):
+    """The oracle, with bad(x) in place of its answer at config 10."""
+    return lambda x: bad(x) if x == bits("10") else oracle(x)
+
+
+# Public-constructor instances that break the contract at config 10 only:
+# a one-bit successor, a three-bit predecessor, V one above its range.
+MISBEHAVING = {
+    "successor width": lambda i: EoplInstance(2, 2, _at_10(i.s, lambda x: BitConfig(1, 1)), i.p, i.v),
+    "predecessor width": lambda i: EoplInstance(2, 2, i.s, _at_10(i.p, lambda x: BitConfig(2, 3)), i.v),
+    "potential range": lambda i: EoplInstance(2, 2, i.s, i.p, _at_10(i.v, lambda x: 4)),
+    "odometer range": lambda i: EomlInstance(2, i.s, i.p, _at_10(i.v, lambda x: 5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISBEHAVING))
+def test_dumping_a_misbehaving_instance_raises_the_reference_error(case):
+    inst = MISBEHAVING[case](load_line_table(EOPL_TABLE))
+    with pytest.raises(InvariantViolationError) as ref:
+        dump_line_table_ref(inst)
+    with pytest.raises(InvariantViolationError) as new:
+        dump_line_table(inst)
+    assert str(new.value) == str(ref.value)
+    with pytest.raises(InvariantViolationError) as node:
+        inst.node(2)
+    assert str(node.value) == str(ref.value)
+
+
+def test_node_checks_a_raw_node_once_per_call():
+    good = load_line_table(EOML_TABLE)
+    assert [good.node(x) for x in range(4)] == [(1, 0, 1), (2, 0, 2), (2, 1, 3), (3, 3, 0)]
+    for raw, message in [
+        ((4, 0, 1), "successor oracle changed the width"),
+        ((0, -1, 1), "predecessor oracle changed the width"),
+        ((0, 0, 5), "odometer 5 outside [0, 2^2]"),
+    ]:
+        inst = EomlInstance(2, good.s, good.p, good.v, raw_node=lambda x, raw=raw: raw)
+        with pytest.raises(InvariantViolationError, match=re.escape(message)):
+            inst.node(0)

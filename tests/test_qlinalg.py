@@ -15,6 +15,7 @@ from clslab import (
     rational,
     solve_linear,
 )
+from clslab.qlinalg import integer
 from support import copies, det_cofactor
 
 small_fraction = st.fractions(
@@ -36,6 +37,14 @@ def test_rational_parse_and_format():
         rational("one half")
     with pytest.raises(ParseError):
         rational("1/0")
+
+
+def test_integer_takes_a_signed_run_of_ascii_digits():
+    assert [integer(tok) for tok in ("12", "-3", "+4", "007", "0")] == [12, -3, 4, 7, 0]
+    # int() takes each of these: underscores, whitespace, non-ASCII digits
+    for tok in ("0_1", "1_000", " 1", "1 ", "\t2\n", "٢", "１", "", "+", "-", "--1", "1.0", "0x10"):
+        with pytest.raises(ParseError):
+            integer(tok)
 
 
 def test_det_examples():

@@ -7,6 +7,7 @@ import pytest
 from clslab import (
     BudgetExceededError,
     EomlInstance,
+    EoplInstance,
     PreconditionError,
     R1,
     R2,
@@ -17,17 +18,30 @@ from clslab import (
     follow_line,
     validate_instance,
 )
-from clslab.lines import BitConfig, all_configs, dump_line_table, table_instance, verify_solution
+from clslab.lines import (
+    BitConfig,
+    all_configs,
+    dump_line_table,
+    load_line_table,
+    table_instance,
+    verify_solution,
+)
 from clslab.reductions import (
     ImmediateSolution,
     eoml_sol_to_eopl,
     eoml_to_eopl,
     eopl_sol_to_eoml,
     eopl_to_eoml,
+    plcp_to_eopl,
 )
+from clslab.reductions.lines import _Slot
 from support import (
+    EOML_TABLE,
+    EOPL_TABLE,
+    bench_gen,
     bits,
     counted,
+    dump_line_table_ref,
     eoml_to_eopl_ref,
     eopl_to_eoml_ref,
     gen_eoml_path,
@@ -35,6 +49,7 @@ from support import (
     gen_eopl_line,
     gen_eopl_monotone,
     gen_eopl_tangle,
+    gen_reduction_safe_lcp,
 )
 
 
@@ -410,3 +425,58 @@ def test_a_thread_moving_the_slot_does_not_mix_two_configs_reads():
     resume.set()
     asker.join()
     assert (got["a"], got["b"], target.V(x2), target.V(x1)) == (2, 3, 3, 2)
+
+
+def _chain(inst):
+    """inst, then the targets of alternating reductions while they fit a table."""
+    out = []
+    while not isinstance(inst, ImmediateSolution) and inst.n <= 16:
+        out.append(inst)
+        inst = eopl_to_eoml(inst) if isinstance(inst, EoplInstance) else eoml_to_eopl(inst)
+    return out
+
+
+def test_reduced_dumps_match_the_bitconfig_reference():
+    rng = random.Random(59)
+    gen = bench_gen()
+    sources = [load_line_table(EOPL_TABLE), load_line_table(EOML_TABLE)]
+    sources.append(load_line_table(gen.eopl_table(rng, 6, 6).text))
+    sources.append(load_line_table(gen.eoml_table(rng, 8, corrupt=True).text))
+    sources += [gen_eopl_tangle(rng, 3, 3, 4), gen_eoml_path(rng, 4)]
+    targets = [target for src in sources for target in _chain(src)[1:]]
+    # nested descriptors: 2 -> 3 -> 6 -> 7 -> 14 -> 15 bits from the EOML table
+    assert max(target.n for target in targets) == 15
+    for d in (1, 2, 3, 4):
+        targets.append(plcp_to_eopl(gen_reduction_safe_lcp(rng, d)))  # 2d bits
+    for target in targets:
+        assert dump_line_table(target) == dump_line_table_ref(target), target.n
+    # the same oracles through the public constructors, with no raw node
+    for target in targets[:6]:
+        assert dump_line_table(counted(target)[0]) == dump_line_table(target)
+
+
+def test_a_subdivision_dump_reads_one_node_per_row(monkeypatch):
+    # before node(x) this dump made 7.78 slot reads and 3.14
+    # BitConfigs per row: V' ran both case lists again after S' and P'
+    src = load_line_table(bench_gen().eopl_table(random.Random(3), 6, 6).text)
+    counts = Counter()
+    read, new = _Slot.read, BitConfig.__new__
+
+    def counting_read(self, u, what):
+        counts["read"] += 1
+        return read(self, u, what)
+
+    def counting_new(cls, value, width):
+        counts["BitConfig"] += 1
+        return new(cls, value, width)
+
+    monkeypatch.setattr(_Slot, "read", counting_read)
+    target = eopl_to_eoml(src)
+    monkeypatch.setattr(BitConfig, "__new__", staticmethod(counting_new))
+    counts.clear()
+    text = dump_line_table(target)
+    monkeypatch.undo()
+    rows = 1 << target.n
+    assert rows == 4096 and text == dump_line_table_ref(eopl_to_eoml_ref(src))
+    assert counts["read"] <= 4 * rows, counts["read"] / rows
+    assert counts["BitConfig"] <= 0.2 * rows, counts["BitConfig"] / rows
