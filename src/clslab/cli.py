@@ -57,9 +57,8 @@ _LINE_TYPES = (lines.EoplInstance, lines.EomlInstance)
 _DESCRIPTOR_HEAD = re.compile(r"\s*(PROCEDURAL(?!\S).*)(\n?)")
 
 # The widest layer a descriptor may build, in bits (n, plus m for EOPL).  Each
-# eoml-eopl / eopl-eoml pair about doubles the width, and following a line
-# allocates integers of that many bits.
-MAX_DESCRIPTOR_WIDTH = 1 << 16
+# eoml-eopl / eopl-eoml pair about doubles the width.
+MAX_DESCRIPTOR_WIDTH = lines.MAX_WIDTH
 
 
 def _read(path: str) -> str:

@@ -11,6 +11,13 @@ ints, for the config whose value is x, with the oracle contract checked once.
 Tables and the line reductions compute it straight from their integer rows and
 case lists; other instances get it from their oracles.  ``dump_line_table``
 reads one node per row and builds no ``BitConfig``.
+
+``follow_line``, the classifiers, ``enumerate_solutions`` and the line
+reductions read an instance through a ``LineReader``: S, P and V by config
+value, each asked at most once, with one ``node`` call per config where the
+instance has integer rows or case lists.  A ``BitConfig`` is built only where
+a config crosses the boundary: a caller's config (whose width is checked), a
+returned solution, and the steps of a trace.
 """
 
 from __future__ import annotations
@@ -160,7 +167,8 @@ class EoplInstance:
         return self._value(self.v(self._checked(x)))
 
     def _value(self, out: int) -> int:
-        if not (0 <= out < (1 << self.m)):
+        # by bit length: 1 << m is as wide as the potentials may be
+        if out < 0 or out.bit_length() > self.m:
             raise InvariantViolationError(f"potential {out} outside [0, 2^{self.m})")
         return out
 
@@ -244,45 +252,120 @@ LineSolution = Union[EoplSolution, EomlSolution]
 _SOL_TAGS = {"R1": R1, "R2": R2, "T1": T1, "T2": T2, "T3": T3}
 
 
-class _Memo:
-    """An instance's oracles, answering a repeated question from memory.
+class LineReader:
+    """S, P and V of a line instance's configs, by value, each asked at most once.
 
-    A classifier tries the tags of a kind in turn on one of these per config,
-    so each oracle is asked each question at most once: S(x) once, however
-    many predicates read it.
+    An instance with a raw node answers all three for a config in one checked
+    ``node(x)`` call.  Any other instance is asked oracle by oracle, through
+    its checked ``S``, ``P`` and ``V``.  Each oracle gets the ``BitConfig``
+    that an earlier answer returned for that value, or the caller's, so
+    memoised oracles keep seeing the key objects they handed out.
+
+    The answers are one ``(anchor, seen)`` pair.  ``at`` replaces the pair
+    whole when the anchor moves, so the store stays small.  Every answer is
+    keyed by the config it is about, so threads that share a reader may lose
+    each other's answers but never mix them up.
     """
 
+    __slots__ = ("inst", "n", "fetch", "state")
+
     def __init__(self, inst: LineInstance):
-        self.inst, self.seen = inst, {}
+        self.inst, self.n, self.state = inst, inst.n, (-1, {})
+        self.fetch = None if inst.raw_node is None else inst.node
 
-    def _ask(self, oracle: str, y: BitConfig):
-        key = (oracle, y)
-        if key not in self.seen:
-            self.seen[key] = getattr(self.inst, oracle)(y)
-        return self.seen[key]
+    def at(self, u: int, config: Optional[BitConfig] = None) -> None:
+        """Anchor the answers at u; ``config`` is u's BitConfig for the oracles.
 
-    def S(self, y: BitConfig) -> BitConfig:
-        return self._ask("S", y)
+        The answers about u and about its successor and predecessor, as far
+        as they were asked, carry over; the rest go.
+        """
+        last, seen = self.state
+        if last != u:
+            kept = {}
+            got = seen.get(u)
+            if got is not None:
+                kept[u] = got
+                for y in got[:2]:
+                    if y in seen:
+                        kept[y] = seen[y]
+            seen = kept
+            self.state = (u, seen)
+        if config is not None and self.fetch is None and u not in seen:
+            seen[u] = [None, None, None, config]
 
-    def P(self, y: BitConfig) -> BitConfig:
-        return self._ask("P", y)
+    # S, P and V read a stored answer inline and ask only when it is missing
+    def S(self, x: int) -> int:
+        got = self.state[1].get(x)
+        return self._ask(x, 0) if got is None or got[0] is None else got[0]
 
-    def V(self, y: BitConfig) -> int:
-        return self._ask("V", y)
+    def P(self, x: int) -> int:
+        got = self.state[1].get(x)
+        return self._ask(x, 1) if got is None or got[1] is None else got[1]
+
+    def V(self, x: int) -> int:
+        got = self.state[1].get(x)
+        return self._ask(x, 2) if got is None or got[2] is None else got[2]
+
+    def node(self, x: int) -> tuple[int, int, int]:
+        """S(x), P(x) and V(x) at once: one stored node, or all three oracles."""
+        got = self.state[1].get(x)
+        if got.__class__ is tuple:
+            return got
+        if self.fetch is None:
+            return self.S(x), self.P(x), self.V(x)
+        return self._entry(x)[0]
+
+    def _entry(self, x: int) -> tuple[Union[tuple, list], dict]:
+        """x's answers, and the store that holds them.  A missing entry is
+        x's checked node, or [S, P, V, config] for the oracles to fill."""
+        seen = self.state[1]
+        got = seen.get(x)
+        if got is None:
+            got = seen[x] = (
+                [None, None, None, BitConfig(x, self.n)] if self.fetch is None else self.fetch(x)
+            )
+        return got, seen
+
+    def _ask(self, x: int, i: int) -> int:
+        got, seen = self._entry(x)
+        out = got[i]
+        if out is None:
+            if i == 2:
+                out = self.inst.V(got[3])
+            else:
+                there = (self.inst.P if i else self.inst.S)(got[3])
+                out = there.value
+                if out not in seen:  # the answer is its value's config from now on
+                    seen[out] = [None, None, None, there]
+            got[i] = out
+        return out
+
+    def config(self, x: int) -> BitConfig:
+        """x as the BitConfig the oracles were handed, or a new one."""
+        got = self.state[1].get(x)
+        return got[3] if got.__class__ is list else BitConfig(x, self.n)
 
 
-def _broken_end(o: _Memo, x: BitConfig) -> bool:
-    return (o.S(o.P(x)) != x and not x.is_zero()) or o.P(o.S(x)) != x
+def _reader_at(inst: LineInstance, x: BitConfig) -> LineReader:
+    """A reader anchored at the caller's config, once its width is checked."""
+    reader = LineReader(inst)
+    reader.at(inst._checked(x).value, x)
+    return reader
 
 
-# The solution predicates, one per tag.  R1 and T1 are both a broken line end;
-# R2 is a potential that fails to climb along a valid edge, T2 a second start
-# (odometer 1 at a config other than 0^n), T3 an odometer that skips a count.
-PREDICATES: dict[str, Callable[[_Memo, BitConfig], bool]] = {
+def _broken_end(o: LineReader, x: int) -> bool:
+    return (o.S(o.P(x)) != x and x != 0) or o.P(o.S(x)) != x
+
+
+# The solution predicates, one per tag, on config values.  R1 and T1 are both
+# a broken line end; R2 is a potential that fails to climb along a valid edge,
+# T2 a second start (odometer 1 at a config other than 0^n), T3 an odometer
+# that skips a count.
+PREDICATES: dict[str, Callable[[LineReader, int], bool]] = {
     "R1": _broken_end,
     "R2": lambda o, x: x != o.S(x) and o.P(o.S(x)) == x and o.V(o.S(x)) - o.V(x) <= 0,
     "T1": _broken_end,
-    "T2": lambda o, x: not x.is_zero() and o.V(x) == 1,
+    "T2": lambda o, x: x != 0 and o.V(x) == 1,
     "T3": lambda o, x: (o.V(x) > 0 and o.V(o.S(x)) - o.V(x) != 1)
     or (o.V(x) > 1 and o.V(x) - o.V(o.P(x)) != 1),
 }
@@ -290,26 +373,36 @@ EOPL_TAGS = ("R1", "R2")
 EOML_TAGS = ("T1", "T2", "T3")
 
 
+def _tags(inst: LineInstance) -> tuple[str, ...]:
+    return EOPL_TAGS if isinstance(inst, EoplInstance) else EOML_TAGS
+
+
 def tag_holds(inst: LineInstance, tag: str, x: BitConfig) -> bool:
     """Whether x satisfies the solution predicate of ``tag`` on its own."""
-    return PREDICATES[tag](_Memo(inst), x)
+    return PREDICATES[tag](_reader_at(inst, x), x.value)
 
 
-def _classify(memo: _Memo, x: BitConfig, tags: tuple[str, ...]) -> Optional[LineSolution]:
+def _classify(reader: LineReader, x: int, tags: tuple[str, ...]) -> Optional[str]:
+    """The first tag whose predicate holds at x, or None."""
     for tag in tags:
-        if PREDICATES[tag](memo, x):
-            return _SOL_TAGS[tag](x)
+        if PREDICATES[tag](reader, x):
+            return tag
     return None
+
+
+def _verify(inst: LineInstance, x: BitConfig, tags: tuple[str, ...]) -> Optional[LineSolution]:
+    tag = _classify(_reader_at(inst, x), x.value, tags)
+    return None if tag is None else _SOL_TAGS[tag](x)
 
 
 def eopl_verify(inst: EoplInstance, x: BitConfig) -> Optional[EoplSolution]:
     """Classify x as R1 (broken line end) or R2 (potential non-increase), R1 first."""
-    return _classify(_Memo(inst), x, EOPL_TAGS)
+    return _verify(inst, x, EOPL_TAGS)
 
 
 def eoml_verify(inst: EomlInstance, x: BitConfig) -> Optional[EomlSolution]:
     """Classify x as T1, T2, or T3, in that priority order."""
-    return _classify(_Memo(inst), x, EOML_TAGS)
+    return _verify(inst, x, EOML_TAGS)
 
 
 def verify_solution(inst: LineInstance, x: BitConfig) -> Optional[LineSolution]:
@@ -350,35 +443,39 @@ def follow_line(
     """Walk successors from the all-zeros config until a solution verifies."""
     if max_steps < 1:
         raise PreconditionError("max_steps must be at least 1")
-    tags = EOPL_TAGS if isinstance(inst, EoplInstance) else EOML_TAGS
-    x = BitConfig.zeros(inst.n)
-    memo = _Memo(inst)
-    trace: list[TraceStep] = [(x, memo.V(x))]
+    tags = _tags(inst)
+    reader = LineReader(inst)
+    x, start = 0, BitConfig.zeros(inst.n)
+    reader.at(x, start)
+    trace: list[TraceStep] = [(start, reader.V(x))]
     steps = 0
     while True:
-        sol = _classify(memo, x, tags)
-        if sol is not None:
-            return sol, tuple(trace)
+        tag = _classify(reader, x, tags)
+        if tag is not None:
+            return _SOL_TAGS[tag](trace[-1][0]), tuple(trace)
         if steps == max_steps:
             raise BudgetExceededError(
                 f"no solution within {max_steps} steps", trace=tuple(trace)
             )
-        x = memo.S(x)
+        x = reader.S(x)
         steps += 1
-        trace.append((x, memo.V(x)))
         # the classifier's answers about the new x carry over; the rest go
-        memo.seen = {key: out for key, out in memo.seen.items() if key[1] == x}
+        reader.at(x)
+        trace.append((reader.config(x), reader.V(x)))
 
 
 def enumerate_solutions(inst: LineInstance) -> list[LineSolution]:
     """Classify every config by the verifier; refuses instances over 20 bits wide."""
     if inst.n > 20:
         raise PreconditionError(f"instance width {inst.n} exceeds limit 20")
+    tags = _tags(inst)
+    reader = LineReader(inst)
     out = []
-    for x in all_configs(inst.n):
-        sol = verify_solution(inst, x)
-        if sol is not None:
-            out.append(sol)
+    for x in range(1 << inst.n):
+        reader.at(x)
+        tag = _classify(reader, x, tags)
+        if tag is not None:
+            out.append(_SOL_TAGS[tag](reader.config(x)))
     return out
 
 
@@ -445,6 +542,11 @@ def table_instance(
     return _lists_instance(kind, n, m, succ, pred, [v[x] for x in configs])
 
 
+# The widest potential a table may declare, in bits, and the widest layer a
+# CLI descriptor may build: following a line allocates integers that wide.
+MAX_WIDTH = 1 << 16
+
+
 def load_line_table(text: str) -> LineInstance:
     """Parse a truth-table file: header ``EOPL n m`` or ``EOML n``, then rows."""
     lines = data_lines(text)
@@ -461,6 +563,8 @@ def load_line_table(text: str) -> LineInstance:
         raise ParseError(f"width {n} out of range")
     if m is not None and m < 0:
         raise ParseError(f"potential width {m} is negative")
+    if m is not None and m > MAX_WIDTH:
+        raise ParseError(f"potential width {m} is over the limit {MAX_WIDTH}")
     if len(lines) - 1 != 1 << n:
         raise ParseError(f"expected {1 << n} table rows, got {len(lines) - 1}")
     # the oracles' contract, checked once per row: n-bit S and P, V in [0, top);

@@ -10,10 +10,11 @@ tail, so the odometer moves by exactly one on every surviving edge.  Case
 lists are evaluated strictly top to bottom, first match wins.
 
 Both reductions run their case lists on integer configs and read the source
-once per config: a one-config slot keeps the source's answers about the
-current source config, which every row that carries it shares.  Each target
-also answers ``node(x)`` from the same case lists, so a table dump runs each
-list once per row and takes the metered odometer from the S' and P' just found.
+through one ``LineReader`` per target, anchored at the current source config
+u: the source is asked about u and its neighbours once, and every row that
+carries u shares the answers.  Each target also answers ``node(x)`` from the
+same case lists, so a table dump runs each list once per row and takes the
+metered odometer from the S' and P' just found.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from ..lines import (
     EomlSolution,
     EoplInstance,
     EoplSolution,
+    LineReader,
     eoml_verify,
     eopl_verify,
     validate_instance,
@@ -39,47 +41,6 @@ def _require_valid(inst) -> None:
     report = validate_instance(inst)
     if not report:
         raise PreconditionError("source instance is invalid: " + "; ".join(report.violations))
-
-
-class _Slot:
-    """The source's reads about one config u, each made at most once.
-
-    It keeps the reads about the current u only.  ``dump_line_table`` asks
-    about the rows in value order, so every row that carries one u shares
-    them: V(u), S(u), V(S(u)), P(S(u)), P(u), V(P(u)) and S(P(u)).
-
-    The slot is one ``(u, reads)`` pair, read once per call and replaced
-    whole, so threads sharing a reduced instance may lose each other's reads
-    but never take one u's answers for another's.
-    """
-
-    def __init__(self, inst):
-        self.inst, self.state = inst, (-1, {})
-
-    def read(self, u: int, what: str):
-        """V(u), or the value of S(u) or P(u) for "S" or "P".  "S+" and "P+"
-        read the edge from u to y = S(u) or P(u): y, V(y) and whether the
-        edge is valid, that is, whether y's P or S leads back to u != y."""
-        last, seen = self.state
-        if last != u:
-            seen = {}
-            self.state = (u, seen)
-        return self._read(u, what, seen)
-
-    def _read(self, u: int, what: str, seen: dict):
-        out = seen.get(what)
-        if out is None:
-            if what == "V":
-                out = self.inst.V(BitConfig(u, self.inst.n))
-            elif len(what) == 1:
-                out = getattr(self.inst, what)(BitConfig(u, self.inst.n)).value
-            else:
-                y = self._read(u, what[0], seen)
-                there = BitConfig(y, self.inst.n)
-                back = self.inst.P(there) if what == "S+" else self.inst.S(there)
-                out = (y, self.inst.V(there), back.value == u and y != u)
-            seen[what] = out
-        return out
 
 
 # ----------------------------------------------------------------------------
@@ -93,32 +54,24 @@ def eoml_to_eopl(inst: EomlInstance) -> EoplInstance:
     n = inst.n
     lead = 1 << n  # the extra bit; configs below it are the dummies
     low = lead - 1
-    read = _Slot(inst).read
+    src = LineReader(inst)
 
-    def s_int(x: int) -> int:
-        if x == 0:
-            return lead
+    def node(x: int) -> tuple[int, int, int]:
         if x < lead:
-            return x  # dummy self loop
+            return lead if x == 0 else x, x, 0  # the start and the dummy self loops
         u = x & low
-        return lead | read(u, "S") if read(u, "V") > 0 else x  # else a zero-odometer self loop
-
-    def p_int(x: int) -> int:
-        if x < lead:
-            return x  # the start and the dummies
-        u = x & low
-        if u == 0:
-            return 0  # makes the 0^k -> (1,0^n) edge consistent
-        return lead | read(u, "P") if read(u, "V") > 0 else x
-
-    def v_prime(x: BitConfig) -> int:
-        x = x.value
-        return read(x & low, "V") if x & lead else 0
+        src.at(u)
+        s, p, v = src.node(u)
+        if v == 0:
+            s = p = x  # a zero-odometer self loop
+        else:
+            s, p = lead | s, lead | p
+        return s, 0 if u == 0 else p, v  # P'(1,0^n) = 0^k makes the first edge consistent
 
     k = n + 1  # odometer values stay below 2^n + 1, so n + 1 potential bits suffice
     return EoplInstance(
-        n=k, m=k, s=lambda x: BitConfig(s_int(x.value), k), p=lambda x: BitConfig(p_int(x.value), k),
-        v=v_prime, raw_node=lambda x: (s_int(x), p_int(x), read(x & low, "V") if x & lead else 0),
+        n=k, m=k, s=lambda x: BitConfig(node(x.value)[0], k), p=lambda x: BitConfig(node(x.value)[1], k),
+        v=lambda x: node(x.value)[2], raw_node=node,
     )
 
 
@@ -166,7 +119,7 @@ def eopl_to_eoml(inst: EoplInstance) -> Union[EomlInstance, ImmediateSolution]:
         raise InvariantViolationError("potential after two steps must be at least 2")
     s0, ss0 = s0.value, ss0.value
     mask = (1 << m) - 1
-    read = _Slot(inst).read
+    src = LineReader(inst)
 
     def s_int(x: int) -> int:
         u, pi = x >> m, x & mask
@@ -180,10 +133,11 @@ def eopl_to_eoml(inst: EoplInstance) -> Union[EomlInstance, ImmediateSolution]:
             if pi == p_ss0 - 1:
                 return ss0 << m | p_ss0
             return x  # pi >= p_ss0
-        nxt, pn, valid = read(u, "S+")
-        pu = read(u, "V")
-        if not valid:
+        src.at(u)
+        nxt, _, pu = src.node(u)
+        if src.P(nxt) != u or nxt == u:
             return x  # invalid edge
+        pn = src.V(nxt)
         if pi == pu and (pn == pu or pn == pu + 1 or pn == pu - 1):
             return nxt << m | pn
         if (pi < pu <= pn) or (pu <= pn <= pi) or (pi > pu >= pn) or (pu >= pn >= pi):
@@ -214,19 +168,20 @@ def eopl_to_eoml(inst: EoplInstance) -> Union[EomlInstance, ImmediateSolution]:
             # pi >= p_ss0 falls through to the general cases below
         if u == ss0 and pi == p_ss0:
             return 0 if pi == 2 else pi - 1
-        pu = read(u, "V")
+        src.at(u)
+        nxt, prev, pu = src.node(u)
         if pi == pu:
-            prev, pp, valid = read(u, "P+")
-            if not valid:
+            if src.S(prev) != u or prev == u:
                 return x
+            pp = src.V(prev)
             if pu == pp:
                 return prev << m | pp
             if pp < pu:
                 return prev << m | (pu - 1)
             return prev << m | (pu + 1)
-        nxt, pn, valid = read(u, "S+")
-        if not valid:
+        if src.P(nxt) != u or nxt == u:
             return x
+        pn = src.V(nxt)
         if pn == pu or (pi < pu < pn) or (pu < pn <= pi) or (pi > pu > pn) or (pu > pn >= pi):
             return x
         if pu < pn and pu < pi <= pn - 1:

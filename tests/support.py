@@ -661,6 +661,35 @@ def counted(inst):
     return EomlInstance(n=inst.n, **oracles), calls
 
 
+def node_counted(inst):
+    """The same instance with its raw node counting its calls into a Counter:
+    a reader over it fetches one node per config it reads."""
+    calls = Counter()
+
+    def node(x):
+        calls["node"] += 1
+        return inst.raw_node(x)
+
+    return replace(inst, raw_node=node), calls
+
+
+@contextmanager
+def bitconfigs_built():
+    """Count the ``BitConfig``s constructed inside the block, as ``built["BitConfig"]``."""
+    built = Counter()
+    original, new = BitConfig.__dict__["__new__"], BitConfig.__new__
+
+    def counting_new(cls, value, width):
+        built["BitConfig"] += 1
+        return new(cls, value, width)
+
+    BitConfig.__new__ = staticmethod(counting_new)
+    try:
+        yield built
+    finally:
+        BitConfig.__new__ = original
+
+
 # ----------------------------------------------------------------------------
 # hand-built line tables
 

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -572,6 +573,26 @@ def test_a_descriptor_wider_than_the_limit_exits_4(tmp_path, capsys):
         assert main(argv) == 4, argv
         assert capsys.readouterr() == ("", message), argv
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["follow", "T"], ["reduce", "eopl-eoml", "T"], ["verify", "eopl", "T", "S"]])
+def test_a_potential_width_over_the_limit_exits_4_without_allocating_it(tmp_path, capsys, argv):
+    # 1 << m for m = 2^24 takes 2 MiB; the header is refused before any of it
+    m = 1 << 24
+    paths = {"T": write(tmp_path, "t", f"EOPL 1 {m}\n0 1 0 0\n1 1 0 1\n"), "S": write(tmp_path, "s", "R1 1\n")}
+    tracemalloc.start()
+    try:
+        code = main([paths.get(arg, arg) for arg in argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert capsys.readouterr() == ("", f"error: potential width {m} is over the limit 65536\n")
+    assert peak < 1 << 20, peak
+    # the limit itself loads
+    wide = write(tmp_path, "w", "EOPL 1 65536\n0 1 0 0\n1 1 0 1\n")
+    assert main(["follow", wide]) == 0
+    assert capsys.readouterr().out == "R1 1\n"
 
 
 def test_nested_descriptors_reduce_innermost_first(tmp_path, capsys):

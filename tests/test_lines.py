@@ -2,7 +2,9 @@ import copy
 import pickle
 import random
 import re
+import tracemalloc
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from clslab.errors import DimensionError, InvariantViolationError, ParseError
 from clslab.lines import (
     EOML_TAGS,
     EOPL_TAGS,
+    PREDICATES,
     BitConfig,
     EomlInstance,
     EoplInstance,
@@ -42,8 +45,10 @@ from support import (
     BAD_ROWS,
     EOML_TABLE,
     EOPL_TABLE,
+    TRIVIAL_EOPL,
     BitConfigRef,
     bench_gen,
+    bitconfigs_built,
     bits,
     counted,
     dump_line_table_ref,
@@ -453,6 +458,146 @@ def test_follow_reads_the_step_memo_instead_of_asking_again():
     assert (sol, trace) == follow_line_ref(inst, 1 << 6)
     assert len(trace) == 16
     assert calls["S"] <= 31 and calls["P"] <= 16 and calls["V"] <= 30, calls
+
+
+def test_a_potential_is_range_checked_without_building_its_bound():
+    m = 1 << 24  # 1 << m would take 2 MiB
+    inst = load_line_table(TRIVIAL_EOPL)
+    wide = EoplInstance(1, m, inst.s, inst.p, lambda x: (1 << 100) - 1 if x.value else 0)
+    tracemalloc.start()
+    try:
+        assert wide.V(bits("1")) == wide.node(1)[2] == (1 << 100) - 1
+        assert follow_line(wide, 4) == (R1(bits("1")), ((bits("0"), 0), (bits("1"), (1 << 100) - 1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    for bad in (-1, 1 << 3):
+        narrow = EoplInstance(1, 3, inst.s, inst.p, lambda x, bad=bad: bad)
+        with pytest.raises(InvariantViolationError, match=re.escape(f"potential {bad} outside [0, 2^3)")):
+            narrow.V(bits("1"))
+
+
+def _follow_case(rng: random.Random, shape: str):
+    """A random table, or a reduced line over one, of the named shape."""
+    n = rng.randint(1, 4)
+    if shape == "eoml random":
+        return gen_eoml_random(rng, n)
+    if shape == "eopl tangle":
+        return gen_eopl_tangle(rng, n, rng.randint(1, 4))
+    if shape == "eoml-eopl":
+        return eoml_to_eopl(gen_eoml_random(rng, n))
+    m = rng.randint(2, 4)
+    return eopl_to_eoml(gen_eopl_tangle(rng, max(n, 2), m, rng.randint(2, (1 << m) - 1)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 1 << 32),
+    shape=st.sampled_from(["eoml random", "eopl tangle", "eoml-eopl", "eopl-eoml"]),
+    oracle_built=st.booleans(),
+    data=st.data(),
+)
+def test_follow_matches_the_reference_walk_on_random_lines(seed, shape, oracle_built, data):
+    inst = _follow_case(random.Random(seed), shape)
+    if isinstance(inst, ImmediateSolution):
+        return
+    if oracle_built:
+        inst = counted(inst)[0]
+    max_steps = data.draw(st.integers(1, 1 << (inst.n + 1)), label="max_steps")
+    # the solution and trace, or the budget error's type, text and trace
+    assert _walk(follow_line, inst, max_steps) == _walk(follow_line_ref, inst, max_steps)
+
+
+def _wide_configs(n: int) -> list[BitConfig]:
+    return [BitConfig(value, width) for width in (n - 1, n + 1) for value in (0, 1)]
+
+
+def test_a_config_of_the_wrong_width_raises_the_same_dimension_error_everywhere():
+    insts = [load_line_table(EOPL_TABLE), load_line_table(EOML_TABLE)]
+    insts += [counted(inst)[0] for inst in insts]
+    for inst in insts:
+        verify = eopl_verify if isinstance(inst, EoplInstance) else eoml_verify
+        for x in _wide_configs(inst.n):
+            checks = [lambda: verify(inst, x), lambda: verify_solution(inst, x)]
+            checks += [lambda tag=tag: tag_holds(inst, tag, x) for tag in PREDICATES]
+            for check in checks:
+                with pytest.raises(DimensionError) as err:
+                    check()
+                # the text of the checked oracles; T2 at a wide zero now raises too
+                assert str(err.value) == f"config width {x.width}, instance width {inst.n}"
+
+
+def recording(inst):
+    """An oracle-built copy whose S and P answer with new objects; it notes
+    every object the oracles are handed and every one they return."""
+    handed, returned = [], []
+
+    def fresh(oracle):
+        def call(x):
+            handed.append(x)
+            out = BitConfig(oracle(x).value, inst.n)
+            returned.append(out)
+            return out
+
+        return call
+
+    def v(x):
+        handed.append(x)
+        return inst.v(x)
+
+    oracles = dict(s=fresh(inst.s), p=fresh(inst.p), v=v)
+    if isinstance(inst, EoplInstance):
+        return EoplInstance(n=inst.n, m=inst.m, **oracles), handed, returned
+    return EomlInstance(n=inst.n, **oracles), handed, returned
+
+
+def _ids(objs) -> set[int]:
+    return {id(obj) for obj in objs}
+
+
+def test_oracles_are_handed_the_configs_that_earlier_answers_returned():
+    for source in line_instances():
+        inst, handed, returned = recording(source)
+        trace = _walk(follow_line, inst, 1 << inst.n)[-1]
+        # past the start, each config is an object an oracle returned
+        assert _ids(handed) | _ids(x for x, _ in trace) <= _ids(returned) | {id(trace[0][0])}
+        for x in list(all_configs(inst.n))[:4]:
+            inst, handed, returned = recording(source)
+            sol = verify_solution(inst, x)
+            assert _ids(handed) <= _ids(returned) | {id(x)}
+            assert sol is None or sol.x is x
+
+
+def test_a_follow_on_a_table_builds_one_bitconfig_per_trace_step():
+    rng = random.Random(61)
+    gen = bench_gen()
+    insts = [load_line_table(gen.eoml_table(rng, n, corrupt=n % 2 == 0).text) for n in (3, 6, 8)]
+    insts += [load_line_table(gen.eopl_table(rng, n, 6).text) for n in (3, 6)]
+    insts += [eoml_to_eopl(insts[2]), eopl_to_eoml(insts[4]), eoml_to_eopl(eopl_to_eoml(insts[3]))]
+    longest = 0
+    for inst in insts:
+        for max_steps in (1, 3, 1 << inst.n):
+            with bitconfigs_built() as built:
+                trace = _walk(follow_line, inst, max_steps)[-1]
+            assert built["BitConfig"] <= len(trace) + 1, (inst.n, max_steps)
+            longest = max(longest, len(trace))
+    assert longest > 20
+
+
+def test_enumerate_builds_a_config_only_for_each_solution():
+    rng = random.Random(67)
+    gen = bench_gen()
+    insts = line_instances()
+    insts += [load_line_table(gen.eoml_table(rng, 5, corrupt=True).text)]
+    insts += [load_line_table(gen.eopl_table(rng, 4, 5).text)]
+    insts += [eoml_to_eopl(insts[-2]), eopl_to_eoml(insts[-1])]
+    for inst in insts:
+        want = [sol for sol in map(partial(inline_classifier, inst), all_configs(inst.n)) if sol]
+        with bitconfigs_built() as built:
+            assert enumerate_solutions(inst) == want
+        if inst.raw_node is not None:
+            assert built["BitConfig"] == len(want)
 
 
 # ----------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import sys
 import threading
 from collections import Counter
 
@@ -34,11 +35,11 @@ from clslab.reductions import (
     eopl_to_eoml,
     plcp_to_eopl,
 )
-from clslab.reductions.lines import _Slot
 from support import (
     EOML_TABLE,
     EOPL_TABLE,
     bench_gen,
+    bitconfigs_built,
     bits,
     counted,
     dump_line_table_ref,
@@ -50,6 +51,7 @@ from support import (
     gen_eopl_monotone,
     gen_eopl_tangle,
     gen_reduction_safe_lcp,
+    node_counted,
 )
 
 
@@ -403,7 +405,7 @@ def test_following_a_reduced_line_matches_the_reference():
 
 def test_a_thread_moving_the_slot_does_not_mix_two_configs_reads():
     # thread A asks V'(1,01) and stops inside the source's V(01) read while
-    # the main thread moves the shared slot to 10; A's answer must not land
+    # the main thread moves the shared reader to 10; A's answer must not land
     # among 10's reads, nor 10's among A's
     src = simple_eoml()
     u1, u2 = bits("01"), bits("10")
@@ -425,6 +427,35 @@ def test_a_thread_moving_the_slot_does_not_mix_two_configs_reads():
     resume.set()
     asker.join()
     assert (got["a"], got["b"], target.V(x2), target.V(x1)) == (2, 3, 3, 2)
+
+
+def test_threads_sharing_a_reduced_line_get_each_rows_answers():
+    # more threads than cores, switching often, each walking the rows in its
+    # own order: a reader answer stored under the wrong config would show
+    rng = random.Random(71)
+    src = load_line_table(bench_gen().eopl_table(rng, 5, 5).text)
+    ref = eopl_to_eoml_ref(src)
+    want = [(ref.S(x).value, ref.P(x).value, ref.V(x)) for x in all_configs(ref.n)]
+    for source in (src, counted(src)[0]):
+        target = eopl_to_eoml(source)
+        orders = [rng.sample(range(len(want)), len(want)) for _ in range(6)]
+        wrong = []
+
+        def walk(order):
+            wrong.extend(x for x in order if target.node(x) != want[x])
+
+        threads = [threading.Thread(target=walk, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 def _chain(inst):
@@ -455,28 +486,23 @@ def test_reduced_dumps_match_the_bitconfig_reference():
         assert dump_line_table(counted(target)[0]) == dump_line_table(target)
 
 
-def test_a_subdivision_dump_reads_one_node_per_row(monkeypatch):
-    # before node(x) this dump made 7.78 slot reads and 3.14
-    # BitConfigs per row: V' ran both case lists again after S' and P'
-    src = load_line_table(bench_gen().eopl_table(random.Random(3), 6, 6).text)
-    counts = Counter()
-    read, new = _Slot.read, BitConfig.__new__
-
-    def counting_read(self, u, what):
-        counts["read"] += 1
-        return read(self, u, what)
-
-    def counting_new(cls, value, width):
-        counts["BitConfig"] += 1
-        return new(cls, value, width)
-
-    monkeypatch.setattr(_Slot, "read", counting_read)
+def test_a_subdivision_dump_reads_one_node_per_row():
+    # before node(x) this dump made 7.78 slot reads and 3.14 BitConfigs per
+    # row: V' ran both case lists again after S' and P'; the reader fetches
+    # one source node per config it reads, and the rows of one u share them
+    src, fetched = node_counted(load_line_table(bench_gen().eopl_table(random.Random(3), 6, 6).text))
     target = eopl_to_eoml(src)
-    monkeypatch.setattr(BitConfig, "__new__", staticmethod(counting_new))
-    counts.clear()
-    text = dump_line_table(target)
-    monkeypatch.undo()
+    fetched.clear()
+    with bitconfigs_built() as built:
+        text = dump_line_table(target)
     rows = 1 << target.n
     assert rows == 4096 and text == dump_line_table_ref(eopl_to_eoml_ref(src))
-    assert counts["read"] <= 4 * rows, counts["read"] / rows
-    assert counts["BitConfig"] <= 0.2 * rows, counts["BitConfig"] / rows
+    assert fetched["node"] <= 8 << src.n, fetched["node"] / (1 << src.n)
+    assert built["BitConfig"] <= 0.2 * rows, built["BitConfig"] / rows
+    # the prefix bit: one row per source config
+    src, fetched = node_counted(load_line_table(bench_gen().eoml_table(random.Random(3), 7, True).text))
+    target = eoml_to_eopl(src)
+    for x in range(1 << target.n):
+        before = fetched["node"]
+        target.node(x)
+        assert fetched["node"] - before <= 3, x
