@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from clslab import cli
+from clslab import cli, reductions
 from clslab.cli import main
+from clslab.lcp import parse_outcome
 from clslab.errors import (
     BudgetExceededError,
     ClslabError,
@@ -125,6 +126,27 @@ def test_pipeline_agreement(tmp_path, capsys):
     assert main(["pipeline", "plcp", write(tmp_path, "d.lcp", DEGENERATE_LCP)]) == 2
     assert main(["pipeline", "plcp", write(tmp_path, "q2.lcp", NONP_LCP)]) == 0
     assert "both witnesses verified" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text, mapped, out",
+    [
+        (D1_LCP, "Q1 2", "direct:  Q1 1\nreduced: Q1 2\nagreement: FAILED (distinct solution vectors)\n"),
+        (
+            NONP_LCP,
+            "Q2 S={1} minor=1",
+            "direct:  Q2 S={1} minor=0\nreduced: Q2 S={1} minor=1\nagreement: FAILED (witness does not re-verify)\n",
+        ),
+        (D1_LCP, "Q2 S={1} minor=0", "direct:  Q1 1\nreduced: Q2 S={1} minor=0\nagreement: FAILED (mixed outcome kinds)\n"),
+    ],
+    ids=["distinct-q1", "q2-fails", "mixed"],
+)
+def test_pipeline_disagreement_exits_3(tmp_path, capsys, monkeypatch, text, mapped, out):
+    # a back-map that disagrees with the direct route; cmd_pipeline looks the
+    # back-map up on clslab.reductions at call time
+    monkeypatch.setattr(reductions, "eopl_sol_to_plcp", lambda inst, u: parse_outcome(mapped))
+    assert main(["pipeline", "plcp", write(tmp_path, "a.lcp", text)]) == 3
+    assert capsys.readouterr() == (out, "")
 
 
 def _certificate(solution: str) -> str:

@@ -29,6 +29,7 @@ from clslab.lcp import (
     Q1,
     Q2,
     Ray,
+    _subsets_lex,
     dump_lcp,
     format_outcome,
     load_lcp,
@@ -135,6 +136,12 @@ def test_p_matrix_witness_is_lex_smallest():
     w = p_matrix_witness(m)
     assert w.index_set == frozenset({1, 2, 3}) and w.minor == -5
     assert principal_minor(m, (1, 3)) == -5
+
+
+def test_subsets_come_in_lexicographic_order():
+    for d in range(1, 8):
+        want = sorted(c for r in range(1, d + 1) for c in itertools.combinations(range(1, d + 1), r))
+        assert list(_subsets_lex(d)) == want, d
 
 
 def test_lemke_start_examples():

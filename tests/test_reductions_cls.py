@@ -151,6 +151,29 @@ def test_pair_potential_back_maps():
     assert mapped == C2a(vec("3/10"), vec("2/5"))
 
 
+def test_gap_map_continuity_violation_back_maps_to_m2c():
+    # the target's map-continuity bound (lam + 1) * delta_d = 1/2 sits below
+    # the source's lam = 1, and f's jump at its kink breaks both
+    from clslab import MmcInstance
+
+    gc = MmcInstance(
+        f=kinked_map(1),
+        d=norm_distance_circuit(1, 1),
+        r=1,
+        eps=F(1, 4),
+        c=F(1, 2),
+        delta_d=F(1, 4),
+        lam=F(1),
+        dim=1,
+    )
+    target = gc_to_clo(gc)
+    assert target.lam == F(1, 2)
+    cand = C2a(vec("3/10"), vec("2/5"))
+    assert clo_verify(target, cand)
+    mapped = clo_sol_to_gc(gc, cand)
+    assert mapped == M2c(vec("3/10"), vec("2/5")) and mmc_verify(gc, mapped)
+
+
 def test_gap_potential_jump_blames_distance_continuity():
     # understated continuity for the supplied distance: the potential jump
     # survives as a distance-continuity violation on the image pairs

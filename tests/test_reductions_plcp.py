@@ -81,6 +81,19 @@ def test_is_valid_config_examples():
     assert not is_valid_config(ctx2, bits("0011"))  # two duplicate-label bits
 
 
+def test_oracles_reject_a_config_of_the_wrong_width():
+    ctx = make_context(d1_instance())
+    for oracle in (is_valid_config, successor, predecessor, potential):
+        for text in ("1", "011", "110", "1111"):
+            with pytest.raises(PreconditionError) as info:
+                oracle(ctx, bits(text))
+            assert str(info.value) == f"config width {len(text)}, expected 2", (oracle, text)
+    for oracle in (is_valid_config, successor, predecessor):
+        for text in ("0", "000"):
+            with pytest.raises(PreconditionError, match=f"^config width {len(text)}, expected 2$"):
+                oracle(ctx, bits(text))
+
+
 def test_etoi_itoe_examples():
     ctx = make_context(d1_instance())
     y, s, z = etoi(ctx, bits("11"))
