@@ -3,12 +3,13 @@
 A configuration's first d bits pick which of y_i = 0 / s_i = 0 is tight
 (bit set means the slack side), and the second d bits carry at most one set
 bit marking the duplicate label; all second-half-empty configs sit at z = 0.
-Valid configs decode to vertices of the augmented polytope by pivoting the
-integer tableau from the slack basis onto the config's basic columns; the
-same tableau gives the edge orientations and the next vertex.  The successor
-follows the pivot edge the orientation rule points along, but only when the
-covering variable z strictly drops, so the potential
-floor(Delta^2 (Delta - z)) strictly climbs along the line.
+Configs decode by pivoting the integer tableau from the slack basis onto
+their basic columns, once per oracle call.  A config is valid when that basis
+is nonsingular and every basic value is positive (a nondegenerate vertex);
+the same tableau gives the potential, the edge orientations and the next
+vertex.  The successor follows the pivot edge the orientation rule points
+along, but only when the covering variable z strictly drops, so the
+potential floor(Delta^2 (Delta - z)) strictly climbs along the line.
 
 The oracles are memoised with keys that hold the context (and through it
 the instance), so ``PlcpEoplContext`` and ``LcpInstance`` each compute their
@@ -32,8 +33,8 @@ from ..lcp import (
     Q1,
     _calibration,
     _dup_of_tight,
-    _split,
     _start_tableau,
+    _Tableau,
     _tableau_of_tight,
     q2_witness_at,
     verify_lcp_solution,
@@ -116,36 +117,23 @@ def _config_tight(ctx: PlcpEoplContext, u: BitConfig) -> Optional[frozenset[int]
     return frozenset(tight)
 
 
-@lru_cache(maxsize=None)
-def _config_point(ctx: PlcpEoplContext, u: BitConfig) -> Optional[tuple[Fraction, ...]]:
-    """Coordinates of the config's basis, or None when it is singular."""
+def _tableau_at(ctx: PlcpEoplContext, u: BitConfig) -> Optional[_Tableau]:
+    """The tableau at a valid nonzero config's vertex, or None.
+
+    The tableau keeps det > 0, so a basic value has its rhs's sign: one
+    integer test per row rules out a negative value and a degenerate zero.
+    """
     tight = _config_tight(ctx, u)
-    if tight is None:
+    tab = None if tight is None else _tableau_of_tight(ctx.inst, tight)
+    if tab is None or any(row[-1] <= 0 for row in tab.rows):
         return None
-    tab = _tableau_of_tight(ctx.inst, tight)
-    return None if tab is None else tuple(tab.values())
+    return tab
 
 
 @lru_cache(maxsize=None)
 def is_valid_config(ctx: PlcpEoplContext, u: BitConfig) -> bool:
-    """Table-driven validity: dummies out, tight system solvable and feasible."""
-    if u.width != ctx.n:
-        raise PreconditionError(f"config width {u.width}, expected {ctx.n}")
-    if u.is_zero():
-        return True
-    tight = _config_tight(ctx, u)
-    if tight is None:
-        return False
-    point = _config_point(ctx, u)
-    if point is None:
-        return False
-    if any(x < 0 for x in point):
-        return False
-    # a feasible point with extra tight coordinates is a degenerate vertex;
-    # such configs are treated as dummies so decoding stays one-to-one
-    if any(point[j] == 0 for j in range(len(point)) if j not in tight):
-        return False
-    return True
+    """The all-zeros config, or one that decodes to a vertex (positive potential)."""
+    return potential(ctx, u) > 0 or u.is_zero()
 
 
 def etoi(ctx: PlcpEoplContext, u: BitConfig) -> tuple[QVector, QVector, Fraction]:
@@ -161,8 +149,7 @@ def etoi(ctx: PlcpEoplContext, u: BitConfig) -> tuple[QVector, QVector, Fraction
         return QVector.zero(d), bumped, z0 + 1
     if not is_valid_config(ctx, u):
         return QVector.zero(d), QVector.zero(d), Q(0)
-    point = _config_point(ctx, u)
-    return _split(point, d)
+    return _tableau_at(ctx, u).point()
 
 
 def itoe(ctx: PlcpEoplContext, y: QVector, s: QVector, z: Fraction) -> BitConfig:
@@ -187,8 +174,8 @@ def _step(ctx: PlcpEoplContext, u: BitConfig, ahead: bool) -> BitConfig:
     back.
     """
     d = ctx.inst.d
-    tight = _config_tight(ctx, u)
-    tab = _tableau_of_tight(ctx.inst, tight)
+    tab = _tableau_at(ctx, u)
+    tight = tab.tight()
     if 2 * d in tight:  # z = 0: the only edge relaxes z
         entering = 2 * d
         if (tab.orientation(entering) == ctx.calibration) != ahead:
@@ -219,18 +206,25 @@ def predecessor(ctx: PlcpEoplContext, u: BitConfig) -> BitConfig:
     """Step back along the edge oriented into this config if z strictly rises."""
     if not is_valid_config(ctx, u) or u.is_zero():
         return u
-    if etoi(ctx, u) == ctx.start:
+    if u == successor(ctx, BitConfig.zeros(ctx.n)):  # the start vertex
         return BitConfig.zeros(ctx.n)
     return _step(ctx, u, ahead=False)
 
 
 @lru_cache(maxsize=None)
 def potential(ctx: PlcpEoplContext, u: BitConfig) -> int:
-    """floor(Delta^2 (Delta - z)) on valid configs; 0 on dummies and the start."""
-    if u.is_zero() or not is_valid_config(ctx, u):
+    """floor(Delta^2 (Delta - z)) > 0 on valid configs; 0 on dummies and 0^n."""
+    if u.width != ctx.n:
+        raise PreconditionError(f"config width {u.width}, expected {ctx.n}")
+    tab = None if u.is_zero() else _tableau_at(ctx, u)
+    if tab is None:
         return 0
-    z = _config_point(ctx, u)[2 * ctx.inst.d]
-    return math.floor(ctx.delta**2 * (ctx.delta - z))
+    z = 2 * ctx.inst.d
+    rhs_z = tab.rows[tab.basis.index(z)][-1] if z in tab.basis else 0
+    value = math.floor(ctx.delta**2 * (ctx.delta - Fraction(rhs_z, tab.det)))
+    if value <= 0:
+        raise InvariantViolationError(f"potential {value} <= 0 at the valid config {u}")
+    return value
 
 
 @lru_cache(maxsize=None)

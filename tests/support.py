@@ -84,6 +84,8 @@ from clslab.reductions import ImmediateSolution
 from clslab.reductions.lines import _require_valid
 from clslab.qlinalg import solve_columns
 from clslab.reductions.lcp_line import (
+    PlcpEoplContext,
+    _config_tight,
     is_valid_config,
     make_context,
     potential,
@@ -507,6 +509,28 @@ def config_tight_ref(d: int, bits: tuple[int, ...]) -> Optional[frozenset[int]]:
     for i in range(d):
         tight.add(i if bits[i] == 0 else d + i)
     return frozenset(tight)
+
+
+def config_point_ref(ctx: PlcpEoplContext, u: BitConfig) -> Optional[tuple[F, ...]]:
+    """Coordinates (y, s, z) of the config's basis, or None for a dummy or a
+    singular basis: the decode the P-LCP oracles once kept in a memo."""
+    tight = _config_tight(ctx, u)
+    if tight is None:
+        return None
+    tab = lcp._tableau_of_tight(ctx.inst, tight)
+    return None if tab is None else tuple(tab.values())
+
+
+def is_valid_config_ref(ctx: PlcpEoplContext, u: BitConfig) -> bool:
+    """``lcp_line.is_valid_config`` over Fractions: the config decodes to a
+    point with no negative coordinate and no zero off its tight set."""
+    if u.is_zero():
+        return True
+    point = config_point_ref(ctx, u)
+    if point is None:
+        return False
+    tight = _config_tight(ctx, u)
+    return all(x > 0 or (x == 0 and j in tight) for j, x in enumerate(point))
 
 
 def itoe_ref(d: int, y: QVector, s: QVector) -> tuple[int, ...]:

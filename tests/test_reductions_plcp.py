@@ -28,8 +28,8 @@ from clslab.reductions import (
 )
 from clslab.reductions.lcp_line import (
     PlcpEoplContext,
-    _config_point,
     _config_tight,
+    _tableau_at,
     potential,
     predecessor,
     successor,
@@ -38,10 +38,12 @@ from support import (
     BitConfigRef,
     bits,
     ceil_log2_ref,
+    config_point_ref,
     config_tight_ref,
     copies,
     dd_lcp,
     gen_reduction_safe_lcp,
+    is_valid_config_ref,
     itoe_ref,
     make_lcp,
     random_lcp,
@@ -88,7 +90,7 @@ def test_oracles_reject_a_config_of_the_wrong_width():
             with pytest.raises(PreconditionError) as info:
                 oracle(ctx, bits(text))
             assert str(info.value) == f"config width {len(text)}, expected 2", (oracle, text)
-    for oracle in (is_valid_config, successor, predecessor):
+    for oracle in (is_valid_config, successor, predecessor, potential):
         for text in ("0", "000"):
             with pytest.raises(PreconditionError, match=f"^config width {len(text)}, expected 2$"):
                 oracle(ctx, bits(text))
@@ -303,9 +305,11 @@ def test_nonp_line_end_maps_to_verified_witness():
 
 def test_config_decoding_matches_tight_system_oracle():
     # every config of small instances, singular tight sets included, decodes
-    # to the oracle's solution of its tight system (None when singular)
+    # to the oracle's solution of its tight system (None when singular); the
+    # tableau's integer validity rule agrees with the Fraction one, and a
+    # valid config's tableau holds the same point
     rng = random.Random(23)
-    decoded = singular = 0
+    decoded = singular = valid = 0
     for _ in range(60):
         inst = random_lcp(rng, rng.randint(2, 3), span=2)
         if min(inst.q) >= 0:
@@ -319,11 +323,18 @@ def test_config_decoding_matches_tight_system_oracle():
             if tight is None:
                 continue
             want = tight_point(inst, tight)
-            point = _config_point(ctx, u)
+            point = config_point_ref(ctx, u)
             assert point == (None if want is None else tuple(want))
             decoded += 1
             singular += want is None
-    assert decoded >= 500 and singular >= 50
+            ok = is_valid_config_ref(ctx, u)
+            assert is_valid_config(ctx, u) == ok, u
+            tab = None if u.is_zero() else _tableau_at(ctx, u)
+            assert (tab is not None) == (ok and not u.is_zero()), u
+            if tab is not None:
+                assert tuple(tab.values()) == point
+                valid += 1
+    assert decoded >= 500 and singular >= 50 and valid >= 50
 
 
 def test_config_codec_matches_the_tuple_reference():
