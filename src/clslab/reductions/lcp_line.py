@@ -9,13 +9,16 @@ is nonsingular and every basic value is positive (a nondegenerate vertex);
 the same tableau gives the potential, the edge orientations and the next
 vertex.  The successor follows the pivot edge the orientation rule points
 along, but only when the covering variable z strictly drops, so the
-potential floor(Delta^2 (Delta - z)) strictly climbs along the line.
+potential floor(Delta^2 (Delta - D z)) strictly climbs along the line.  Delta
+and the potential are those of the integer data (D M, D q), with D the lcm of
+the denominators in M and q; that scaling leaves the vertices and the line
+as they are and multiplies z by D.
 
 The oracles are memoised with keys that hold the context (and through it
 the instance), so ``PlcpEoplContext`` and ``LcpInstance`` each compute their
 hash on first use and keep it: a fresh hash runs ``Fraction.__hash__`` (a
-modular inverse) over Delta and every entry of M and q, and every memo
-lookup asks for one.
+modular inverse) over every entry of M and q, and hashes Delta, and every
+memo lookup asks for one.
 """
 
 from __future__ import annotations
@@ -48,16 +51,19 @@ class PlcpEoplContext:
     """Derived constants: config width n = 2d, potential scale Delta and width m.
 
     ``start`` is the start vertex (y, s, z) and ``calibration`` the raw edge
-    sign that reads forward, both read off the start tableau; they follow
-    from ``inst`` and take no part in equality or hashing.
+    sign that reads forward, both read off the start tableau.  ``scale`` is
+    the lcm D of the denominators in M and q: Delta is taken from the integer
+    data (D M, D q), whose covering variable at each vertex is D z.  All three
+    follow from ``inst`` and take no part in equality or hashing.
     """
 
     inst: LcpInstance
     n: int
-    delta: Fraction
+    delta: int
     m: int
     start: tuple[QVector, QVector, Fraction] = field(compare=False)
     calibration: int = field(compare=False)
+    scale: int = field(compare=False)
 
     def __hash__(self) -> int:
         # the generated hash over the compared fields, computed on first use
@@ -77,18 +83,19 @@ def make_context(inst: LcpInstance) -> PlcpEoplContext:
     if all(x >= 0 for x in inst.q):
         raise PreconditionError("q >= 0 is solved by y = 0; nothing to reduce")
     start = _start_tableau(inst, lexicographic=False)  # raises DegeneracyError on a tied minimum
-    entries = [abs(inst.m[i, j]) for i in range(d) for j in range(d)]
-    entries += [abs(x) for x in inst.q]
-    delta = Fraction(math.factorial(2 * d)) * max(entries) ** (2 * d + 1) + 1
-    # the least m with 2^m >= 2 Delta^3, which is the least with 2^m >= ceil(2 Delta^3)
-    m = (math.ceil(2 * delta**3) - 1).bit_length()
+    entries = [inst.m[i, j] for i in range(d) for j in range(d)] + list(inst.q)
+    scale = math.lcm(*(x.denominator for x in entries))
+    # the paper's bound on z holds for integer data, so Delta is read off D M and D q
+    largest = max(abs(x.numerator) * (scale // x.denominator) for x in entries)
+    delta = math.factorial(2 * d) * largest ** (2 * d + 1) + 1
     return PlcpEoplContext(
         inst=inst,
         n=2 * d,
         delta=delta,
-        m=m,
+        m=(2 * delta**3 - 1).bit_length(),  # the least m with 2^m >= 2 Delta^3
         start=start.point(),
         calibration=_calibration(start),
+        scale=scale,
     )
 
 
@@ -213,7 +220,7 @@ def predecessor(ctx: PlcpEoplContext, u: BitConfig) -> BitConfig:
 
 @lru_cache(maxsize=None)
 def potential(ctx: PlcpEoplContext, u: BitConfig) -> int:
-    """floor(Delta^2 (Delta - z)) > 0 on valid configs; 0 on dummies and 0^n."""
+    """floor(Delta^2 (Delta - D z)) > 0 on valid configs; 0 on dummies and 0^n."""
     if u.width != ctx.n:
         raise PreconditionError(f"config width {u.width}, expected {ctx.n}")
     tab = None if u.is_zero() else _tableau_at(ctx, u)
@@ -221,7 +228,8 @@ def potential(ctx: PlcpEoplContext, u: BitConfig) -> int:
         return 0
     z = 2 * ctx.inst.d
     rhs_z = tab.rows[tab.basis.index(z)][-1] if z in tab.basis else 0
-    value = math.floor(ctx.delta**2 * (ctx.delta - Fraction(rhs_z, tab.det)))
+    # z = rhs_z / det, with det > 0
+    value = ctx.delta**2 * (ctx.delta * tab.det - ctx.scale * rhs_z) // tab.det
     if value <= 0:
         raise InvariantViolationError(f"potential {value} <= 0 at the valid config {u}")
     return value

@@ -180,8 +180,12 @@ def _certificate(solution: str) -> str:
             ["--trace"],
             "vertex y=(0 0) s=(2 0) z=6\nvertex y=(0 2/3) s=(0 0) z=4\nvertex y=(2 2) s=(0 0) z=0\nQ1 2 2\n",
         ),
+        # small rational data: D = lcm(50, 20) = 100 and Delta = 2! * 5^3 + 1 comes
+        # from the integer data [2 | -5], so the potential climbs to the line's end
+        (["pipeline", "plcp"], "1\n1/50\n-1/20\n", [], "direct:  Q1 5/2\nreduced: Q1 5/2\nagreement: exact\n" + _certificate("Q1 5/2")),
+        (["pipeline", "plcp"], "1\n2/5\n-1/10\n", [], "direct:  Q1 1/4\nreduced: Q1 1/4\nagreement: exact\n" + _certificate("Q1 1/4")),
     ],
-    ids=["pipeline-q1", "pipeline-q2", "pipeline-trace", "solve-lcp-trace"],
+    ids=["pipeline-q1", "pipeline-q2", "pipeline-trace", "solve-lcp-trace", "pipeline-rational-1", "pipeline-rational-2"],
 )
 def test_stdout_bytes(tmp_path, capsys, command, text, flags, out):
     assert main(command + [write(tmp_path, "a.lcp", text)] + flags) == 0

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction as F
@@ -16,7 +17,7 @@ from clslab import (
     lemke_solve,
     validate_instance,
 )
-from clslab.lcp import Q1, Q2
+from clslab.lcp import Q1, Q2, check_outcome
 from clslab.lines import BitConfig, all_configs
 from clslab.reductions import (
     eopl_sol_to_plcp,
@@ -66,12 +67,16 @@ def test_context_m_matches_the_ceil_log2_reference():
     rng = random.Random(11)
     for d in range(1, 7):
         # rational entries; q's first entry is the largest in size and the
-        # unique minimum, so Delta is not an integer and the start is not degenerate
+        # unique minimum, so the start is not degenerate
         rows = [[F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)] for _ in range(d)]
         q = [F(-(30 * (d - i) + 1), 3) for i in range(d)]
         ctx = make_context(make_lcp(rows, q))
-        assert ctx.delta.denominator > 1
-        assert ctx.m == ceil_log2_ref(2 * ctx.delta**3), d
+        # Delta is read off the integer data D M, D q
+        scale = math.lcm(*(x.denominator for row in rows + [q] for x in row))
+        largest = max(abs(x) * scale for row in rows + [q] for x in row)
+        assert type(ctx.delta) is int and ctx.scale == scale > 1, d
+        assert ctx.delta == math.factorial(2 * d) * largest ** (2 * d + 1) + 1, d
+        assert ctx.m == ceil_log2_ref(F(2 * ctx.delta**3)), d
 
 
 def test_is_valid_config_examples():
@@ -140,11 +145,11 @@ def test_context_hash_is_the_field_hash_and_is_kept():
     assert hash(ctx) == hash((inst, ctx.n, ctx.delta, ctx.m))
     assert hash(ctx) == hash((inst, ctx.n, ctx.delta, ctx.m))
     assert repr(ctx) == before
-    assert [f.name for f in fields(ctx)] == ["inst", "n", "delta", "m", "start", "calibration"]
+    assert [f.name for f in fields(ctx)] == ["inst", "n", "delta", "m", "start", "calibration", "scale"]
     with pytest.raises(FrozenInstanceError):
         ctx.delta = F(1)
-    # start and calibration take no part in equality or hashing
-    twin = replace(ctx, calibration=-ctx.calibration)
+    # start, calibration and scale take no part in equality or hashing
+    twin = replace(ctx, calibration=-ctx.calibration, scale=ctx.scale + 1)
     assert twin == ctx and hash(twin) == hash(ctx)
 
 
@@ -161,13 +166,14 @@ def test_context_copies_equal_and_hash_like_a_fresh_one(hashed_first):
         m=ctx.m,
         start=ctx.start,
         calibration=ctx.calibration,
+        scale=ctx.scale,
     )
     start = successor(ctx, BitConfig.zeros(ctx.n))
     for how, twin in copies(ctx).items():
         assert twin == fresh and fresh == twin, how
         assert hash(twin) == hash(fresh) == hash((fresh.inst, fresh.n, fresh.delta, fresh.m)), how
         assert repr(twin) == repr(fresh), how
-        assert twin.start == ctx.start and twin.calibration == ctx.calibration, how
+        assert (twin.start, twin.calibration, twin.scale) == (ctx.start, ctx.calibration, ctx.scale), how
         # an equal context answers from the memo the original filled
         hits = successor.cache_info().hits
         assert successor(twin, BitConfig.zeros(twin.n)) == start, how
@@ -235,6 +241,43 @@ def test_rejects_trivial_and_degenerate_instances():
         make_context(make_lcp([[1]], [2]))
     with pytest.raises(DegeneracyError):
         make_context(make_lcp([[1, 0], [0, 1]], [-1, -1]))
+
+
+@pytest.mark.parametrize("m, q, y", [("1/50", "-1/20", "5/2"), ("2/5", "-1/10", "1/4")])
+def test_small_rational_data_keeps_the_potential_climbing(m, q, y):
+    # Delta taken from the raw entries was 4001/4000 and 141/125 here, too small
+    # for floor(Delta^2 (Delta - z)) to tell the start's z from the end's
+    inst = make_lcp([[m]], [q])
+    ctx = make_context(inst)
+    target = plcp_to_eopl(inst)
+    end = successor(ctx, successor(ctx, bits("00")))
+    assert 0 < target.V(successor(ctx, bits("00"))) < target.V(end)
+    sol, _ = follow_line(target, 8)
+    assert eopl_sol_to_plcp(inst, sol.x) == lemke_solve(inst).outcome == Q1(QVector.of([y]))
+
+
+def test_direct_and_reduced_routes_agree_on_small_rational_lcps():
+    rng = random.Random(2024)
+    agreed = 0
+    for _ in range(120):
+        d = rng.randint(1, 3)
+        frac = lambda: F(rng.randint(-60, 60), rng.randint(10, 1000))
+        inst = make_lcp([[frac() for _ in range(d)] for _ in range(d)], [frac() for _ in range(d)])
+        if min(inst.q) >= 0:
+            continue
+        try:
+            direct = lemke_solve(inst).outcome
+            sol, _ = follow_line(plcp_to_eopl(inst), 2 ** (2 * d) + 1)
+        except DegeneracyError:
+            continue
+        reduced = eopl_sol_to_plcp(inst, sol.x)
+        assert type(reduced) is type(direct), inst
+        if isinstance(direct, Q1):
+            assert reduced == direct, inst
+        else:
+            assert check_outcome(inst, reduced)[0] and check_outcome(inst, direct)[0], inst
+        agreed += 1
+    assert agreed >= 80
 
 
 def test_round_trip_on_all_valid_configs():
