@@ -465,10 +465,21 @@ def check_outcome(inst: LcpInstance, outcome: LcpOutcome) -> tuple[bool, str]:
 
 
 def _subsets_lex(d: int):
-    """Nonempty subsets of 1..d in lexicographic order of their sorted tuples."""
-    return sorted(
-        (tuple(c) for r in range(1, d + 1) for c in itertools.combinations(range(1, d + 1), r))
-    )
+    """Nonempty subsets of 1..d in lexicographic order of their sorted tuples.
+
+    Built one at a time: the next subset extends this one by its last
+    element plus one or, when that element is d, drops it and steps the new
+    last element up.
+    """
+    subset = [1] if d > 0 else []
+    while subset:
+        yield tuple(subset)
+        if subset[-1] < d:
+            subset.append(subset[-1] + 1)
+        else:
+            subset.pop()
+            if subset:
+                subset[-1] += 1
 
 
 def p_matrix_witness(m: QMatrix) -> Optional[Q2]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction as F
 
@@ -142,6 +143,19 @@ def test_subsets_come_in_lexicographic_order():
     for d in range(1, 8):
         want = sorted(c for r in range(1, d + 1) for c in itertools.combinations(range(1, d + 1), r))
         assert list(_subsets_lex(d)) == want, d
+
+
+def test_p_matrix_witness_tests_the_first_subset_before_building_the_rest():
+    # 2^40 - 1 subsets; {1} is first and its minor is -1
+    m = QMatrix.of([[-1 if i == j == 0 else int(i == j) for j in range(40)] for i in range(40)])
+    tracemalloc.start()
+    try:
+        w = p_matrix_witness(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w == Q2(frozenset({1}), F(-1))
+    assert peak < 1 << 20
 
 
 def test_lemke_start_examples():
