@@ -17,8 +17,8 @@ as they are and multiplies z by D.
 The oracles are memoised with keys that hold the context (and through it
 the instance), so ``PlcpEoplContext`` and ``LcpInstance`` each compute their
 hash on first use and keep it: a fresh hash runs ``Fraction.__hash__`` (a
-modular inverse) over every entry of M and q, and hashes Delta, and every
-memo lookup asks for one.
+modular inverse) over every entry of M and q, and every memo lookup asks
+for one.
 """
 
 from __future__ import annotations
@@ -51,10 +51,9 @@ class PlcpEoplContext:
     """Derived constants: config width n = 2d, potential scale Delta and width m.
 
     ``start`` is the start vertex (y, s, z) and ``calibration`` the raw edge
-    sign that reads forward, both read off the start tableau.  ``scale`` is
-    the lcm D of the denominators in M and q: Delta is taken from the integer
-    data (D M, D q), whose covering variable at each vertex is D z.  All three
-    follow from ``inst`` and take no part in equality or hashing.
+    sign that reads forward, both read off the start tableau, and ``scale``
+    is D, the lcm of the denominators in M and q.  All three follow from
+    ``inst`` and take no part in equality or hashing.
     """
 
     inst: LcpInstance

@@ -7,6 +7,7 @@ import pytest
 
 from clslab import (
     DegeneracyError,
+    InvariantViolationError,
     PreconditionError,
     QMatrix,
     QVector,
@@ -91,14 +92,21 @@ def test_is_valid_config_examples():
 def test_oracles_reject_a_config_of_the_wrong_width():
     ctx = make_context(d1_instance())
     for oracle in (is_valid_config, successor, predecessor, potential):
-        for text in ("1", "011", "110", "1111"):
+        for text in ("0", "1", "000", "011", "110", "1111"):
             with pytest.raises(PreconditionError) as info:
                 oracle(ctx, bits(text))
             assert str(info.value) == f"config width {len(text)}, expected 2", (oracle, text)
-    for oracle in (is_valid_config, successor, predecessor, potential):
-        for text in ("0", "000"):
-            with pytest.raises(PreconditionError, match=f"^config width {len(text)}, expected 2$"):
-                oracle(ctx, bits(text))
+
+
+def test_potential_raises_rather_than_return_a_nonpositive_value():
+    # a context whose Delta does not bound z: the start vertex (z = 1) of the
+    # d = 1 line would get floor(1 * (1 - 1)) = 0, which no valid config may have
+    small = replace(make_context(d1_instance()), delta=1)
+    with pytest.raises(InvariantViolationError, match="^potential 0 <= 0 at the valid config 11$"):
+        potential(small, bits("11"))
+    with pytest.raises(InvariantViolationError):
+        is_valid_config(small, bits("11"))
+    assert potential(small, bits("01")) == 0 and not is_valid_config(small, bits("01"))
 
 
 def test_etoi_itoe_examples():
@@ -252,24 +260,34 @@ def test_small_rational_data_keeps_the_potential_climbing(m, q, y):
     target = plcp_to_eopl(inst)
     end = successor(ctx, successor(ctx, bits("00")))
     assert 0 < target.V(successor(ctx, bits("00"))) < target.V(end)
+    if m == "1/50":  # D = 100, Delta = 2! * 5^3 + 1 = 251 and D z = 5 at the start
+        assert (target.V(bits("11")), target.V(bits("10"))) == (251**2 * (251 - 5), 251**3)
     sol, _ = follow_line(target, 8)
     assert eopl_sol_to_plcp(inst, sol.x) == lemke_solve(inst).outcome == Q1(QVector.of([y]))
 
 
 def test_direct_and_reduced_routes_agree_on_small_rational_lcps():
     rng = random.Random(2024)
+
+    def frac():
+        return F(rng.randint(-60, 60), rng.randint(10, 1000))
+
     agreed = 0
-    for _ in range(120):
+    for _ in range(300):
         d = rng.randint(1, 3)
-        frac = lambda: F(rng.randint(-60, 60), rng.randint(10, 1000))
         inst = make_lcp([[frac() for _ in range(d)] for _ in range(d)], [frac() for _ in range(d)])
         if min(inst.q) >= 0:
             continue
         try:
             direct = lemke_solve(inst).outcome
-            sol, _ = follow_line(plcp_to_eopl(inst), 2 ** (2 * d) + 1)
+            sol, trace = follow_line(plcp_to_eopl(inst), 2 ** (2 * d) + 1)
         except DegeneracyError:
             continue
+        # the potential along the line is floor(Delta^2 (Delta - D z)), D the lcm of the denominators
+        ctx = make_context(inst)
+        scale = math.lcm(*(x.denominator for row in inst.m.entries + (tuple(inst.q),) for x in row))
+        for x, v in trace[1:]:
+            assert v == math.floor(ctx.delta**2 * (ctx.delta - scale * etoi(ctx, x)[2])), inst
         reduced = eopl_sol_to_plcp(inst, sol.x)
         assert type(reduced) is type(direct), inst
         if isinstance(direct, Q1):
@@ -277,7 +295,7 @@ def test_direct_and_reduced_routes_agree_on_small_rational_lcps():
         else:
             assert check_outcome(inst, reduced)[0] and check_outcome(inst, direct)[0], inst
         agreed += 1
-    assert agreed >= 80
+    assert agreed >= 200
 
 
 def test_round_trip_on_all_valid_configs():
