@@ -4,21 +4,23 @@ A configuration's first d bits pick which of y_i = 0 / s_i = 0 is tight
 (bit set means the slack side), and the second d bits carry at most one set
 bit marking the duplicate label; all second-half-empty configs sit at z = 0.
 Configs decode by pivoting the integer tableau from the slack basis onto
-their basic columns, once per oracle call.  A config is valid when that basis
-is nonsingular and every basic value is positive (a nondegenerate vertex);
-the same tableau gives the potential, the edge orientations and the next
-vertex.  The successor follows the pivot edge the orientation rule points
-along, but only when the covering variable z strictly drops, so the
-potential floor(Delta^2 (Delta - D z)) strictly climbs along the line.  Delta
-and the potential are those of the integer data (D M, D q), with D the lcm of
-the denominators in M and q; that scaling leaves the vertices and the line
-as they are and multiplies z by D.
+their basic columns, once per config through the reduced instance's
+``node``, which answers S, P and V together.  A config is valid when that
+basis is nonsingular and every basic value is positive (a nondegenerate
+vertex); the same tableau gives the potential, the edge orientations and the
+next vertex, whose config is read off which right-hand sides the pivot would
+zero, without pivoting.  The successor follows the pivot edge the
+orientation rule points along, but only when the covering variable z
+strictly drops, so the potential floor(Delta^2 (Delta - D z)) strictly
+climbs along the line.  Delta and the potential are those of the integer
+data (D M, D q), with D the lcm of the denominators in M and q; that scaling
+leaves the vertices and the line as they are and multiplies z by D.
 
-The oracles are memoised with keys that hold the context (and through it
-the instance), so ``PlcpEoplContext`` and ``LcpInstance`` each compute their
-hash on first use and keep it: a fresh hash runs ``Fraction.__hash__`` (a
-modular inverse) over every entry of M and q, and every memo lookup asks
-for one.
+``node`` keeps no memo.  The separate oracles read the same decode and are
+memoised with keys that hold the context (and through it the instance), so
+``PlcpEoplContext`` and ``LcpInstance`` each compute their hash on first use
+and keep it: a fresh hash runs ``Fraction.__hash__`` (a modular inverse)
+over every entry of M and q, and every memo lookup asks for one.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
-from ..errors import InvariantViolationError, PreconditionError
+from ..errors import DimensionError, InvariantViolationError, PreconditionError
 from ..lcp import (
     LcpInstance,
     LcpOutcome,
@@ -136,6 +138,25 @@ def _tableau_at(ctx: PlcpEoplContext, u: BitConfig) -> Optional[_Tableau]:
     return tab
 
 
+def _decode(ctx: PlcpEoplContext, u: BitConfig) -> Optional[tuple[_Tableau, int]]:
+    """The tableau and potential at a valid nonzero config; None at 0^n and dummies.
+
+    The potential floor(Delta^2 (Delta - D z)) reads z = rhs_z / det off the
+    tableau (det > 0) and must be positive there.
+    """
+    if u.width != ctx.n:
+        raise PreconditionError(f"config width {u.width}, expected {ctx.n}")
+    tab = None if u.is_zero() else _tableau_at(ctx, u)
+    if tab is None:
+        return None
+    z = 2 * ctx.inst.d
+    rhs_z = tab.rows[tab.basis.index(z)][-1] if z in tab.basis else 0
+    value = ctx.delta**2 * (ctx.delta * tab.det - ctx.scale * rhs_z) // tab.det
+    if value <= 0:
+        raise InvariantViolationError(f"potential {value} <= 0 at the valid config {u}")
+    return tab, value
+
+
 @lru_cache(maxsize=None)
 def is_valid_config(ctx: PlcpEoplContext, u: BitConfig) -> bool:
     """The all-zeros config, or one that decodes to a vertex (positive potential)."""
@@ -148,95 +169,123 @@ def etoi(ctx: PlcpEoplContext, u: BitConfig) -> tuple[QVector, QVector, Fraction
     The all-zeros config returns a point past the start of the path (never
     queried by the line procedures); invalid configs return all zeros.
     """
+    at = _decode(ctx, u)
+    if at is not None:
+        return at[0].point()
     d = ctx.inst.d
     if u.is_zero():
         z0 = ctx.start[2]
         bumped = QVector(tuple(q_i + z0 + 1 for q_i in ctx.inst.q))
         return QVector.zero(d), bumped, z0 + 1
-    if not is_valid_config(ctx, u):
-        return QVector.zero(d), QVector.zero(d), Q(0)
-    return _tableau_at(ctx, u).point()
+    return QVector.zero(d), QVector.zero(d), Q(0)
+
+
+def _code(d: int, zero: list[bool]) -> int:
+    """The config value of a point from which of its y and s coordinates are zero.
+
+    A point with a pair y_i, s_i both nonzero (not complementary) or with two
+    pairs both zero is not a vertex; it gets the sentinel 0...01, a
+    duplicate-label bit whose first-half bit does not read the slack side,
+    which is a dummy at every d.
+    """
+    first = second = 0
+    for i in range(d):
+        y0, s0 = zero[i], zero[d + i]
+        if y0 == s0:
+            if second or not y0:
+                return 1
+            second = 1 << (d - 1 - i)
+        first = first << 1 | s0
+    return first << d | second
 
 
 def itoe(ctx: PlcpEoplContext, y: QVector, s: QVector, z: Fraction) -> BitConfig:
     """Encode polytope coordinates as a config; dummy sentinel when not a vertex."""
     d = ctx.inst.d
-    labels = [i for i in range(d) if y[i] == 0 and s[i] == 0]
-    if len(labels) > 1 or any(y[i] * s[i] != 0 for i in range(d)):
-        # a duplicate-label bit whose first-half bit does not read the slack
-        # side: a dummy at every d
-        return BitConfig(1, 2 * d)
-    first = 0
-    for i in range(d):
-        first = first << 1 | (s[i] == 0)
-    second = 1 << (d - 1 - labels[0]) if labels else 0
-    return BitConfig(first << d | second, 2 * d)
+    if len(y) != d or len(s) != d:
+        raise DimensionError(f"y and s have lengths {len(y)} and {len(s)}, expected {d}")
+    return BitConfig(_code(d, [x == 0 for x in y] + [x == 0 for x in s]), 2 * d)
 
 
-def _step(ctx: PlcpEoplContext, u: BitConfig, ahead: bool) -> BitConfig:
-    """Pivot along the edge oriented out of (ahead) or into a valid nonzero u.
+def _pivoted_code(tab: _Tableau, r: int, e: int) -> int:
+    """The config value of tab's point once e enters at row r, read without pivoting.
 
-    Stays at u unless z strictly drops going ahead, or strictly rises going
-    back.
+    With a e's column, the pivot keeps row r's rhs up to sign and turns row
+    i's into (rhs_i a_r - a_i rhs_r) / det, so a basic value is zero exactly
+    when that numerator is (the leaving variable's always is).
+    """
+    col, rhs_r = tab.column(e), tab.rows[r][-1]
+    zero = [True] * (2 * tab.d + 1)
+    for row, var, a in zip(tab.rows, tab.basis, col):
+        zero[var] = row[-1] * col[r] == a * rhs_r
+    zero[e] = rhs_r == 0
+    return _code(tab.d, zero)
+
+
+def _step(ctx: PlcpEoplContext, at: Optional[tuple[_Tableau, int]], x: int, ahead: bool) -> int:
+    """The config value after x along the line: S(x) ahead, P(x) back.
+
+    ``at`` is x's decode.  0^n steps ahead to the start, back from the start
+    is 0^n, and dummies stay put.  A vertex steps along the edge oriented out
+    of it (ahead) or into it, but stays unless z strictly drops going ahead,
+    or strictly rises going back.
     """
     d = ctx.inst.d
-    tab = _tableau_at(ctx, u)
+    if at is None:
+        return itoe(ctx, *ctx.start).value if x == 0 and ahead else x
+    # a valid config whose halves agree has every y tight and z basic: the start
+    if not ahead and x >> d == x & ((1 << d) - 1):
+        return 0
+    tab = at[0]
     tight = tab.tight()
     if 2 * d in tight:  # z = 0: the only edge relaxes z
         entering = 2 * d
         if (tab.orientation(entering) == ctx.calibration) != ahead:
-            return u
+            return x
     else:
         label = _dup_of_tight(tight, d) - 1
         forward = tab.orientation(label) == ctx.calibration
         entering = label if forward == ahead else d + label
     r = tab.ratio_row(entering, lexicographic=False)
     if r is None or tab.z_trend(r, entering, lexicographic=False) != (-1 if ahead else 1):
-        return u
-    tab.pivot(r, entering)
-    return itoe(ctx, *tab.point())
+        return x
+    return _pivoted_code(tab, r, entering)
+
+
+def _neighbour(ctx: PlcpEoplContext, u: BitConfig, ahead: bool) -> BitConfig:
+    x = _step(ctx, _decode(ctx, u), u.value, ahead)
+    return u if x == u.value else BitConfig(x, ctx.n)
+
+
+def _node(ctx: PlcpEoplContext, x: int) -> tuple[int, int, int]:
+    """S, P and V of the config of value x, from one decode."""
+    at = _decode(ctx, BitConfig(x, ctx.n))
+    return _step(ctx, at, x, True), _step(ctx, at, x, False), 0 if at is None else at[1]
 
 
 @lru_cache(maxsize=None)
 def successor(ctx: PlcpEoplContext, u: BitConfig) -> BitConfig:
     """Step along the oriented pivot edge if z strictly drops; else stay put."""
-    if not is_valid_config(ctx, u):
-        return u
-    if u.is_zero():
-        return itoe(ctx, *ctx.start)
-    return _step(ctx, u, ahead=True)
+    return _neighbour(ctx, u, ahead=True)
 
 
 @lru_cache(maxsize=None)
 def predecessor(ctx: PlcpEoplContext, u: BitConfig) -> BitConfig:
     """Step back along the edge oriented into this config if z strictly rises."""
-    if not is_valid_config(ctx, u) or u.is_zero():
-        return u
-    if u == successor(ctx, BitConfig.zeros(ctx.n)):  # the start vertex
-        return BitConfig.zeros(ctx.n)
-    return _step(ctx, u, ahead=False)
+    return _neighbour(ctx, u, ahead=False)
 
 
 @lru_cache(maxsize=None)
 def potential(ctx: PlcpEoplContext, u: BitConfig) -> int:
     """floor(Delta^2 (Delta - D z)) > 0 on valid configs; 0 on dummies and 0^n."""
-    if u.width != ctx.n:
-        raise PreconditionError(f"config width {u.width}, expected {ctx.n}")
-    tab = None if u.is_zero() else _tableau_at(ctx, u)
-    if tab is None:
-        return 0
-    z = 2 * ctx.inst.d
-    rhs_z = tab.rows[tab.basis.index(z)][-1] if z in tab.basis else 0
-    # z = rhs_z / det, with det > 0
-    value = ctx.delta**2 * (ctx.delta * tab.det - ctx.scale * rhs_z) // tab.det
-    if value <= 0:
-        raise InvariantViolationError(f"potential {value} <= 0 at the valid config {u}")
-    return value
+    at = _decode(ctx, u)
+    return 0 if at is None else at[1]
 
 
 @lru_cache(maxsize=None)
 def plcp_to_eopl(inst: LcpInstance) -> EoplInstance:
-    """Build the potential-line instance whose line is the pivoting path."""
+    """Build the potential-line instance whose line is the pivoting path;
+    its raw node answers S, P and V of a config from one decode."""
     ctx = make_context(inst)
     return EoplInstance(
         n=ctx.n,
@@ -244,6 +293,7 @@ def plcp_to_eopl(inst: LcpInstance) -> EoplInstance:
         s=lambda u: successor(ctx, u),
         p=lambda u: predecessor(ctx, u),
         v=lambda u: potential(ctx, u),
+        raw_node=partial(_node, ctx),
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from clslab import (
     DegeneracyError,
+    DimensionError,
     InvariantViolationError,
     PreconditionError,
     QMatrix,
@@ -19,7 +20,7 @@ from clslab import (
     validate_instance,
 )
 from clslab.lcp import Q1, Q2, check_outcome
-from clslab.lines import BitConfig, all_configs
+from clslab.lines import BitConfig, all_configs, eopl_verify
 from clslab.reductions import (
     eopl_sol_to_plcp,
     etoi,
@@ -28,9 +29,12 @@ from clslab.reductions import (
     make_context,
     plcp_to_eopl,
 )
+from clslab.reductions import lcp_line
 from clslab.reductions.lcp_line import (
     PlcpEoplContext,
     _config_tight,
+    _node,
+    _pivoted_code,
     _tableau_at,
     potential,
     predecessor,
@@ -44,10 +48,13 @@ from support import (
     config_tight_ref,
     copies,
     dd_lcp,
+    gen_nonp_lcp,
+    gen_p_lcp,
     gen_reduction_safe_lcp,
     is_valid_config_ref,
     itoe_ref,
     make_lcp,
+    murty_lcp,
     random_lcp,
     tight_point,
 )
@@ -418,3 +425,122 @@ def test_config_codec_matches_the_tuple_reference():
         assert str(itoe(ctx, point, point, F(0))) == str(BitConfigRef(itoe_ref(d, point, point)))
     assert {d for d, _, _ in seen} == {1, 2, 3}
     assert {(dummy, valid) for _, dummy, valid in seen} == {(True, False), (False, False), (False, True)}
+
+
+def test_etoi_rejects_a_config_of_the_wrong_width():
+    ctx = make_context(d1_instance())
+    for text in ("0", "000", "0000", "1", "011", "1111"):
+        with pytest.raises(PreconditionError) as info:
+            etoi(ctx, bits(text))
+        assert str(info.value) == f"config width {len(text)}, expected 2", text
+
+
+@pytest.mark.parametrize(
+    "y, s",
+    [([1], [0, 1]), ([1, 0], [0]), ([1, 0, 0], [0, 1, 0]), ([1, 0], [0, 1, 0])],
+    ids=["y-short", "s-short", "both-long", "s-long"],
+)
+def test_itoe_rejects_coordinates_of_the_wrong_length(y, s):
+    ctx = make_context(make_lcp([[2, 0], [0, 3]], [-4, -6]))
+    with pytest.raises(DimensionError) as info:
+        itoe(ctx, QVector.of(y), QVector.of(s), F(0))
+    assert str(info.value) == f"y and s have lengths {len(y)} and {len(s)}, expected 2"
+
+
+def _outcome(call):
+    """A call's value, or the type and text of what it raised."""
+    try:
+        return call()
+    except (DegeneracyError, InvariantViolationError) as exc:
+        return type(exc), str(exc)
+
+
+def _node_instances():
+    rng = random.Random(25)
+    insts = [gen_p_lcp(rng, d) for d in (1, 2, 3, 3)] + [gen_nonp_lcp(rng, d) for d in (1, 2, 3, 3)]
+    insts += [make_lcp([["1/50"]], ["-1/20"]), make_lcp([["2/5"]], ["-1/10"]), murty_lcp(4)]
+    insts += [make_lcp([[F(rng.randint(-60, 60), rng.randint(10, 99)) for _ in range(2)] for _ in range(2)],
+                       [F(-rng.randint(1, 60), rng.randint(10, 99)) for _ in range(2)]) for _ in range(4)]
+    insts += [random_lcp(rng, rng.randint(2, 3), span=2) for _ in range(80)]
+    # the start's forward step ties at each of these
+    insts += [make_lcp(m, q) for m, q in [([[1, -1], [1, 1]], [1, -1]), ([[1, 2], [-2, -1]], [-1, 2]),
+                                          ([[-2, 0], [1, 1]], [0, -2]), ([[2, 1], [1, 0]], [-2, -1])]]
+    out = []
+    for inst in insts:
+        try:
+            out.append((inst, make_context(inst)))
+        except (DegeneracyError, PreconditionError):
+            pass
+    return out
+
+
+def test_node_answers_what_the_memoised_oracles_answer():
+    # on every config, the raw node's (S, P, V) is the separate oracles' (or
+    # what the first of S, P, V raises); the start step and dummies included
+    compared = raised = 0
+    for inst, ctx in _node_instances():
+        target = plcp_to_eopl(inst)
+        for u in all_configs(ctx.n):
+            want = _outcome(lambda: (target.S(u).value, target.P(u).value, target.V(u)))
+            assert _outcome(lambda: target.node(u.value)) == want, (inst, u)
+            compared += 1
+            raised += type(want) is not tuple or isinstance(want[0], type)
+    assert compared >= 2000 and raised >= 6
+
+
+def test_pivoted_code_is_itoe_of_the_pivoted_point():
+    # every pivot (r, e) with a nonzero entry at every valid config: the code
+    # read off the unpivoted rows is itoe of the point after the pivot, the
+    # sentinel of infeasible and non-complementary points included
+    pivots = sentinels = 0
+    for inst, ctx in _node_instances():
+        for u in all_configs(ctx.n):
+            tab = None if u.is_zero() else _tableau_at(ctx, u)
+            if tab is None:
+                continue
+            for e in list(tab.cobasis):
+                for r, a in enumerate(tab.column(e)):
+                    if a == 0:
+                        continue
+                    code = _pivoted_code(tab, r, e)
+                    pivoted = _tableau_at(ctx, u)
+                    pivoted.pivot(r, e)
+                    assert code == itoe(ctx, *pivoted.point()).value, (inst, u, r, e)
+                    pivots += 1
+                    sentinels += code == 1
+    assert pivots >= 1000 and sentinels >= 100
+
+
+def test_node_raises_the_potential_error_under_a_delta_too_small():
+    small = replace(make_context(d1_instance()), delta=1)
+    with pytest.raises(InvariantViolationError) as want:
+        potential(small, bits("11"))
+    with pytest.raises(InvariantViolationError) as got:
+        _node(small, 0b11)
+    assert str(got.value) == str(want.value) == "potential 0 <= 0 at the valid config 11"
+    assert _node(small, 0b01) == (0b01, 0b01, 0) and _node(small, 0) == (0b11, 0, 0)
+
+
+def test_following_a_line_decodes_each_config_once(monkeypatch):
+    decodes = []
+    decode = lcp_line._tableau_of_tight
+
+    def counting(inst, tight):
+        decodes.append(tight)
+        return decode(inst, tight)
+
+    monkeypatch.setattr(lcp_line, "_tableau_of_tight", counting)
+    sol, trace = follow_line(plcp_to_eopl(murty_lcp(6)), 1 << 13)
+    assert len(trace) == 65  # 0^n, then the 2^6 vertices of Murty's path
+    assert len(decodes) <= len(trace) + 2
+
+
+def test_verifying_next_to_a_ratio_tie_reports_the_degeneracy():
+    # the start's forward step ties s1 with z; verifying 0^n reads the start's
+    # whole node, so the tie is reported where the oracles alone asked only
+    # P(start) and V(start) and classified 0^n as no solution
+    inst = make_lcp([[1, -1], [1, 1]], [1, -1])
+    target = plcp_to_eopl(inst)
+    assert target.S(BitConfig.zeros(4)) == bits("0101")
+    with pytest.raises(DegeneracyError, match="^ratio-test tie between s1, z$"):
+        eopl_verify(target, BitConfig.zeros(4))
