@@ -183,10 +183,9 @@ def etoi(ctx: PlcpEoplContext, u: BitConfig) -> tuple[QVector, QVector, Fraction
 def _code(d: int, zero: list[bool]) -> int:
     """The config value of a point from which of its y and s coordinates are zero.
 
-    A point with a pair y_i, s_i both nonzero (not complementary) or with two
-    pairs both zero is not a vertex; it gets the sentinel 0...01, a
-    duplicate-label bit whose first-half bit does not read the slack side,
-    which is a dummy at every d.
+    A non-complementary point, or one with two pairs both zero, gets the
+    sentinel 0...01: its duplicate-label bit's first-half bit does not read
+    the slack side, so it is a dummy at every d.
     """
     first = second = 0
     for i in range(d):
