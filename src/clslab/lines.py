@@ -6,18 +6,16 @@ an odometer that counts steps exactly (solutions T1/T2/T3).  Oracles are
 plain callables, so instances can be backed by explicit truth tables or by
 procedures closing over another instance.
 
-Each instance also answers ``node(x)``: S(x), P(x) and V(x) at once, as
-ints, for the config whose value is x, with the oracle contract checked once.
-Tables and the line reductions compute it straight from their integer rows and
-case lists; other instances get it from their oracles.  ``dump_line_table``
-reads one node per row and builds no ``BitConfig``.
+Each instance answers ``node(x)``: S(x), P(x) and V(x) at once, as ints,
+for the config whose value is x, with the oracle contract checked once.
+Tables and the line reductions compute it straight from their integer rows
+and case lists; other instances get it from their oracles.
 
-``follow_line``, the classifiers, ``enumerate_solutions`` and the line
-reductions read an instance through a ``LineReader``: S, P and V by config
-value, each asked at most once, with one ``node`` call per config where the
-instance has integer rows or case lists.  A ``BitConfig`` is built only where
-a config crosses the boundary: a caller's config (whose width is checked), a
-returned solution, and the steps of a trace.
+``follow_line``, the classifiers, ``enumerate_solutions``, the line
+reductions and ``dump_line_table`` read an instance one checked node per
+config, through a ``LineReader`` where answers are shared.  Over integer rows
+and case lists, a ``BitConfig`` is built only where a config leaves the
+reader: a returned solution and the steps of a trace.
 """
 
 from __future__ import annotations
@@ -253,104 +251,49 @@ _SOL_TAGS = {"R1": R1, "R2": R2, "T1": T1, "T2": T2, "T3": T3}
 
 
 class LineReader:
-    """S, P and V of a line instance's configs, by value, each asked at most once.
+    """A line instance's configs by value, one checked ``node(x)`` each.
 
-    An instance with a raw node answers all three for a config in one checked
-    ``node(x)`` call.  Any other instance is asked oracle by oracle, through
-    its checked ``S``, ``P`` and ``V``.  Each oracle gets the ``BitConfig``
-    that an earlier answer returned for that value, or the caller's, so
-    memoised oracles keep seeing the key objects they handed out.
-
-    The answers are one ``(anchor, seen)`` pair.  ``at`` replaces the pair
-    whole when the anchor moves, so the store stays small.  Every answer is
-    keyed by the config it is about, so threads that share a reader may lose
-    each other's answers but never mix them up.
+    The reader keeps each config's (S, P, V) tuple, so S, P and V of one
+    config cost one ``node`` call between them.  The tuples live in one
+    ``(anchor, seen)`` pair, and ``at`` replaces the pair whole when the
+    anchor moves, so the store stays small.  Every tuple is keyed by the
+    config it is about, so threads that share a reader may lose each other's
+    tuples but never mix them up.
     """
 
-    __slots__ = ("inst", "n", "fetch", "state")
+    __slots__ = ("fetch", "state")
 
     def __init__(self, inst: LineInstance):
-        self.inst, self.n, self.state = inst, inst.n, (-1, {})
-        self.fetch = None if inst.raw_node is None else inst.node
+        self.fetch, self.state = inst.node, (-1, {})
 
-    def at(self, u: int, config: Optional[BitConfig] = None) -> None:
-        """Anchor the answers at u; ``config`` is u's BitConfig for the oracles.
-
-        The answers about u and about its successor and predecessor, as far
-        as they were asked, carry over; the rest go.
-        """
+    def at(self, u: int) -> None:
+        """Anchor the store at u: u's node and its neighbours' carry over."""
         last, seen = self.state
         if last != u:
-            kept = {}
             got = seen.get(u)
-            if got is not None:
-                kept[u] = got
-                for y in got[:2]:
-                    if y in seen:
-                        kept[y] = seen[y]
-            seen = kept
-            self.state = (u, seen)
-        if config is not None and self.fetch is None and u not in seen:
-            seen[u] = [None, None, None, config]
-
-    # S, P and V read a stored answer inline and ask only when it is missing
-    def S(self, x: int) -> int:
-        got = self.state[1].get(x)
-        return self._ask(x, 0) if got is None or got[0] is None else got[0]
-
-    def P(self, x: int) -> int:
-        got = self.state[1].get(x)
-        return self._ask(x, 1) if got is None or got[1] is None else got[1]
-
-    def V(self, x: int) -> int:
-        got = self.state[1].get(x)
-        return self._ask(x, 2) if got is None or got[2] is None else got[2]
+            near = () if got is None else (u, got[0], got[1])
+            self.state = (u, {y: seen[y] for y in near if y in seen})
 
     def node(self, x: int) -> tuple[int, int, int]:
-        """S(x), P(x) and V(x) at once: one stored node, or all three oracles."""
-        got = self.state[1].get(x)
-        if got.__class__ is tuple:
-            return got
-        if self.fetch is None:
-            return self.S(x), self.P(x), self.V(x)
-        return self._entry(x)[0]
-
-    def _entry(self, x: int) -> tuple[Union[tuple, list], dict]:
-        """x's answers, and the store that holds them.  A missing entry is
-        x's checked node, or [S, P, V, config] for the oracles to fill."""
+        """S(x), P(x) and V(x): the stored node, or a new one stored."""
         seen = self.state[1]
         got = seen.get(x)
         if got is None:
-            got = seen[x] = (
-                [None, None, None, BitConfig(x, self.n)] if self.fetch is None else self.fetch(x)
-            )
-        return got, seen
+            got = seen[x] = self.fetch(x)
+        return got
 
-    def _ask(self, x: int, i: int) -> int:
-        got, seen = self._entry(x)
-        out = got[i]
-        if out is None:
-            if i == 2:
-                out = self.inst.V(got[3])
-            else:
-                there = (self.inst.P if i else self.inst.S)(got[3])
-                out = there.value
-                if out not in seen:  # the answer is its value's config from now on
-                    seen[out] = [None, None, None, there]
-            got[i] = out
-        return out
-
-    def config(self, x: int) -> BitConfig:
-        """x as the BitConfig the oracles were handed, or a new one."""
+    # S, P and V read a stored node inline and fetch only when it is missing
+    def S(self, x: int) -> int:
         got = self.state[1].get(x)
-        return got[3] if got.__class__ is list else BitConfig(x, self.n)
+        return (self.node(x) if got is None else got)[0]
 
+    def P(self, x: int) -> int:
+        got = self.state[1].get(x)
+        return (self.node(x) if got is None else got)[1]
 
-def _reader_at(inst: LineInstance, x: BitConfig) -> LineReader:
-    """A reader anchored at the caller's config, once its width is checked."""
-    reader = LineReader(inst)
-    reader.at(inst._checked(x).value, x)
-    return reader
+    def V(self, x: int) -> int:
+        got = self.state[1].get(x)
+        return (self.node(x) if got is None else got)[2]
 
 
 def _broken_end(o: LineReader, x: int) -> bool:
@@ -379,7 +322,7 @@ def _tags(inst: LineInstance) -> tuple[str, ...]:
 
 def tag_holds(inst: LineInstance, tag: str, x: BitConfig) -> bool:
     """Whether x satisfies the solution predicate of ``tag`` on its own."""
-    return PREDICATES[tag](_reader_at(inst, x), x.value)
+    return PREDICATES[tag](LineReader(inst), inst._checked(x).value)
 
 
 def _classify(reader: LineReader, x: int, tags: tuple[str, ...]) -> Optional[str]:
@@ -391,7 +334,7 @@ def _classify(reader: LineReader, x: int, tags: tuple[str, ...]) -> Optional[str
 
 
 def _verify(inst: LineInstance, x: BitConfig, tags: tuple[str, ...]) -> Optional[LineSolution]:
-    tag = _classify(_reader_at(inst, x), x.value, tags)
+    tag = _classify(LineReader(inst), inst._checked(x).value, tags)
     return None if tag is None else _SOL_TAGS[tag](x)
 
 
@@ -445,9 +388,8 @@ def follow_line(
         raise PreconditionError("max_steps must be at least 1")
     tags = _tags(inst)
     reader = LineReader(inst)
-    x, start = 0, BitConfig.zeros(inst.n)
-    reader.at(x, start)
-    trace: list[TraceStep] = [(start, reader.V(x))]
+    n, x = inst.n, 0
+    trace: list[TraceStep] = [(BitConfig.zeros(n), reader.V(x))]
     steps = 0
     while True:
         tag = _classify(reader, x, tags)
@@ -459,9 +401,9 @@ def follow_line(
             )
         x = reader.S(x)
         steps += 1
-        # the classifier's answers about the new x carry over; the rest go
+        # the classifier's nodes of the new x and its neighbours carry over
         reader.at(x)
-        trace.append((reader.config(x), reader.V(x)))
+        trace.append((BitConfig(x, n), reader.V(x)))
 
 
 def enumerate_solutions(inst: LineInstance) -> list[LineSolution]:
@@ -475,7 +417,7 @@ def enumerate_solutions(inst: LineInstance) -> list[LineSolution]:
         reader.at(x)
         tag = _classify(reader, x, tags)
         if tag is not None:
-            out.append(_SOL_TAGS[tag](reader.config(x)))
+            out.append(_SOL_TAGS[tag](BitConfig(x, inst.n)))
     return out
 
 

@@ -34,6 +34,7 @@ from ..circuits import (
     clo_verify,
     contraction_verify,
     mmc_verify,
+    norm_distance_circuit,
     unit_grid,
 )
 
@@ -53,16 +54,6 @@ def _pair_potential_distance(p: ArithCircuit, dim: int) -> ArithCircuit:
     py = b.inline(p, list(range(dim, 2 * dim)))
     one = b.const(1)
     return b.build([b.add(b.add(px[0], py[0]), one)])
-
-
-def _norm_gap_potential(f: ArithCircuit, dim: int, r: NormOrder) -> ArithCircuit:
-    """p(x) = ||f(x) - x|| as a circuit, for r in {1, inf}."""
-    b = CircuitBuilder(dim)
-    fx = b.inline(f, list(range(dim)))
-    parts = [b.abs(b.sub(fx[i], i)) for i in range(dim)]
-    if r == 1:
-        return b.build([b.sum(parts)])
-    return b.build([b.max_chain(parts)])
 
 
 # ----------------------------------------------------------------------------
@@ -185,7 +176,7 @@ def contraction_to_clo(inst: ContractionInstance) -> CloInstance:
     """Potential ||f(x) - x||; slack (1-c)*delta, continuity c+1."""
     return CloInstance(
         f=inst.f,
-        p=_norm_gap_potential(inst.f, inst.dim, inst.r),
+        p=_compose_gap_distance(inst.f, norm_distance_circuit(inst.dim, inst.r), inst.dim),
         eps=(1 - inst.c) * inst.delta,
         lam=inst.c + 1,
         r=inst.r,

@@ -11,8 +11,8 @@ lists are evaluated strictly top to bottom, first match wins.
 
 Both reductions run their case lists on integer configs and read the source
 through one ``LineReader`` per target, anchored at the current source config
-u: the source is asked about u and its neighbours once, and every row that
-carries u shares the answers.  Each target also answers ``node(x)`` from the
+u: the source's nodes of u and its neighbours are fetched once, and every
+row that carries u shares them.  Each target also answers ``node(x)`` from the
 same case lists, so a table dump runs each list once per row and takes the
 metered odometer from the S' and P' just found.
 """

@@ -289,6 +289,20 @@ def test_reduce_out_file_bytes(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("r, join", [("1", "ADD"), ("inf", "MAX")])
+def test_reduce_contraction_clo_bytes_for_both_norms(tmp_path, capsys, r, join):
+    f = "ARITH 2 3 2\nCONST 1/2\nMUL 0 2\nMUL 1 2\n3 4\n"
+    src = write(tmp_path, "c.con", f"CONTRACTION dim=2 r={r} eps=1/4 c=1/2 delta=1/2\n{f}")
+    out = tmp_path / "c.clo"
+    assert main(["reduce", "contraction-clo", src, "-o", str(out)]) == 0
+    assert capsys.readouterr() == (f"wrote {out}\n", "")
+    # the potential ||f(x) - x||: f inlined, then the norm of the differences
+    assert out.read_text() == (
+        f"CLO dim=2 r={r} eps=1/4 lambda=3/2\n{f}"
+        f"ARITH 2 8 1\nCONST 1/2\nMUL 0 2\nMUL 1 2\nSUB 3 0\nABS 5\nSUB 4 1\nABS 7\n{join} 6 8\n9\n"
+    )
+
+
 @pytest.mark.parametrize(
     "kind, text", [("eopl-eoml", TRIVIAL_EOPL), ("eoml-eopl", EOML_TABLE)], ids=["immediate-solution", "table"]
 )

@@ -351,23 +351,25 @@ def _asked(calls):
 
 
 def test_a_reduced_dump_reads_the_source_once_per_config():
-    # an eopl6x6-shaped source: each of its 64 configs is carried by 64 of
-    # the 4096 rows, and the rows of one config share its seven reads
+    # an eopl6x6-shaped source: each of its 64 configs u is carried by 64 of
+    # the 4096 rows, and the rows of one u share the nodes of u, S(u) and P(u)
     src = gen_eopl_line(random.Random(41), 6, 6)
     probe, calls = counted(src)
     target = eopl_to_eoml(probe)
-    built = _asked(calls)
+    built = Counter(calls)
     assert dump_line_table(target) == dump_line_table(eopl_to_eoml_ref(src))
-    assert _asked(calls) - built <= min(8 << 6, 1 << 12)
+    read = calls - built
+    assert read["S"] == read["P"] == read["V"] <= 3 << 6, read
     # the rows of each u in turn, in the order a dump asks them
     probe, calls = counted(src)
     target = eopl_to_eoml(probe)
     for u in range(1 << 6):
-        before = _asked(calls)
+        before = Counter(calls)
         for pi in range(1 << 6):
             x = BitConfig(u << 6 | pi, 12)
             target.S(x), target.P(x), target.V(x)
-        assert _asked(calls) - before <= 8, u
+        read = calls - before
+        assert read["S"] == read["P"] == read["V"] <= 3, (u, read)
 
 
 def test_a_prefix_bit_dump_reads_the_source_at_most_three_times_per_row():
