@@ -12,7 +12,10 @@ integers and hold only the d+1 nonbasic columns and the right-hand side, as
 integers over the basis determinant.  A basic variable's column is
 ``det * e_k`` and stays implicit; after a pivot the leaving variable takes
 the entering one's column.  So a pivot is O(d^2) exact integer updates over
-d+2 columns, and vertices are read off as exact rationals.  The optional
+d+2 columns.  Lemke's path keeps one integer snapshot of the dictionary per
+pivot (basis, tight set, a copy of the rhs, det and the row scales), and a
+:class:`LemkeVertex` builds its exact rationals from it on first read, so a
+solve turns into Fractions only the vertices its caller looks at.  The optional
 lexicographic mode runs the same pivot rules as if the right-hand side were
 ``q_i + eps^i``: ratio-test ties are broken by comparing the tableau rows of
 ``[q | B^-1]`` lexicographically, reading ``det * e_k`` for a basic s'_j,
@@ -112,6 +115,11 @@ class LemkeVertex:
 
     ``tight`` holds constraint names ("y3", "s1", "z"); ``dup_label`` is the
     1-based index at which both y and s are tight, or None at a z=0 vertex.
+
+    A vertex that pivoting reaches holds an integer snapshot of the tableau
+    and ``dup_label``; it builds y, s, z and ``tight`` on the first read of
+    any of them.  Equality, hash, repr, copies and pickles read the fields,
+    so they see the same vertex either way.
     """
 
     y: QVector
@@ -119,6 +127,24 @@ class LemkeVertex:
     z: Fraction
     tight: frozenset[str]
     dup_label: Optional[int]
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute not in __dict__: on a snapshot vertex,
+        # the first read of a lazy field
+        state = self.__dict__
+        snapshot = state.get("_snapshot")
+        if snapshot is None or name not in _LAZY_FIELDS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        state.update(_vertex_fields(*snapshot))
+        state.pop("_snapshot", None)
+        return state[name]
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in _FIELDS}
+
+
+_FIELDS = ("y", "s", "z", "tight", "dup_label")
+_LAZY_FIELDS = frozenset(_FIELDS[:4])
 
 
 @dataclass(frozen=True)
@@ -132,6 +158,12 @@ class Ray:
 
 @dataclass(frozen=True)
 class LemkeResult:
+    """A solve's outcome and the vertices of its path, start first.
+
+    The trace holds integer snapshots (see :class:`LemkeVertex`): reading
+    its length or one vertex's fields builds the rationals of no other.
+    """
+
     outcome: LcpOutcome
     trace: tuple[LemkeVertex, ...]
 
@@ -149,11 +181,11 @@ def _var_name(var: int, d: int) -> str:
 
 
 def _parse_var(name: str, d: int) -> int:
-    name = name.strip()
+    """The id of a name as :func:`_var_name` writes it; no other spelling."""
     if name == "z":
         return 2 * d
-    kind, idx = name[0], name[1:]
-    if kind in ("y", "s") and idx.isascii() and idx.isdigit() and 1 <= int(idx) <= d:
+    kind, idx = name[:1], name[1:]
+    if kind in ("y", "s") and idx.isascii() and idx.isdigit() and idx[0] != "0" and int(idx) <= d:
         return (0 if kind == "y" else d) + int(idx) - 1
     raise PreconditionError(f"unknown variable {name!r} for dimension {d}")
 
@@ -232,24 +264,10 @@ class _Tableau:
 
     def values(self) -> list[Fraction]:
         """Coordinates of (y, s, z) at this basis, in the instance's units."""
-        vals = [Q(0)] * (2 * self.d + 1)
-        for row, var in zip(self.rows, self.basis):
-            vals[var] = Fraction(row[-1], self.det * self._unscale(var))
-        return vals
+        return _values(self.basis, [row[-1] for row in self.rows], self.det, self.scale)
 
     def point(self) -> tuple[QVector, QVector, Fraction]:
         return _split(self.values(), self.d)
-
-    def vertex(self) -> LemkeVertex:
-        y, s, z = self.point()
-        tight = self.tight()
-        return LemkeVertex(
-            y=y,
-            s=s,
-            z=z,
-            tight=frozenset(_var_name(v, self.d) for v in tight),
-            dup_label=_dup_of_tight(tight, self.d),
-        )
 
     def ray(self, e: int) -> Ray:
         """The edge relaxing nonbasic ``e``, normalized to unit speed in ``e``."""
@@ -325,6 +343,39 @@ class _Tableau:
                 return 1 if col[var] > 0 else -1
 
 
+def _values(basis: list[int], rhs: list[int], det: int, scale: list[int]) -> list[Fraction]:
+    """Coordinates of (y, s, z) over the variable ids: basic ``basis[i]`` is
+    ``rhs[i] / det`` in the tableau's units, unscaled for a slack."""
+    d = len(scale)
+    vals = [Q(0)] * (2 * d + 1)
+    for var, b in zip(basis, rhs):
+        vals[var] = Fraction(b, det * scale[var - d] if d <= var < 2 * d else det)
+    return vals
+
+
+def _snapshot(tab: _Tableau) -> LemkeVertex:
+    """The vertex at ``tab``'s basis, kept as integers until a field is read.
+
+    The basis and the rhs are copied, since later pivots rewrite the
+    tableau's own; the row scales never change.  ``dup_label`` is read off
+    the tight set at once, so a second duplicate label raises here.
+    """
+    tight = tab.tight()
+    v = object.__new__(LemkeVertex)
+    v.__dict__.update(
+        dup_label=_dup_of_tight(tight, tab.d),
+        _snapshot=(tab.basis[:], tight, [row[-1] for row in tab.rows], tab.det, tab.scale),
+    )
+    return v
+
+
+def _vertex_fields(basis, tight, rhs, det, scale) -> dict:
+    """y, s, z and the tight names of a :func:`_snapshot`."""
+    d = len(scale)
+    y, s, z = _split(_values(basis, rhs, det, scale), d)
+    return {"y": y, "s": s, "z": z, "tight": frozenset(_var_name(v, d) for v in tight)}
+
+
 def _split(vals: list[Fraction], d: int) -> tuple[QVector, QVector, Fraction]:
     """(y, s, z) from one list over the variable ids."""
     return QVector(tuple(vals[:d])), QVector(tuple(vals[d : 2 * d])), vals[2 * d]
@@ -386,9 +437,14 @@ def _vertex_tableau(inst: LcpInstance, v: LemkeVertex, entering: str) -> tuple[_
     return tab, var
 
 
+def _first_entering(start: _Tableau) -> int:
+    """The start vertex's pivot edge: y at the duplicate label enters."""
+    return _dup_of_tight(start.tight(), start.d) - 1
+
+
 def _calibration(start: _Tableau) -> int:
     """The raw sign that reads forward: that of the start vertex's pivot edge."""
-    return start.orientation(_dup_of_tight(start.tight(), start.d) - 1)
+    return start.orientation(_first_entering(start))
 
 
 # ----------------------------------------------------------------------------
@@ -503,7 +559,7 @@ def is_p_matrix(m: QMatrix) -> bool:
 
 def lemke_start(inst: LcpInstance) -> LemkeVertex:
     """Start vertex: y = 0, z = |min q|, s = q + z*1."""
-    return _start_tableau(inst, lexicographic=False).vertex()
+    return _snapshot(_start_tableau(inst, lexicographic=False))
 
 
 def lemke_pivot(inst: LcpInstance, v: LemkeVertex, entering: str) -> Union[LemkeVertex, Ray]:
@@ -513,7 +569,7 @@ def lemke_pivot(inst: LcpInstance, v: LemkeVertex, entering: str) -> Union[Lemke
     if r is None:
         return tab.ray(var)
     tab.pivot(r, var)
-    return tab.vertex()
+    return _snapshot(tab)
 
 
 def duplicate_label(v: LemkeVertex) -> Optional[int]:
@@ -569,8 +625,8 @@ def lemke_solve(
         return LemkeResult(Q1(QVector.zero(d)), ())
 
     tab = _start_tableau(inst, lexicographic)
-    trace = [tab.vertex()]
-    entering = trace[0].dup_label - 1  # relax y at the duplicate label first
+    trace = [_snapshot(tab)]
+    entering = _first_entering(tab)
 
     while True:
         if len(trace) > budget:
@@ -581,7 +637,7 @@ def lemke_solve(
             return LemkeResult(outcome, tuple(trace))
         blocker = tab.basis[r]
         tab.pivot(r, entering)
-        trace.append(tab.vertex())
+        trace.append(_snapshot(tab))
         if blocker == 2 * d:
             y = trace[-1].y
             if not _verify_scaled(tab.mq, tab.scale, y):

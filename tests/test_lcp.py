@@ -1,8 +1,11 @@
 import itertools
 import random
+import re
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,7 @@ from clslab import (
     BudgetExceededError,
     DegeneracyError,
     DimensionError,
+    LemkeVertex,
     ParseError,
     PreconditionError,
     QMatrix,
@@ -186,12 +190,23 @@ def test_lemke_pivot_examples():
 def test_variable_names_take_ascii_digits_only():
     inst = make_lcp([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [-1, -2, -3])
     start = lemke_start(inst)
-    assert lemke_pivot(inst, start, "y3") == lemke_pivot(inst, start, "y03")
+    assert isinstance(lemke_pivot(inst, start, "y3"), type(start))
     # a superscript digit is a digit to str.isdigit but not to int, and an
-    # Arabic-Indic three is a 3 to both
-    for name in ("y¹", "y٣", "s٣", "y_3", "y+3"):
+    # Arabic-Indic three is a 3 to both; a leading zero is no name that
+    # vertices carry
+    for name in ("y¹", "y٣", "s٣", "y_3", "y+3", "y03"):
         with pytest.raises(PreconditionError):
             lemke_pivot(inst, start, name)
+
+
+@pytest.mark.parametrize("name", ["", " ", "\t", "y", "y0", "y01", "s01", " y1", "y1 ", "Z", "z1"])
+def test_only_the_names_vertices_carry_are_variables(name):
+    # an empty or blank name used to raise a bare IndexError from name[0]
+    inst = make_lcp([[1, 0], [0, 1]], [-1, -2])
+    start = lemke_start(inst)
+    for op in (lemke_pivot, todd_orientation):
+        with pytest.raises(PreconditionError, match=f"^unknown variable {re.escape(repr(name))} "):
+            op(inst, start, name)
 
 
 def test_duplicate_label_examples():
@@ -683,3 +698,211 @@ def test_murty_path_has_exponentially_many_pivots(d):
         ref = lemke_solve(inst)
     assert (ref.outcome, ref.trace) == (plain.outcome, plain.trace)
     assert verify_lcp_solution(inst, plain.outcome.y)
+
+
+# ----------------------------------------------------------------------------
+# the lazy trace against vertices built at once by the full reference tableau
+
+
+def _eager_path(inst, lex):
+    """Lemke's path pivoted on :class:`FullTableau`, every vertex built at once
+    by ``FullTableau.vertex``, and how the path ended: "solution", "ray",
+    "z-trend", or the text of the DegeneracyError that stopped it."""
+    d = inst.d
+    low = min(inst.q)
+    ties = [i for i in range(d) if inst.q[i] == low]
+    if len(ties) > 1 and not lex:
+        return [], "tied minimum"
+    tab = FullTableau(inst)
+    tab.pivot(ties[-1], 2 * d)
+    trace, entering = [tab.vertex()], ties[-1]
+    while True:
+        try:
+            r = tab.ratio_row(entering, lex)
+        except DegeneracyError as exc:
+            return trace, str(exc)
+        if r is None:
+            return trace, "ray"
+        if tab.z_trend(r, entering, lex) >= 0:
+            return trace, "z-trend"
+        blocker = tab.basis[r]
+        tab.pivot(r, entering)
+        trace.append(tab.vertex())
+        if blocker == 2 * d:
+            return trace, "solution"
+        entering = blocker + d if blocker < d else blocker - d
+
+
+# each traced vertex is first touched by one of these, then checked in full
+_FIRST_READS = {
+    "fields": lambda v: (v.y, v.s, v.z, v.tight, v.dup_label),
+    "one field": lambda v: v.z,
+    "eq": lambda v: LemkeVertex(v.y, v.s, v.z, v.tight, v.dup_label) == v,
+    "hash": hash,
+    "repr": repr,
+    "copies": copies,
+    "replace": replace,
+}
+
+
+def _assert_same_vertex(got, ref):
+    assert type(got) is LemkeVertex
+    assert [getattr(got, f.name) for f in fields(ref)] == [getattr(ref, f.name) for f in fields(ref)]
+    assert got == ref and ref == got
+    assert hash(got) == hash(ref) and repr(got) == repr(ref)
+    with pytest.raises(FrozenInstanceError):
+        got.z = ref.z
+
+
+def _assert_same_as_eager(got, ref, first_read):
+    """``got`` equals the eager ``ref`` when first touched by ``first_read``,
+    and its copies, taken before that read and after it, equal ref's copies.
+
+    A copy is compared with the same copy of ref: a pickled frozenset may
+    iterate, and so print, in another order than the original.
+    """
+    ref_copies = copies(ref)
+    before = copies(got) if first_read == "later copies" else {}
+    if first_read != "later copies":
+        _FIRST_READS[first_read](got)
+    _assert_same_vertex(got, ref)
+    for twins in (before, copies(got)):
+        for how, twin in twins.items():
+            _assert_same_vertex(twin, ref_copies[how])
+            assert vars(twin) == vars(ref), how  # a copy carries the rationals only
+
+
+def _outcome(inst, lex, budget=None):
+    try:
+        return lemke_solve(inst, lexicographic=lex, budget=budget)
+    except DegeneracyError as exc:
+        return str(exc)
+
+
+def test_lazy_trace_equals_the_eager_one_vertex_for_vertex():
+    reads = list(_FIRST_READS) + ["later copies"]
+    ends, checked = {}, 0
+    for inst in _differential_instances():
+        for lex in (False, True):
+            eager, end = _eager_path(inst, lex)
+            ends[end] = ends.get(end, 0) + 1
+            for first_read in reads:
+                res = _outcome(inst, lex)
+                if isinstance(res, str):  # the same tie stops both
+                    assert res == end or (end == "tied minimum" and res.startswith(end))
+                    break
+                assert end in ("solution", "ray", "z-trend")
+                assert isinstance(res.outcome, Q1) == (end == "solution")
+                assert len(res.trace) == len(eager)
+                for v, ref in zip(res.trace, eager):
+                    tight = frozenset(var_id(name, inst.d) for name in ref.tight)
+                    assert full_tableau_of_tight(inst, tight).vertex() == ref
+                    _assert_same_as_eager(v, ref, first_read)
+                    checked += 1
+                if end == "solution":
+                    assert res.outcome.y == eager[-1].y
+    assert ends["solution"] >= 60 and ends["ray"] >= 40 and ends["z-trend"] >= 25
+    assert ends["tied minimum"] >= 5 and checked >= 2000
+
+
+def test_budget_prefixes_equal_the_eager_path():
+    prefixes = 0
+    for inst in _differential_instances():
+        for lex in (False, True):
+            eager, end = _eager_path(inst, lex)
+            if end not in ("solution", "ray", "z-trend"):
+                continue
+            for k in range(len(eager) - 1):
+                with pytest.raises(BudgetExceededError) as info:
+                    lemke_solve(inst, lexicographic=lex, budget=k)
+                trace = info.value.trace
+                assert len(trace) == k + 1
+                for i, (v, ref) in enumerate(zip(trace, eager)):
+                    _assert_same_as_eager(v, ref, list(_FIRST_READS)[i % len(_FIRST_READS)])
+                prefixes += 1
+    assert prefixes >= 100
+
+
+def _eager_pivot(inst, ref, name):
+    """``lemke_pivot`` on the full tableau, its vertex built at once."""
+    d = inst.d
+    tab = full_tableau_of_tight(inst, frozenset(var_id(n, d) for n in ref.tight))
+    var = var_id(name, d)
+    try:
+        r = tab.ratio_row(var, lexicographic=False)
+    except DegeneracyError as exc:
+        return str(exc)
+    if r is None:
+        return tab.ray(var)
+    tab.pivot(r, var)
+    try:
+        return tab.vertex()
+    except DegeneracyError as exc:
+        return str(exc)
+
+
+def test_start_and_pivot_vertices_equal_eager_ones():
+    # every edge out of the vertices reachable from the start in a few
+    # pivots, non-complementary ones included; pivoting z into a vertex off
+    # the path can leave two duplicate labels, which must raise at the pivot
+    counts = {"vertex": 0, "ray": 0, "two labels": 0, "tie": 0}
+    reads = list(_FIRST_READS)
+    for inst in _differential_instances():
+        eager, end = _eager_path(inst, False)
+        if end == "tied minimum":
+            continue
+        start = lemke_start(inst)
+        _assert_same_as_eager(start, eager[0], reads[inst.d % len(reads)])
+        frontier, seen = [eager[0]], {eager[0]}
+        while frontier and len(seen) < 12:
+            ref = frontier.pop(0)
+            for name in sorted(ref.tight):
+                want = _eager_pivot(inst, ref, name)
+                try:
+                    got = lemke_pivot(inst, ref, name)
+                except DegeneracyError as exc:
+                    assert str(exc) == want
+                    counts["two labels" if "duplicate" in want else "tie"] += 1
+                    continue
+                if isinstance(want, Ray):
+                    assert got == want
+                    counts["ray"] += 1
+                    continue
+                _assert_same_as_eager(got, want, reads[counts["vertex"] % len(reads)])
+                counts["vertex"] += 1
+                if want not in seen:
+                    seen.add(want)
+                    frontier.append(want)
+    assert counts["vertex"] >= 300 and counts["ray"] >= 400
+    assert counts["two labels"] >= 100 and counts["tie"] >= 25
+
+
+@contextmanager
+def _vertex_builds():
+    """Count the snapshot vertices that build their rationals in the block."""
+    builds = []
+    build = lcp._vertex_fields
+
+    def counted(*snapshot):
+        builds.append(snapshot)
+        return build(*snapshot)
+
+    with mock.patch.object(lcp, "_vertex_fields", counted):
+        yield builds
+
+
+@pytest.mark.parametrize("lex", [False, True], ids=["plain", "lex"])
+def test_a_solve_builds_at_most_the_last_vertex(lex):
+    inst = murty_lcp(8)
+    with _vertex_builds() as builds:
+        res = lemke_solve(inst, lexicographic=lex)
+        assert len(res.trace) == 2**8 and len(builds) <= 1
+        assert res.outcome.y == res.trace[-1].y
+        # the start's y, read after 255 more pivots rewrote the tableau
+        assert res.trace[0].y == QVector.zero(8) and res.trace[0].z == -min(inst.q)
+        assert len(builds) == 2
+    with _vertex_builds() as builds:
+        with pytest.raises(BudgetExceededError) as info:
+            lemke_solve(inst, lexicographic=lex, budget=100)
+        assert len(info.value.trace) == 101 and builds == []
+    assert res.trace == tuple(_eager_path(inst, lex)[0])
