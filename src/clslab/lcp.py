@@ -140,11 +140,10 @@ class LemkeVertex:
         return state[name]
 
     def __getstate__(self) -> dict:
-        return {name: getattr(self, name) for name in _FIELDS}
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
-_FIELDS = ("y", "s", "z", "tight", "dup_label")
-_LAZY_FIELDS = frozenset(_FIELDS[:4])
+_LAZY_FIELDS = frozenset({"y", "s", "z", "tight"})
 
 
 @dataclass(frozen=True)
@@ -353,7 +352,7 @@ def _values(basis: list[int], rhs: list[int], det: int, scale: list[int]) -> lis
     return vals
 
 
-def _snapshot(tab: _Tableau) -> LemkeVertex:
+def _snapshot_vertex(tab: _Tableau) -> LemkeVertex:
     """The vertex at ``tab``'s basis, kept as integers until a field is read.
 
     The basis and the rhs are copied, since later pivots rewrite the
@@ -370,7 +369,7 @@ def _snapshot(tab: _Tableau) -> LemkeVertex:
 
 
 def _vertex_fields(basis, tight, rhs, det, scale) -> dict:
-    """y, s, z and the tight names of a :func:`_snapshot`."""
+    """y, s, z and the tight names of a :func:`_snapshot_vertex`."""
     d = len(scale)
     y, s, z = _split(_values(basis, rhs, det, scale), d)
     return {"y": y, "s": s, "z": z, "tight": frozenset(_var_name(v, d) for v in tight)}
@@ -559,7 +558,7 @@ def is_p_matrix(m: QMatrix) -> bool:
 
 def lemke_start(inst: LcpInstance) -> LemkeVertex:
     """Start vertex: y = 0, z = |min q|, s = q + z*1."""
-    return _snapshot(_start_tableau(inst, lexicographic=False))
+    return _snapshot_vertex(_start_tableau(inst, lexicographic=False))
 
 
 def lemke_pivot(inst: LcpInstance, v: LemkeVertex, entering: str) -> Union[LemkeVertex, Ray]:
@@ -569,7 +568,7 @@ def lemke_pivot(inst: LcpInstance, v: LemkeVertex, entering: str) -> Union[Lemke
     if r is None:
         return tab.ray(var)
     tab.pivot(r, var)
-    return _snapshot(tab)
+    return _snapshot_vertex(tab)
 
 
 def duplicate_label(v: LemkeVertex) -> Optional[int]:
@@ -625,7 +624,7 @@ def lemke_solve(
         return LemkeResult(Q1(QVector.zero(d)), ())
 
     tab = _start_tableau(inst, lexicographic)
-    trace = [_snapshot(tab)]
+    trace = [_snapshot_vertex(tab)]
     entering = _first_entering(tab)
 
     while True:
@@ -637,7 +636,7 @@ def lemke_solve(
             return LemkeResult(outcome, tuple(trace))
         blocker = tab.basis[r]
         tab.pivot(r, entering)
-        trace.append(_snapshot(tab))
+        trace.append(_snapshot_vertex(tab))
         if blocker == 2 * d:
             y = trace[-1].y
             if not _verify_scaled(tab.mq, tab.scale, y):
