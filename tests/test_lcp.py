@@ -733,15 +733,17 @@ def _eager_path(inst, lex):
         entering = blocker + d if blocker < d else blocker - d
 
 
-# each traced vertex is first touched by one of these, then checked in full
+# each traced vertex is first touched by one of these, given it and its
+# eager twin, then checked in full
 _FIRST_READS = {
-    "fields": lambda v: (v.y, v.s, v.z, v.tight, v.dup_label),
-    "one field": lambda v: v.z,
-    "eq": lambda v: LemkeVertex(v.y, v.s, v.z, v.tight, v.dup_label) == v,
-    "hash": hash,
-    "repr": repr,
-    "copies": copies,
-    "replace": replace,
+    "fields": lambda v, ref: (v.y, v.s, v.z, v.tight, v.dup_label),
+    "one field": lambda v, ref: v.z,
+    "eq": lambda v, ref: v == ref,
+    "eq from the eager side": lambda v, ref: ref == v,
+    "hash": lambda v, ref: hash(v),
+    "repr": lambda v, ref: repr(v),
+    "copies": lambda v, ref: copies(v),
+    "replace": lambda v, ref: replace(v),
 }
 
 
@@ -764,7 +766,7 @@ def _assert_same_as_eager(got, ref, first_read):
     ref_copies = copies(ref)
     before = copies(got) if first_read == "later copies" else {}
     if first_read != "later copies":
-        _FIRST_READS[first_read](got)
+        _FIRST_READS[first_read](got, ref)
     _assert_same_vertex(got, ref)
     for twins in (before, copies(got)):
         for how, twin in twins.items():
@@ -772,9 +774,10 @@ def _assert_same_as_eager(got, ref, first_read):
             assert vars(twin) == vars(ref), how  # a copy carries the rationals only
 
 
-def _outcome(inst, lex, budget=None):
+def _outcome(inst, lex):
+    """``lemke_solve``'s result, or the text of its DegeneracyError."""
     try:
-        return lemke_solve(inst, lexicographic=lex, budget=budget)
+        return lemke_solve(inst, lexicographic=lex)
     except DegeneracyError as exc:
         return str(exc)
 
