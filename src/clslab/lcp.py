@@ -246,6 +246,15 @@ class _Tableau:
         self.basis[r] = e
         self.det = abs(p)
 
+    def copy(self) -> "_Tableau":
+        """The tableau at the same basis, sharing ``mq`` and ``scale`` (which no
+        pivot changes); its rows, basis and cobasis are its own."""
+        tab = object.__new__(_Tableau)
+        tab.d, tab.mq, tab.scale, tab.det = self.d, self.mq, self.scale, self.det
+        tab.rows = [row[:] for row in self.rows]
+        tab.basis, tab.cobasis = self.basis[:], self.cobasis[:]
+        return tab
+
     def column(self, var: int) -> list[int]:
         """Entries of variable ``var`` (the rhs for ``2d+1``) over the rows."""
         if var in self.basis:
@@ -389,8 +398,9 @@ def _dup_of_tight(tight: frozenset[int], d: int) -> Optional[int]:
     return dups[0] + 1 if dups else None
 
 
-def _start_tableau(inst: LcpInstance, lexicographic: bool) -> _Tableau:
-    """The vertex where y = 0, z = |min q| and the minimal slack is tight."""
+def _start_tableau(inst: LcpInstance, lexicographic: bool, slack: Optional[_Tableau] = None) -> _Tableau:
+    """The vertex where y = 0, z = |min q| and the minimal slack is tight,
+    pivoted on a copy of ``slack`` (the slack basis) when one is given."""
     d = inst.d
     low = min(inst.q)
     if low >= 0:
@@ -401,17 +411,25 @@ def _start_tableau(inst: LcpInstance, lexicographic: bool) -> _Tableau:
             "tied minimum in q at indices " + ", ".join(str(i + 1) for i in ties),
             ties=tuple(i + 1 for i in ties),
         )
-    tab = _Tableau(inst)
+    tab = _Tableau(inst) if slack is None else slack.copy()
     # q_i + eps^i is smallest at the last tied index
     tab.pivot(ties[-1], 2 * d)
     return tab
 
 
-def _tableau_of_tight(inst: LcpInstance, tight: frozenset[int]) -> Optional[_Tableau]:
-    """Pivot from the slack basis onto the complement of the d+1 ids in ``tight``;
-    None when that basis is singular."""
-    d = inst.d
-    tab = _Tableau(inst)
+def _pivot_onto(tab: _Tableau, tight: frozenset[int]) -> Optional[_Tableau]:
+    """Pivot ``tab`` in place onto the complement of the d+1 ids in ``tight``;
+    None when that basis is singular.
+
+    Each id of ``tight`` that is basic now enters, in id order, at the first
+    row whose basic variable must leave.  From any start this reaches the
+    target exactly when the target is nonsingular: the block of leaving rows
+    by entering columns is nonsingular just when the target basis is, and
+    stays so after each pivot.  The result has the target's det and, per
+    basic variable, its row; only the order of the rows and of the cobasis
+    depends on the start.
+    """
+    d = tab.d
     for e in sorted(tab.tight() - tight):
         col = tab.column(e)
         r = next((i for i in range(d) if col[i] != 0 and tab.basis[i] in tight), None)
@@ -419,6 +437,12 @@ def _tableau_of_tight(inst: LcpInstance, tight: frozenset[int]) -> Optional[_Tab
             return None
         tab.pivot(r, e)
     return tab
+
+
+def _tableau_of_tight(inst: LcpInstance, tight: frozenset[int]) -> Optional[_Tableau]:
+    """Pivot from the slack basis onto the complement of the d+1 ids in ``tight``;
+    None when that basis is singular."""
+    return _pivot_onto(_Tableau(inst), tight)
 
 
 def _vertex_tableau(inst: LcpInstance, v: LemkeVertex, entering: str) -> tuple[_Tableau, int]:

@@ -110,7 +110,7 @@ def _continuity_factor_bound(lam: Fraction, r: NormOrder) -> Fraction:
     return lam / 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)  # bounded: only a back-map right after the build hits it
 def clo_to_mmc(inst: CloInstance) -> MmcInstance:
     """Distance p(x) + p(y) + 1; self-distance stays above eps so only
     violation-type solutions exist in the target."""

@@ -3,21 +3,35 @@
 A configuration's first d bits pick which of y_i = 0 / s_i = 0 is tight
 (bit set means the slack side), and the second d bits carry at most one set
 bit marking the duplicate label; all second-half-empty configs sit at z = 0.
-Configs decode by pivoting the integer tableau from the slack basis onto
-their basic columns, once per config through the reduced instance's
-``node``, which answers S, P and V together.  A config is valid when that
-basis is nonsingular and every basic value is positive (a nondegenerate
-vertex); the same tableau gives the potential, the edge orientations and the
-next vertex, whose config is read off which right-hand sides the pivot would
-zero, without pivoting.  The successor follows the pivot edge the
-orientation rule points along, but only when the covering variable z
-strictly drops, so the potential floor(Delta^2 (Delta - D z)) strictly
-climbs along the line.  Delta and the potential are those of the integer
-data (D M, D q), with D the lcm of the denominators in M and q; that scaling
-leaves the vertices and the line as they are and multiplies z by D.
+Configs decode by pivoting the integer tableau onto their basic columns, once
+per config through the reduced instance's ``node``, which answers S, P and V
+together.  A config is valid when that basis is nonsingular and every basic
+value is positive (a nondegenerate vertex); the same tableau gives the
+potential, the edge orientations and the next vertex, whose config is read
+off which right-hand sides the pivot would zero, without pivoting.  The
+successor follows the pivot edge the orientation rule points along, but only
+when the covering variable z strictly drops, so the potential
+floor(Delta^2 (Delta - D z)) strictly climbs along the line.  Delta and the
+potential are those of the integer data (D M, D q), with D the lcm of the
+denominators in M and q; that scaling leaves the vertices and the line as
+they are and multiplies z by D.
 
-``node`` keeps no memo.  The separate oracles read the same decode and are
-memoised with keys that hold the context (and through it the instance), so
+Each context keeps a warm-start slot: its slack tableau, built once from the
+scaled rows of [M | q], and the last tableau decoded.  A decode copies
+whichever of the two has fewer ids to pivot in and pivots the copy, so a
+follow makes one pivot per line step.  The slot is one attribute holding a
+tuple, replaced whole, and a tableau in it is never pivoted again, so
+threads that share a reduced line stay safe; it takes no part in the
+context's equality, hash or repr, and pickles and copies leave it behind.  A
+warm tableau has the cold one's basis, det and entries with its rows in
+another order, and no output depends on that order: the potential,
+``orientation`` and ``_pivoted_code`` read by variable, and a row that
+``ratio_row`` picks is used only on the tableau it came from.
+
+The memos are bounded ``lru_cache``s.  The context and the reduced instance
+keep only the last one, which is what a back-map rebuilding its caller's
+target hits; the separate S, P, V and validity oracles keep the last few
+configs.  Their keys hold the context (and through it the instance), so
 ``PlcpEoplContext`` and ``LcpInstance`` each compute their hash on first use
 and keep it: a fresh hash runs ``Fraction.__hash__`` (a modular inverse)
 over every entry of M and q, and every memo lookup asks for one.
@@ -40,7 +54,7 @@ from ..lcp import (
     _dup_of_tight,
     _start_tableau,
     _Tableau,
-    _tableau_of_tight,
+    _pivot_onto,
     q2_witness_at,
     verify_lcp_solution,
 )
@@ -76,20 +90,31 @@ class PlcpEoplContext:
             object.__setattr__(self, "_hash", h)
             return h
 
+    def __getstate__(self) -> dict:
+        # pickles and copies start without the warm-start slot (see _slot)
+        return {k: v for k, v in self.__dict__.items() if k != "_warm"}
 
-@lru_cache(maxsize=None)
+
+# memo sizes: the last context and reduced instance, each with its slot, and
+# the oracles' answers on the last few configs (see the module docstring)
+_INSTANCES = 1
+_CONFIGS = 64
+
+
+@lru_cache(maxsize=_INSTANCES)
 def make_context(inst: LcpInstance) -> PlcpEoplContext:
     """Set up the reduction; rejects trivial (q >= 0) and degenerate starts."""
     d = inst.d
     if all(x >= 0 for x in inst.q):
         raise PreconditionError("q >= 0 is solved by y = 0; nothing to reduce")
-    start = _start_tableau(inst, lexicographic=False)  # raises DegeneracyError on a tied minimum
+    slack = _Tableau(inst)
+    start = _start_tableau(inst, lexicographic=False, slack=slack)  # DegeneracyError on a tied minimum
     entries = [inst.m[i, j] for i in range(d) for j in range(d)] + list(inst.q)
     scale = math.lcm(*(x.denominator for x in entries))
     # the paper's bound on z holds for integer data, so Delta is read off D M and D q
     largest = max(abs(x.numerator) * (scale // x.denominator) for x in entries)
     delta = math.factorial(2 * d) * largest ** (2 * d + 1) + 1
-    return PlcpEoplContext(
+    ctx = PlcpEoplContext(
         inst=inst,
         n=2 * d,
         delta=delta,
@@ -98,6 +123,8 @@ def make_context(inst: LcpInstance) -> PlcpEoplContext:
         calibration=_calibration(start),
         scale=scale,
     )
+    object.__setattr__(ctx, "_warm", (slack, start))  # the line's first decode is the start
+    return ctx
 
 
 def _config_tight(ctx: PlcpEoplContext, u: BitConfig) -> Optional[frozenset[int]]:
@@ -125,14 +152,35 @@ def _config_tight(ctx: PlcpEoplContext, u: BitConfig) -> Optional[frozenset[int]
     return frozenset(tight)
 
 
+def _slot(ctx: PlcpEoplContext) -> tuple[_Tableau, _Tableau]:
+    """The context's warm-start slot (see the module docstring): its slack
+    tableau and the last one decoded.  ``make_context`` fills it; a context
+    made otherwise (a copy, ``replace``) gets a slack tableau on first use."""
+    try:
+        return ctx._warm
+    except AttributeError:
+        slack = _Tableau(ctx.inst)
+        object.__setattr__(ctx, "_warm", (slack, slack))
+        return slack, slack
+
+
+def _warm_tableau(ctx: PlcpEoplContext, tight: frozenset[int]) -> Optional[_Tableau]:
+    """The tableau at the complement of ``tight``, or None when it is singular:
+    a copy of whichever slot tableau has fewer ids to pivot in, pivoted there."""
+    slack, last = _slot(ctx)
+    base = last if len(last.tight() - tight) < len(slack.tight() - tight) else slack
+    return _pivot_onto(base.copy(), tight)
+
+
 def _tableau_at(ctx: PlcpEoplContext, u: BitConfig) -> Optional[_Tableau]:
     """The tableau at a valid nonzero config's vertex, or None.
 
     The tableau keeps det > 0, so a basic value has its rhs's sign: one
     integer test per row rules out a negative value and a degenerate zero.
+    The result is a new tableau that the caller may pivot.
     """
     tight = _config_tight(ctx, u)
-    tab = None if tight is None else _tableau_of_tight(ctx.inst, tight)
+    tab = None if tight is None else _warm_tableau(ctx, tight)
     if tab is None or any(row[-1] <= 0 for row in tab.rows):
         return None
     return tab
@@ -149,6 +197,8 @@ def _decode(ctx: PlcpEoplContext, u: BitConfig) -> Optional[tuple[_Tableau, int]
     tab = None if u.is_zero() else _tableau_at(ctx, u)
     if tab is None:
         return None
+    # the next decode starts from here; no caller of _decode pivots tab
+    object.__setattr__(ctx, "_warm", (ctx._warm[0], tab))
     z = 2 * ctx.inst.d
     rhs_z = tab.rows[tab.basis.index(z)][-1] if z in tab.basis else 0
     value = ctx.delta**2 * (ctx.delta * tab.det - ctx.scale * rhs_z) // tab.det
@@ -157,7 +207,7 @@ def _decode(ctx: PlcpEoplContext, u: BitConfig) -> Optional[tuple[_Tableau, int]
     return tab, value
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CONFIGS)
 def is_valid_config(ctx: PlcpEoplContext, u: BitConfig) -> bool:
     """The all-zeros config, or one that decodes to a vertex (positive potential)."""
     return potential(ctx, u) > 0 or u.is_zero()
@@ -262,26 +312,26 @@ def _node(ctx: PlcpEoplContext, x: int) -> tuple[int, int, int]:
     return _step(ctx, at, x, True), _step(ctx, at, x, False), 0 if at is None else at[1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CONFIGS)
 def successor(ctx: PlcpEoplContext, u: BitConfig) -> BitConfig:
     """Step along the oriented pivot edge if z strictly drops; else stay put."""
     return _neighbour(ctx, u, ahead=True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CONFIGS)
 def predecessor(ctx: PlcpEoplContext, u: BitConfig) -> BitConfig:
     """Step back along the edge oriented into this config if z strictly rises."""
     return _neighbour(ctx, u, ahead=False)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CONFIGS)
 def potential(ctx: PlcpEoplContext, u: BitConfig) -> int:
     """floor(Delta^2 (Delta - D z)) > 0 on valid configs; 0 on dummies and 0^n."""
     at = _decode(ctx, u)
     return 0 if at is None else at[1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_INSTANCES)
 def plcp_to_eopl(inst: LcpInstance) -> EoplInstance:
     """Build the potential-line instance whose line is the pivoting path;
     its raw node answers S, P and V of a config from one decode."""

@@ -47,7 +47,7 @@ def _require_valid(inst) -> None:
 # metered -> potential (one extra leading bit)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)  # bounded: only a back-map right after the build hits it
 def eoml_to_eopl(inst: EomlInstance) -> EoplInstance:
     """Potential-line instance on n+1 bits whose line mirrors the source's."""
     _require_valid(inst)
@@ -97,7 +97,7 @@ class ImmediateSolution:
     solution: EoplSolution
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)  # bounded: only a back-map right after the build hits it
 def eopl_to_eoml(inst: EoplInstance) -> Union[EomlInstance, ImmediateSolution]:
     """Metered instance on n+m bits, or the source solution when it is trivial.
 

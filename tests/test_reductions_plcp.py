@@ -1,5 +1,10 @@
+import gc
+import itertools
 import math
 import random
+import sys
+import threading
+import weakref
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction as F
 
@@ -19,7 +24,8 @@ from clslab import (
     lemke_solve,
     validate_instance,
 )
-from clslab.lcp import Q1, Q2, check_outcome
+from clslab import lcp
+from clslab.lcp import Q1, Q2, _Tableau, check_outcome
 from clslab.lines import BitConfig, all_configs, eopl_verify
 from clslab.reductions import (
     eopl_sol_to_plcp,
@@ -521,18 +527,161 @@ def test_node_raises_the_potential_error_under_a_delta_too_small():
     assert _node(small, 0b01) == (0b01, 0b01, 0) and _node(small, 0) == (0b11, 0, 0)
 
 
+def _counting_pivots(monkeypatch) -> list:
+    """The entering ids of every ``_Tableau.pivot`` from here on."""
+    pivots = []
+    pivot = _Tableau.pivot
+
+    def counting(self, r, e):
+        pivots.append(e)
+        pivot(self, r, e)
+
+    monkeypatch.setattr(_Tableau, "pivot", counting)
+    return pivots
+
+
 def test_following_a_line_decodes_each_config_once(monkeypatch):
+    # each decode starts from the context's last tableau, one pivot away from
+    # the config the follow asks about next
+    inst = murty_lcp(8)
+    direct = lemke_solve(inst).outcome
     decodes = []
-    decode = lcp_line._tableau_of_tight
+    decode = lcp_line._warm_tableau
 
-    def counting(inst, tight):
+    def counting(ctx, tight):
         decodes.append(tight)
-        return decode(inst, tight)
+        return decode(ctx, tight)
 
-    monkeypatch.setattr(lcp_line, "_tableau_of_tight", counting)
-    sol, trace = follow_line(plcp_to_eopl(murty_lcp(6)), 1 << 13)
-    assert len(trace) == 65  # 0^n, then the 2^6 vertices of Murty's path
-    assert len(decodes) <= len(trace) + 2
+    target = plcp_to_eopl(inst)
+    monkeypatch.setattr(lcp_line, "_warm_tableau", counting)
+    pivots = _counting_pivots(monkeypatch)
+    sol, trace = follow_line(target, 1 << 17)
+    assert len(trace) == 257  # 0^n, then the 2^8 vertices of Murty's path
+    assert len(decodes) <= len(trace) + 2 and len(pivots) <= len(trace) + 2
+    # the back-map, as in `pipeline plcp`: its verify reads the end config and
+    # its predecessor again, and the end point is decoded once more
+    followed = len(pivots)
+    assert eopl_sol_to_plcp(inst, sol.x) == direct
+    assert len(pivots) - followed <= 2
+    # the start is one pivot from the slack tableau, far from the end just read
+    followed = len(pivots)
+    target.node(trace[1][0].value)
+    assert len(pivots) - followed == 1
+
+
+@pytest.mark.parametrize("d", range(6, 11))
+def test_following_murtys_line_makes_one_pivot_per_step(monkeypatch, d):
+    target = plcp_to_eopl(murty_lcp(d))
+    pivots = _counting_pivots(monkeypatch)
+    sol, trace = follow_line(target, 1 << (2 * d + 1))
+    assert len(trace) == 2**d + 1
+    # the start is a copy of the context's start tableau, then one pivot per step
+    assert len(pivots) == len(trace) - 2
+
+
+def _rows_by_variable(tab) -> dict:
+    """Each basic variable's row, its entries keyed by their cobasis ids (rhs last)."""
+    return {var: dict(zip(tab.cobasis + ["rhs"], row)) for var, row in zip(tab.basis, tab.rows)}
+
+
+def test_warm_decodes_equal_cold_ones_in_any_order():
+    # every config, in shuffled order: the tableau pivoted from the context's
+    # slot has the cold decode's basic rows, det and point, whatever order its
+    # rows are in, and the node (or what it raises) is that of a context whose
+    # slot starts cold
+    rng = random.Random(29)
+    compared = warm = reordered = 0
+    for inst, ctx in _node_instances():
+        ctx = replace(ctx)
+        order = list(range(1 << ctx.n))
+        rng.shuffle(order)
+        for x in order:
+            tight = _config_tight(ctx, BitConfig(x, ctx.n))
+            if tight is not None:
+                slack, last = lcp_line._slot(ctx)
+                got = lcp_line._warm_tableau(ctx, tight)
+                want = lcp._tableau_of_tight(inst, tight)
+                assert (got is None) == (want is None), (inst, x)
+                if got is not None:
+                    assert _rows_by_variable(got) == _rows_by_variable(want), (inst, x)
+                    assert got.det == want.det and got.values() == want.values(), (inst, x)
+                    warm += len(last.tight() - tight) < len(slack.tight() - tight)
+                    reordered += got.basis != want.basis
+            assert _outcome(lambda: _node(ctx, x)) == _outcome(lambda: _node(replace(ctx), x)), (inst, x)
+            compared += 1
+    assert compared >= 2000 and warm >= 100 and reordered >= 50
+
+
+def test_pivoting_from_any_basis_onto_any_other_matches_the_cold_decode():
+    # the greedy rule from every nonsingular basis to every tight set of
+    # (y, s, z): None exactly when the target is singular, else the target's rows
+    checked = singular = 0
+    for inst, _ in _node_instances()[:24]:
+        sets = [frozenset(t) for t in itertools.combinations(range(2 * inst.d + 1), inst.d + 1)]
+        cold = {t: lcp._tableau_of_tight(inst, t) for t in sets}
+        for base in filter(None, cold.values()):
+            for t in sets:
+                got = lcp._pivot_onto(base.copy(), t)
+                assert (got is None) == (cold[t] is None), (inst, base.basis, t)
+                if got is None:
+                    singular += 1
+                else:
+                    assert _rows_by_variable(got) == _rows_by_variable(cold[t]), (inst, base.basis, t)
+                    assert got.det == cold[t].det, (inst, base.basis, t)
+                    checked += 1
+    assert checked >= 5000 and singular >= 500
+
+
+@pytest.mark.parametrize("inst", [murty_lcp(7), dd_lcp(random.Random(19), 6)], ids=["murty7", "dd6"])
+def test_threads_sharing_a_reduced_line_follow_it_alike(inst):
+    target = plcp_to_eopl(inst)
+    budget = 1 << target.n
+    want = follow_line(target, budget)
+    want_outcome = eopl_sol_to_plcp(inst, want[0].x)
+    got = []
+
+    def follow():
+        for _ in range(3):
+            sol, trace = follow_line(target, budget)
+            got.append((sol, trace, eopl_sol_to_plcp(inst, sol.x)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-decode
+    try:
+        threads = [threading.Thread(target=follow) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(got) == 18
+    assert all(g == (*want, want_outcome) for g in got)
+
+
+def test_a_dropped_reduction_is_not_kept():
+    inst = dd_lcp(random.Random(41), 5)
+    target = plcp_to_eopl(inst)
+    sol, _ = follow_line(target, 1 << target.n)
+    eopl_sol_to_plcp(inst, sol.x)
+    refs = [weakref.ref(obj) for obj in (inst, target, make_context(inst))]
+    del inst, target, sol
+    other = dd_lcp(random.Random(42), 5)
+    follow_line(plcp_to_eopl(other), 1 << (2 * other.d))
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_copies_of_a_context_leave_its_slot_behind():
+    inst = murty_lcp(3)
+    ctx = make_context(inst)
+    sol, _ = follow_line(plcp_to_eopl(inst), 1 << ctx.n)
+    assert "_warm" in vars(ctx)
+    for how, twin in copies(ctx).items():
+        assert "_warm" not in vars(twin) and twin == ctx, how
+        # a copy's first decode builds its own slot and answers as ctx does
+        assert _node(twin, sol.x.value) == _node(ctx, sol.x.value), how
+        assert lcp_line._slot(twin)[0] is not lcp_line._slot(ctx)[0], how
 
 
 def test_verifying_next_to_a_ratio_tie_reports_the_degeneracy():
