@@ -429,7 +429,7 @@ class _Rows:
     """A table's value-indexed S, P and V rows, read as its instance's oracles.
 
     One object with bound methods: a closure per oracle would cost its
-    instance more allocated blocks, and a memo of instances keeps them all.
+    instance more allocated blocks, kept as long as the instance is.
     """
 
     __slots__ = ("n", "succ", "pred", "val")
