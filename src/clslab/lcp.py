@@ -398,9 +398,9 @@ def _dup_of_tight(tight: frozenset[int], d: int) -> Optional[int]:
     return dups[0] + 1 if dups else None
 
 
-def _start_tableau(inst: LcpInstance, lexicographic: bool, slack: Optional[_Tableau] = None) -> _Tableau:
+def _start_tableau(inst: LcpInstance, lexicographic: bool, tab: _Tableau) -> _Tableau:
     """The vertex where y = 0, z = |min q| and the minimal slack is tight,
-    pivoted on a copy of ``slack`` (the slack basis) when one is given."""
+    pivoted in place from ``tab``, a tableau of ``inst`` at the slack basis."""
     d = inst.d
     low = min(inst.q)
     if low >= 0:
@@ -411,7 +411,6 @@ def _start_tableau(inst: LcpInstance, lexicographic: bool, slack: Optional[_Tabl
             "tied minimum in q at indices " + ", ".join(str(i + 1) for i in ties),
             ties=tuple(i + 1 for i in ties),
         )
-    tab = _Tableau(inst) if slack is None else slack.copy()
     # q_i + eps^i is smallest at the last tied index
     tab.pivot(ties[-1], 2 * d)
     return tab
@@ -582,7 +581,7 @@ def is_p_matrix(m: QMatrix) -> bool:
 
 def lemke_start(inst: LcpInstance) -> LemkeVertex:
     """Start vertex: y = 0, z = |min q|, s = q + z*1."""
-    return _snapshot_vertex(_start_tableau(inst, lexicographic=False))
+    return _snapshot_vertex(_start_tableau(inst, False, _Tableau(inst)))
 
 
 def lemke_pivot(inst: LcpInstance, v: LemkeVertex, entering: str) -> Union[LemkeVertex, Ray]:
@@ -612,7 +611,7 @@ def duplicate_label(v: LemkeVertex) -> Optional[int]:
 def todd_orientation(inst: LcpInstance, v: LemkeVertex, entering: str) -> str:
     """Direction label of the edge that relaxes ``entering`` at v."""
     tab, var = _vertex_tableau(inst, v, entering)
-    forward = tab.orientation(var) == _calibration(_start_tableau(inst, lexicographic=False))
+    forward = tab.orientation(var) == _calibration(_start_tableau(inst, False, _Tableau(inst)))
     return FORWARD if forward else BACKWARD
 
 
@@ -647,7 +646,7 @@ def lemke_solve(
     if all(x >= 0 for x in inst.q):
         return LemkeResult(Q1(QVector.zero(d)), ())
 
-    tab = _start_tableau(inst, lexicographic)
+    tab = _start_tableau(inst, lexicographic, _Tableau(inst))
     trace = [_snapshot_vertex(tab)]
     entering = _first_entering(tab)
 

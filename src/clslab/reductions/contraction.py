@@ -3,6 +3,9 @@
 Each transformer builds the target's circuits by composition and fixes the
 target constants as exact rationals; each back-mapper re-verifies on the
 source before returning, so a certificate is never issued on faith.
+
+``clo_to_mmc`` keeps only its last target (``lru_cache(maxsize=1)``): the only
+hit is a back-map rebuilding the target its caller has just built.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ def _continuity_factor_bound(lam: Fraction, r: NormOrder) -> Fraction:
     return lam / 2
 
 
-@lru_cache(maxsize=1)  # bounded: only a back-map right after the build hits it
+@lru_cache(maxsize=1)
 def clo_to_mmc(inst: CloInstance) -> MmcInstance:
     """Distance p(x) + p(y) + 1; self-distance stays above eps so only
     violation-type solutions exist in the target."""

@@ -28,10 +28,12 @@ another order, and no output depends on that order: the potential,
 ``orientation`` and ``_pivoted_code`` read by variable, and a row that
 ``ratio_row`` picks is used only on the tableau it came from.
 
-The memos are bounded ``lru_cache``s.  The context and the reduced instance
-keep only the last one, which is what a back-map rebuilding its caller's
-target hits; the separate S, P, V and validity oracles keep the last few
-configs.  Their keys hold the context (and through it the instance), so
+Every memo keeps only its last entry (``lru_cache(maxsize=1)``).  The only
+hit of the context and reduced-instance memos is a back-map rebuilding its
+caller's target; the separate S, P, V and validity oracles are not called
+by the line readers, which read ``node``.  The keys hold the context (and
+through it the instance and its slot), so a dropped reduction lives on only
+until each memo that saw it sees another.  Since every key holds a context,
 ``PlcpEoplContext`` and ``LcpInstance`` each compute their hash on first use
 and keep it: a fresh hash runs ``Fraction.__hash__`` (a modular inverse)
 over every entry of M and q, and every memo lookup asks for one.
@@ -95,20 +97,14 @@ class PlcpEoplContext:
         return {k: v for k, v in self.__dict__.items() if k != "_warm"}
 
 
-# memo sizes: the last context and reduced instance, each with its slot, and
-# the oracles' answers on the last few configs (see the module docstring)
-_INSTANCES = 1
-_CONFIGS = 64
-
-
-@lru_cache(maxsize=_INSTANCES)
+@lru_cache(maxsize=1)
 def make_context(inst: LcpInstance) -> PlcpEoplContext:
     """Set up the reduction; rejects trivial (q >= 0) and degenerate starts."""
     d = inst.d
     if all(x >= 0 for x in inst.q):
         raise PreconditionError("q >= 0 is solved by y = 0; nothing to reduce")
     slack = _Tableau(inst)
-    start = _start_tableau(inst, lexicographic=False, slack=slack)  # DegeneracyError on a tied minimum
+    start = _start_tableau(inst, False, slack.copy())  # DegeneracyError on a tied minimum
     entries = [inst.m[i, j] for i in range(d) for j in range(d)] + list(inst.q)
     scale = math.lcm(*(x.denominator for x in entries))
     # the paper's bound on z holds for integer data, so Delta is read off D M and D q
@@ -207,7 +203,7 @@ def _decode(ctx: PlcpEoplContext, u: BitConfig) -> Optional[tuple[_Tableau, int]
     return tab, value
 
 
-@lru_cache(maxsize=_CONFIGS)
+@lru_cache(maxsize=1)
 def is_valid_config(ctx: PlcpEoplContext, u: BitConfig) -> bool:
     """The all-zeros config, or one that decodes to a vertex (positive potential)."""
     return potential(ctx, u) > 0 or u.is_zero()
@@ -312,26 +308,26 @@ def _node(ctx: PlcpEoplContext, x: int) -> tuple[int, int, int]:
     return _step(ctx, at, x, True), _step(ctx, at, x, False), 0 if at is None else at[1]
 
 
-@lru_cache(maxsize=_CONFIGS)
+@lru_cache(maxsize=1)
 def successor(ctx: PlcpEoplContext, u: BitConfig) -> BitConfig:
     """Step along the oriented pivot edge if z strictly drops; else stay put."""
     return _neighbour(ctx, u, ahead=True)
 
 
-@lru_cache(maxsize=_CONFIGS)
+@lru_cache(maxsize=1)
 def predecessor(ctx: PlcpEoplContext, u: BitConfig) -> BitConfig:
     """Step back along the edge oriented into this config if z strictly rises."""
     return _neighbour(ctx, u, ahead=False)
 
 
-@lru_cache(maxsize=_CONFIGS)
+@lru_cache(maxsize=1)
 def potential(ctx: PlcpEoplContext, u: BitConfig) -> int:
     """floor(Delta^2 (Delta - D z)) > 0 on valid configs; 0 on dummies and 0^n."""
     at = _decode(ctx, u)
     return 0 if at is None else at[1]
 
 
-@lru_cache(maxsize=_INSTANCES)
+@lru_cache(maxsize=1)
 def plcp_to_eopl(inst: LcpInstance) -> EoplInstance:
     """Build the potential-line instance whose line is the pivoting path;
     its raw node answers S, P and V of a config from one decode."""

@@ -15,6 +15,9 @@ u: the source's nodes of u and its neighbours are fetched once, and every
 row that carries u shares them.  Each target also answers ``node(x)`` from the
 same case lists, so a table dump runs each list once per row and takes the
 metered odometer from the S' and P' just found.
+
+The transformers keep only their last target (``lru_cache(maxsize=1)``): the
+only hit is a back-map rebuilding the target its caller has just built.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ def _require_valid(inst) -> None:
 # metered -> potential (one extra leading bit)
 
 
-@lru_cache(maxsize=1)  # bounded: only a back-map right after the build hits it
+@lru_cache(maxsize=1)
 def eoml_to_eopl(inst: EomlInstance) -> EoplInstance:
     """Potential-line instance on n+1 bits whose line mirrors the source's."""
     _require_valid(inst)
@@ -97,7 +100,7 @@ class ImmediateSolution:
     solution: EoplSolution
 
 
-@lru_cache(maxsize=1)  # bounded: only a back-map right after the build hits it
+@lru_cache(maxsize=1)
 def eopl_to_eoml(inst: EoplInstance) -> Union[EomlInstance, ImmediateSolution]:
     """Metered instance on n+m bits, or the source solution when it is trivial.
 

@@ -659,15 +659,23 @@ def test_threads_sharing_a_reduced_line_follow_it_alike(inst):
     assert all(g == (*want, want_outcome) for g in got)
 
 
-def test_a_dropped_reduction_is_not_kept():
-    inst = dd_lcp(random.Random(41), 5)
+def _use_every_memo(inst):
     target = plcp_to_eopl(inst)
     sol, _ = follow_line(target, 1 << target.n)
     eopl_sol_to_plcp(inst, sol.x)
-    refs = [weakref.ref(obj) for obj in (inst, target, make_context(inst))]
-    del inst, target, sol
-    other = dd_lcp(random.Random(42), 5)
-    follow_line(plcp_to_eopl(other), 1 << (2 * other.d))
+    ctx = make_context(inst)
+    for oracle in (successor, predecessor, potential, is_valid_config):
+        oracle(ctx, sol.x)
+    return target, ctx
+
+
+def test_a_dropped_reduction_is_not_kept():
+    # each memo keeps its last entry, so the first reduction dies once every
+    # memo that saw it has seen another
+    inst = dd_lcp(random.Random(41), 5)
+    refs = [weakref.ref(obj) for obj in (inst, *_use_every_memo(inst))]
+    del inst
+    _use_every_memo(dd_lcp(random.Random(42), 5))
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
 
