@@ -6,20 +6,22 @@ driven to zero by the pivoting path.  The positive-principal-minor property
 of the stored ``M`` is what makes ``z`` strictly decrease along that path.
 
 Every pivot runs on one fraction-free integer dictionary (``_Tableau``),
-condensed as in lrs (Avis 2000, "lrs: A revised implementation of the
-reverse search vertex enumeration algorithm"): the rows are scaled to
-integers and hold only the d+1 nonbasic columns and the right-hand side, as
-integers over the basis determinant.  A basic variable's column is
-``det * e_k`` and stays implicit; after a pivot the leaving variable takes
-the entering one's column.  So a pivot is O(d^2) exact integer updates over
-d+2 columns.  Lemke's path keeps one integer snapshot of the dictionary per
-pivot (basis, tight set, a copy of the rhs, det and the row scales), and a
-:class:`LemkeVertex` builds its exact rationals from it on first read, so a
-solve turns into Fractions only the vertices its caller looks at.  The optional
-lexicographic mode runs the same pivot rules as if the right-hand side were
-``q_i + eps^i``: ratio-test ties are broken by comparing the tableau rows of
-``[q | B^-1]`` lexicographically, reading ``det * e_k`` for a basic s'_j,
-so exact ties cannot occur, and the answer is the vertex at ``eps = 0``.
+condensed as in lrs (Avis 2000, "lrs: A revised implementation of the reverse
+search vertex enumeration algorithm"): the rows are scaled to integers and
+hold only the d+1 nonbasic columns and the right-hand side, as integers over
+the basis determinant.  A basic variable's column is ``det * e_k`` and stays
+implicit; after a pivot the leaving variable takes the entering one's column.
+So a pivot is O(d^2) exact integer updates over d+2 columns.  One step,
+``_Tableau.step``, answers an edge's ratio test and z's trend for the solver,
+``lemke_pivot`` and the P-LCP line alike.  Lemke's path keeps one integer
+snapshot of the dictionary per pivot (basis, tight set, a copy of the rhs, det
+and the row scales), and a :class:`LemkeVertex` builds its exact rationals
+from it on first read, so a solve turns into Fractions only the vertices its
+caller looks at.  The optional lexicographic mode runs the same pivot rules as
+if the right-hand side were ``q_i + eps^i``: ratio-test ties are broken by
+comparing the tableau rows of ``[q | B^-1]`` lexicographically, reading
+``det * e_k`` for a basic s'_j, so exact ties cannot occur, and the answer is
+the vertex at ``eps = 0``.
 """
 
 from __future__ import annotations
@@ -285,22 +287,26 @@ class _Tableau:
             sigma[var] = Fraction(-a * self._unscale(e), self.det * self._unscale(var))
         return Ray(*_split(sigma, self.d))
 
-    def ratio_row(self, e: int, lexicographic: bool) -> Optional[int]:
-        """Row of the variable that blocks ``e`` from entering; None on a ray.
+    def step(self, e: int, lexicographic: bool) -> tuple[Optional[int], int]:
+        """The edge relaxing nonbasic ``e``: the row of its blocking variable
+        (None on a ray) and the sign of z's change along it (0 on a ray).
 
-        The basic variable in row i moves at rate ``-col_e[i] / det``, so its
-        ratio ``rhs_i / col_e[i]`` no longer involves ``det``.  In the
-        lexicographic mode ties fall through to the s'-columns: row i of
-        ``[rhs | s']`` holds the coefficients of (1, eps^1, ..., eps^d) in the
-        variable's value on the perturbed right-hand side ``q_i + eps^i``, up to
-        a positive factor per column, which leaves the order unchanged.  The
-        column of a basic s'_j is ``det * e_k``, so it keeps only row k.
+        Row i's ratio is ``rhs_i / col_e[i]``: its basic variable moves at rate
+        ``-col_e[i] / det``.  In the lexicographic mode ties fall through to the
+        s'-columns: row i of ``[rhs | s']`` holds the coefficients of (1, eps^1,
+        ..., eps^d) in the variable's value on ``q_i + eps^i``, up to a positive
+        factor per column, and a basic s'_j's column is ``det * e_k``.  z moves
+        by ``t * sigma_z``, with ``t`` signed as the blocking row's first nonzero
+        entry in those columns.  Raises DegeneracyError on a ratio-test tie, and
+        on an edge whose far end is not complementary (two duplicate labels).
         """
+        d = self.d
         col_e = self.column(e)
         cand = [i for i, a in enumerate(col_e) if a > 0]
         if not cand:
-            return None
-        for c in self._ratio_cols(lexicographic):
+            return None, 0
+        cols = [2 * d + 1] + (list(range(d, 2 * d)) if lexicographic else [])
+        for c in cols:
             col = self.column(c)
             best = [cand[0]]
             for i in cand[1:]:
@@ -312,32 +318,29 @@ class _Tableau:
                     best.append(i)
             cand = best
             if len(cand) == 1:
-                return cand[0]
-        names = tuple(_var_name(v, self.d) for v in sorted(self.basis[i] for i in cand))
-        raise DegeneracyError(f"ratio-test tie between {', '.join(names)}", ties=names)
-
-    def _ratio_cols(self, lexicographic: bool) -> list[int]:
-        """The rhs column, then the s'-columns that break ties lexicographically."""
-        d = self.d
-        return [2 * d + 1] + (list(range(d, 2 * d)) if lexicographic else [])
-
-    def z_trend(self, r: int, e: int, lexicographic: bool) -> int:
-        """Sign of the change in z when ``e`` enters at row ``r``.
-
-        z moves by ``t * sigma_z``, where the step ``t`` has the sign of row r's
-        right-hand side (of its first nonzero entry in ``[rhs | s']`` in the
-        lexicographic mode).
-        """
-        z = 2 * self.d
+                break
+        else:
+            names = tuple(_var_name(v, d) for v in sorted(self.basis[i] for i in cand))
+            raise DegeneracyError(f"ratio-test tie between {', '.join(names)}", ties=names)
+        r = cand[0]
+        b = self.basis[r]
+        far = set(self.cobasis) - {e} | {b}  # the tight set past the edge
+        dups = tuple(i + 1 for i in range(d) if i in far and d + i in far)
+        if len(dups) > 1:
+            raise DegeneracyError(
+                f"the edge relaxing {_var_name(e, d)} leaves the complementary vertices: "
+                f"{_var_name(b, d)} blocks it at duplicate labels {', '.join(map(str, dups))}",
+                ties=dups,
+            )
+        z = 2 * d
         if e == z:
             rate = 1
         elif z in self.basis:
-            rate = -self.column(e)[self.basis.index(z)]
+            rate = -col_e[self.basis.index(z)]
         else:
-            return 0
-        cols = map(self.column, self._ratio_cols(lexicographic))
-        step = next((col[r] for col in cols if col[r] != 0), 0)
-        return ((step > 0) - (step < 0)) * ((rate > 0) - (rate < 0))
+            rate = 0
+        t = self.rows[r][-1] or next((x for x in (self.column(c)[r] for c in cols[1:]) if x), 0)
+        return r, ((t > 0) - (t < 0)) * ((rate > 0) - (rate < 0))
 
     def orientation(self, e: int) -> int:
         """Raw edge sign: +1 when the first nonzero of (z, y, s) along the edge
@@ -459,14 +462,21 @@ def _vertex_tableau(inst: LcpInstance, v: LemkeVertex, entering: str) -> tuple[_
     return tab, var
 
 
-def _first_entering(start: _Tableau) -> int:
-    """The start vertex's pivot edge: y at the duplicate label enters."""
-    return _dup_of_tight(start.tight(), start.d) - 1
-
-
-def _calibration(start: _Tableau) -> int:
-    """The raw sign that reads forward: that of the start vertex's pivot edge."""
-    return start.orientation(_first_entering(start))
+def _path_edges(tab: _Tableau, calibration: Optional[int]) -> tuple[Optional[int], Optional[int]]:
+    """The vertex read: the entering ids (forward, backward) of the path's
+    edges at ``tab``'s vertex.  Off z = 0 they relax y_l and s_l at the
+    duplicate label l and point opposite ways, so one orientation read orders
+    them against ``calibration``, the raw sign that reads forward; None reads
+    the start, where y_l's edge is forward by definition.  At z = 0 the one
+    edge relaxes z, and the other side is None."""
+    d = tab.d
+    tight = tab.tight()
+    if 2 * d in tight:
+        return (2 * d, None) if tab.orientation(2 * d) == calibration else (None, 2 * d)
+    label = _dup_of_tight(tight, d) - 1
+    if calibration is None or tab.orientation(label) == calibration:
+        return label, d + label
+    return d + label, label
 
 
 # ----------------------------------------------------------------------------
@@ -587,7 +597,7 @@ def lemke_start(inst: LcpInstance) -> LemkeVertex:
 def lemke_pivot(inst: LcpInstance, v: LemkeVertex, entering: str) -> Union[LemkeVertex, Ray]:
     """Move to the adjacent vertex along the edge that relaxes ``entering``."""
     tab, var = _vertex_tableau(inst, v, entering)
-    r = tab.ratio_row(var, lexicographic=False)
+    r, _ = tab.step(var, lexicographic=False)
     if r is None:
         return tab.ray(var)
     tab.pivot(r, var)
@@ -602,16 +612,13 @@ def duplicate_label(v: LemkeVertex) -> Optional[int]:
     return dups[0] if dups else None
 
 
-# orientation: compare the edge direction lexicographically on (z, y, s).
-# The label flips across an edge because the far endpoint sees the negated
-# direction, and it is calibrated so the start vertex's pivot edge reads
-# forward.
-
-
 def todd_orientation(inst: LcpInstance, v: LemkeVertex, entering: str) -> str:
-    """Direction label of the edge that relaxes ``entering`` at v."""
+    """Direction label of the edge that relaxes ``entering`` at v: its raw sign
+    (the lexicographic sign of its direction on (z, y, s), which flips across
+    the edge) against that of the start vertex's forward edge."""
     tab, var = _vertex_tableau(inst, v, entering)
-    forward = tab.orientation(var) == _calibration(_start_tableau(inst, False, _Tableau(inst)))
+    start = _start_tableau(inst, False, _Tableau(inst))
+    forward = tab.orientation(var) == start.orientation(_path_edges(start, None)[0])
     return FORWARD if forward else BACKWARD
 
 
@@ -648,13 +655,13 @@ def lemke_solve(
 
     tab = _start_tableau(inst, lexicographic, _Tableau(inst))
     trace = [_snapshot_vertex(tab)]
-    entering = _first_entering(tab)
+    entering = _path_edges(tab, None)[0]
 
     while True:
         if len(trace) > budget:
             raise BudgetExceededError(f"no solution within {budget} pivots", trace=tuple(trace))
-        r = tab.ratio_row(entering, lexicographic)
-        if r is None or tab.z_trend(r, entering, lexicographic) >= 0:
+        r, z_trend = tab.step(entering, lexicographic)
+        if r is None or z_trend >= 0:
             outcome = q2_witness_at(inst, trace[-1].y)
             return LemkeResult(outcome, tuple(trace))
         blocker = tab.basis[r]

@@ -7,7 +7,8 @@ Configs decode by pivoting the integer tableau onto their basic columns, once
 per config through the reduced instance's ``node``, which answers S, P and V
 together.  A config is valid when that basis is nonsingular and every basic
 value is positive (a nondegenerate vertex); the same tableau gives the
-potential, the edge orientations and the next vertex, whose config is read
+potential, one vertex read (``lcp._path_edges``) both edges, and the solver's
+step (``_Tableau.step``) the next vertex along each, whose config is read
 off which right-hand sides the pivot would zero, without pivoting.  The
 successor follows the pivot edge the orientation rule points along, but only
 when the covering variable z strictly drops, so the potential
@@ -26,12 +27,13 @@ context's equality, hash or repr, and pickles and copies leave it behind.  A
 warm tableau has the cold one's basis, det and entries with its rows in
 another order, and no output depends on that order: the potential,
 ``orientation`` and ``_pivoted_code`` read by variable, and a row that
-``ratio_row`` picks is used only on the tableau it came from.
+``step`` picks is used only on the tableau it came from.
 
 Every memo keeps only its last entry (``lru_cache(maxsize=1)``).  The only
 hit of the context and reduced-instance memos is a back-map rebuilding its
 caller's target; the separate S, P, V and validity oracles are not called
-by the line readers, which read ``node``.  The keys hold the context (and
+by the line readers, which read ``node``; S and P each take their side of
+the node.  The keys hold the context (and
 through it the instance and its slot), so a dropped reduction lives on only
 until each memo that saw it sees another.  Since every key holds a context,
 ``PlcpEoplContext`` and ``LcpInstance`` each compute their hash on first use
@@ -52,11 +54,10 @@ from ..lcp import (
     LcpInstance,
     LcpOutcome,
     Q1,
-    _calibration,
-    _dup_of_tight,
+    _path_edges,
+    _pivot_onto,
     _start_tableau,
     _Tableau,
-    _pivot_onto,
     q2_witness_at,
     verify_lcp_solution,
 )
@@ -116,7 +117,7 @@ def make_context(inst: LcpInstance) -> PlcpEoplContext:
         delta=delta,
         m=(2 * delta**3 - 1).bit_length(),  # the least m with 2^m >= 2 Delta^3
         start=start.point(),
-        calibration=_calibration(start),
+        calibration=start.orientation(_path_edges(start, None)[0]),
         scale=scale,
     )
     object.__setattr__(ctx, "_warm", (slack, start))  # the line's first decode is the start
@@ -267,57 +268,47 @@ def _pivoted_code(tab: _Tableau, r: int, e: int) -> int:
     return _code(tab.d, zero)
 
 
-def _step(ctx: PlcpEoplContext, at: Optional[tuple[_Tableau, int]], x: int, ahead: bool) -> int:
-    """The config value after x along the line: S(x) ahead, P(x) back.
-
-    ``at`` is x's decode.  0^n steps ahead to the start, back from the start
-    is 0^n, and dummies stay put.  A vertex steps along the edge oriented out
-    of it (ahead) or into it, but stays unless z strictly drops going ahead,
-    or strictly rises going back.
-    """
-    d = ctx.inst.d
-    if at is None:
-        return itoe(ctx, *ctx.start).value if x == 0 and ahead else x
-    # a valid config whose halves agree has every y tight and z basic: the start
-    if not ahead and x >> d == x & ((1 << d) - 1):
-        return 0
-    tab = at[0]
-    tight = tab.tight()
-    if 2 * d in tight:  # z = 0: the only edge relaxes z
-        entering = 2 * d
-        if (tab.orientation(entering) == ctx.calibration) != ahead:
-            return x
-    else:
-        label = _dup_of_tight(tight, d) - 1
-        forward = tab.orientation(label) == ctx.calibration
-        entering = label if forward == ahead else d + label
-    r = tab.ratio_row(entering, lexicographic=False)
-    if r is None or tab.z_trend(r, entering, lexicographic=False) != (-1 if ahead else 1):
+def _past(tab: _Tableau, e: Optional[int], trend: int, x: int) -> int:
+    """The config value past the edge relaxing ``e`` if z moves with the sign
+    ``trend`` along it; else (no edge, a ray, z moving otherwise) x."""
+    if e is None:
         return x
-    return _pivoted_code(tab, r, entering)
+    r, z_trend = tab.step(e, lexicographic=False)
+    return x if r is None or z_trend != trend else _pivoted_code(tab, r, e)
 
 
-def _neighbour(ctx: PlcpEoplContext, u: BitConfig, ahead: bool) -> BitConfig:
-    x = _step(ctx, _decode(ctx, u), u.value, ahead)
-    return u if x == u.value else BitConfig(x, ctx.n)
+def _ends(ctx: PlcpEoplContext, u: BitConfig) -> tuple[int, int, int]:
+    """S, P and V of u as config values, from one decode and one vertex read.
+
+    0^n steps ahead to the start, back from the start is 0^n, and dummies
+    stay put.  A vertex steps along its forward edge (S) or backward one (P)
+    only if z strictly drops going ahead, or strictly rises going back."""
+    x = u.value
+    at = _decode(ctx, u)
+    if at is None:
+        return itoe(ctx, *ctx.start).value if x == 0 else x, x, 0
+    tab, value = at
+    ahead, back = _path_edges(tab, ctx.calibration)
+    d = ctx.inst.d
+    # a valid config whose halves agree has every y tight and z basic: the start
+    start = x >> d == x & ((1 << d) - 1)
+    return _past(tab, ahead, -1, x), 0 if start else _past(tab, back, 1, x), value
 
 
 def _node(ctx: PlcpEoplContext, x: int) -> tuple[int, int, int]:
-    """S, P and V of the config of value x, from one decode."""
-    at = _decode(ctx, BitConfig(x, ctx.n))
-    return _step(ctx, at, x, True), _step(ctx, at, x, False), 0 if at is None else at[1]
+    return _ends(ctx, BitConfig(x, ctx.n))
 
 
 @lru_cache(maxsize=1)
 def successor(ctx: PlcpEoplContext, u: BitConfig) -> BitConfig:
     """Step along the oriented pivot edge if z strictly drops; else stay put."""
-    return _neighbour(ctx, u, ahead=True)
+    return BitConfig(_ends(ctx, u)[0], ctx.n)
 
 
 @lru_cache(maxsize=1)
 def predecessor(ctx: PlcpEoplContext, u: BitConfig) -> BitConfig:
     """Step back along the edge oriented into this config if z strictly rises."""
-    return _neighbour(ctx, u, ahead=False)
+    return BitConfig(_ends(ctx, u)[1], ctx.n)
 
 
 @lru_cache(maxsize=1)

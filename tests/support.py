@@ -407,6 +407,24 @@ class FullTableau:
         step = next((row[c] for c in self._ratio_cols(lexicographic) if row[c] != 0), 0)
         return ((step > 0) - (step < 0)) * ((rate > 0) - (rate < 0))
 
+    def step(self, e: int, lexicographic: bool) -> tuple[Optional[int], int]:
+        """``lcp._Tableau.step`` from the reads it merges: ``ratio_row``, the
+        far vertex's labels read off its tight set, then ``z_trend``."""
+        r = self.ratio_row(e, lexicographic)
+        if r is None:
+            return None, 0
+        b = self.basis[r]
+        try:
+            _dup_of_tight(self.tight() - {e} | {b}, self.d)
+        except DegeneracyError as exc:
+            labels = ", ".join(map(str, exc.ties))
+            raise DegeneracyError(
+                f"the edge relaxing {_var_name(e, self.d)} leaves the complementary vertices: "
+                f"{_var_name(b, self.d)} blocks it at duplicate labels {labels}",
+                ties=exc.ties,
+            ) from None
+        return r, self.z_trend(r, e, lexicographic)
+
     def orientation(self, e: int) -> int:
         d = self.d
         col = {var: row[e] for row, var in zip(self.rows, self.basis)}

@@ -35,6 +35,7 @@ from clslab.lcp import (
     Q2,
     Ray,
     _subsets_lex,
+    _var_name,
     dump_lcp,
     format_outcome,
     load_lcp,
@@ -586,11 +587,9 @@ def _reads(tab, e):
     out = [tab.orientation(e), tab.ray(e)]
     for lex in (False, True):
         try:
-            r = tab.ratio_row(e, lex)
+            out.append(tab.step(e, lex))
         except DegeneracyError as exc:
             out.append(("tie", str(exc), exc.ties))
-            continue
-        out.append((r, None if r is None else tab.z_trend(r, e, lex)))
     return out
 
 
@@ -608,10 +607,10 @@ def _walk_in_lockstep(inst, lex):
         for e in sorted(new.cobasis):
             assert _reads(new, e) == _reads(ref, e)
         try:
-            r = new.ratio_row(entering, lex)
+            r, z_trend = new.step(entering, lex)
         except DegeneracyError:
             return pivots, True
-        if r is None or new.z_trend(r, entering, lex) >= 0:
+        if r is None or z_trend >= 0:
             return pivots, False
         blocker = new.basis[r]
         for tab in (new, ref):
@@ -673,6 +672,78 @@ def test_decodes_match_full_reference_on_every_tight_set():
             else:
                 regular += 1
     assert singular >= 100 and regular >= 1000
+
+
+def _ref_step(inst, tight, e, lex):
+    """What ``_Tableau.step`` answers at the basis off ``tight``, read with the
+    full tableau's separate reads: ``ratio_row`` (its tie text included),
+    then ``z_trend`` at that row, or the labels a pivot there would leave
+    when the far vertex is not complementary."""
+    ref = full_tableau_of_tight(inst, tight)
+    try:
+        r = ref.ratio_row(e, lex)
+    except DegeneracyError as exc:
+        return "raises", str(exc), exc.ties
+    if r is None:
+        return None, 0
+    trend, blocker = ref.z_trend(r, e, lex), _var_name(ref.basis[r], inst.d)
+    ref.pivot(r, e)
+    try:
+        ref.vertex()
+    except DegeneracyError as exc:
+        labels = ", ".join(map(str, exc.ties))
+        text = (
+            f"the edge relaxing {_var_name(e, inst.d)} leaves the complementary vertices: "
+            f"{blocker} blocks it at duplicate labels {labels}"
+        )
+        return "raises", text, exc.ties
+    return r, trend
+
+
+def test_step_answers_as_the_full_reference_reads():
+    # every nonbasic variable at every nonsingular basis of the small
+    # instances, in both modes: the blocking row, None on a ray (then the
+    # same ray), the sign of z's change, and the same DegeneracyError text
+    seen = {key: 0 for key in ("tie", "off", "ray", -1, 0, 1)}
+    for inst in _differential_instances():
+        if inst.d > 4:
+            continue
+        for tight in map(frozenset, itertools.combinations(range(2 * inst.d + 1), inst.d + 1)):
+            tab = lcp._tableau_of_tight(inst, tight)
+            if tab is None:
+                continue
+            for e, lex in itertools.product(sorted(tight), (False, True)):
+                want = _ref_step(inst, tight, e, lex)
+                try:
+                    got = tab.step(e, lex)
+                except DegeneracyError as exc:
+                    got = "raises", str(exc), exc.ties
+                assert got == want, (inst, tight, e, lex)
+                if want[0] == "raises":
+                    seen["tie" if want[1].startswith("ratio-test tie") else "off"] += 1
+                elif want[0] is None:
+                    assert tab.ray(e) == full_tableau_of_tight(inst, tight).ray(e)
+                    seen["ray"] += 1
+                else:
+                    seen[want[1]] += 1
+    assert seen["tie"] >= 300 and seen["off"] >= 2000 and seen["ray"] >= 4000, seen
+    assert min(seen[-1], seen[0], seen[1]) >= 2000, seen
+
+
+def test_an_edge_off_the_complementary_vertices_is_named():
+    # relaxing y2 at the start (s3 and y3 tight) is blocked by s1, which
+    # would leave y1 and s1 tight as well: two duplicate labels, no tie
+    inst = make_lcp([[0, -2, 0], [0, 0, 1], [0, -1, 1]], [1, -1, -2])
+    start = lemke_start(inst)
+    with pytest.raises(DegeneracyError) as info:
+        lemke_pivot(inst, start, "y2")
+    assert str(info.value) == (
+        "the edge relaxing y2 leaves the complementary vertices: "
+        "s1 blocks it at duplicate labels 1, 3"
+    )
+    assert info.value.ties == (1, 3)
+    # the path's own edge from there reaches a solution
+    assert lemke_pivot(inst, start, "y3").z == 0
 
 
 def test_lockstep_walks_cover_ties_and_both_modes():
@@ -837,11 +908,16 @@ def _eager_pivot(inst, ref, name):
         return str(exc)
     if r is None:
         return tab.ray(var)
+    blocker = _var_name(tab.basis[r], d)
     tab.pivot(r, var)
     try:
         return tab.vertex()
     except DegeneracyError as exc:
-        return str(exc)
+        labels = ", ".join(map(str, exc.ties))
+        return (
+            f"the edge relaxing {name} leaves the complementary vertices: "
+            f"{blocker} blocks it at duplicate labels {labels}"
+        )
 
 
 def test_start_and_pivot_vertices_equal_eager_ones():

@@ -579,6 +579,29 @@ def test_following_murtys_line_makes_one_pivot_per_step(monkeypatch, d):
     assert len(pivots) == len(trace) - 2
 
 
+def test_a_node_reads_one_orientation_for_both_its_edges(monkeypatch):
+    # one vertex read per decoded node orders its forward and backward edges
+    target = plcp_to_eopl(murty_lcp(6))
+    decoded, reads = [], []
+    decode, orientation = lcp_line._decode, _Tableau.orientation
+
+    def counting_decode(ctx, u):
+        at = decode(ctx, u)
+        if at is not None:
+            decoded.append(u)
+        return at
+
+    def counting_orientation(self, e):
+        reads.append(e)
+        return orientation(self, e)
+
+    monkeypatch.setattr(lcp_line, "_decode", counting_decode)
+    monkeypatch.setattr(_Tableau, "orientation", counting_orientation)
+    sol, trace = follow_line(target, 1 << 13)
+    assert len(trace) == 2**6 + 1
+    assert len(decoded) >= 2**6 and len(reads) <= len(decoded)
+
+
 def _rows_by_variable(tab) -> dict:
     """Each basic variable's row, its entries keyed by their cobasis ids (rhs last)."""
     return {var: dict(zip(tab.cobasis + ["rhs"], row)) for var, row in zip(tab.basis, tab.rows)}
