@@ -252,6 +252,8 @@ def cmd_pipeline(args) -> int:
     direct = lcp.lemke_solve(inst, budget=args.budget)
     target = reductions.plcp_to_eopl(inst)
     budget = 2 ** target.n + 1 if args.budget is None else args.budget
+    if budget == 0:  # the line's first step, from 0^n to the start, is over it
+        raise BudgetExceededError("no solution within 0 steps")
     sol, trace = lines.follow_line(target, budget)
     if args.trace:
         _print_steps(trace)

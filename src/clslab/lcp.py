@@ -658,12 +658,12 @@ def lemke_solve(
     entering = _path_edges(tab, None)[0]
 
     while True:
-        if len(trace) > budget:
-            raise BudgetExceededError(f"no solution within {budget} pivots", trace=tuple(trace))
         r, z_trend = tab.step(entering, lexicographic)
         if r is None or z_trend >= 0:
             outcome = q2_witness_at(inst, trace[-1].y)
             return LemkeResult(outcome, tuple(trace))
+        if len(trace) > budget:  # the path needs another pivot
+            raise BudgetExceededError(f"no solution within {budget} pivots", trace=tuple(trace))
         blocker = tab.basis[r]
         tab.pivot(r, entering)
         trace.append(_snapshot_vertex(tab))

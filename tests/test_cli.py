@@ -85,6 +85,17 @@ def test_budget_exhaustion_exits_1_with_partial_trace(tmp_path, capsys):
     assert capsys.readouterr() == ("step 00 0\nstep 01 1\nbudget exhausted after 1 steps\n", "")
 
 
+def test_a_budget_of_zero_answers_a_path_with_no_pivot(tmp_path, capsys):
+    # y1 enters at the start of M = [[0]], q = (-1) along a ray: the Q2
+    # answer needs 0 pivots, while the reduced line still needs its first step
+    path = write(tmp_path, "z.lcp", NONP_LCP)
+    assert main(["solve-lcp", path, "--budget", "0", "--trace"]) == 0
+    assert capsys.readouterr() == ("vertex y=(0) s=(0) z=1\nQ2 S={1} minor=0\n", "")
+    assert main(["pipeline", "plcp", path, "--budget", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: no solution within 0 steps\n")
+    assert main(["pipeline", "plcp", path, "--budget", "1"]) == 0
+
+
 def test_explicit_zero_is_not_the_default(tmp_path, capsys):
     path = write(tmp_path, "a.eoml", EOML_TABLE)
     assert main(["follow", path, "--max-steps", "0"]) == 4

@@ -458,6 +458,15 @@ def test_solver_budget_guard():
         assert info.value.trace == res.trace[: k + 1]
 
 
+def test_a_path_with_no_pivot_fits_a_budget_of_zero():
+    # the budget counts pivots, so it is checked only before one is made:
+    # y1 enters at the start of M = [[0]], q = (-1) along a ray
+    inst = make_lcp([[0]], [-1])
+    for lex in (False, True):
+        res = lemke_solve(inst, lexicographic=lex, budget=0)
+        assert res.outcome == Q2(frozenset({1}), F(0)) and len(res.trace) == 1
+
+
 def test_negative_budget_is_rejected_in_both_modes():
     inst = gen_p_lcp(random.Random(3), 3)
     trivial = make_lcp([[1, 0], [0, 1]], [1, 2])

@@ -154,7 +154,7 @@ murty6 budget12 1 94dff4f1900d42b6
 murty6 lex-budget1 1 49141d1bfcc63c27
 nonp2 plain 0 995b4c15b8b1e92a
 nonp2 lex 0 995b4c15b8b1e92a
-nonp2 budget0 1 697057f37e4cbc47
+nonp2 budget0 0 995b4c15b8b1e92a
 nonp2 budget1 0 995b4c15b8b1e92a
 nonp2 budget3 0 995b4c15b8b1e92a
 nonp2 budget12 0 995b4c15b8b1e92a
@@ -162,20 +162,20 @@ nonp2 lex-budget1 0 995b4c15b8b1e92a
 nonp3 plain 0 b6d7dd40df04763a
 nonp3 lex 0 b6d7dd40df04763a
 nonp3 budget0 1 3db5b4b4ba8389a2
-nonp3 budget1 1 fa8ac47c5aa3ad4a
+nonp3 budget1 0 b6d7dd40df04763a
 nonp3 budget3 0 b6d7dd40df04763a
 nonp3 budget12 0 b6d7dd40df04763a
-nonp3 lex-budget1 1 fa8ac47c5aa3ad4a
+nonp3 lex-budget1 0 b6d7dd40df04763a
 nonp4 plain 0 a95516502601859f
 nonp4 lex 0 a95516502601859f
 nonp4 budget0 1 d81a47be1b8d39d1
-nonp4 budget1 1 3cf88b5220e9af4e
+nonp4 budget1 0 a95516502601859f
 nonp4 budget3 0 a95516502601859f
 nonp4 budget12 0 a95516502601859f
-nonp4 lex-budget1 1 3cf88b5220e9af4e
+nonp4 lex-budget1 0 a95516502601859f
 nonp5 plain 0 1f04f71eac66afda
 nonp5 lex 0 1f04f71eac66afda
-nonp5 budget0 1 b8dd3f1a6174499f
+nonp5 budget0 0 1f04f71eac66afda
 nonp5 budget1 0 1f04f71eac66afda
 nonp5 budget3 0 1f04f71eac66afda
 nonp5 budget12 0 1f04f71eac66afda
@@ -224,7 +224,7 @@ p6 budget12 0 34e6b293a89c9938
 p6 lex-budget1 1 b37578590c5fec9c
 ratio-tie plain 2 e3b0c44298fc1c14 degeneracy: ratio-test tie between s1, z
 ratio-tie lex 0 0d6b8c4f4d291dbd
-ratio-tie budget0 1 cc3e07dfb77c6f8b
+ratio-tie budget0 2 e3b0c44298fc1c14 degeneracy: ratio-test tie between s1, z
 ratio-tie budget1 2 e3b0c44298fc1c14 degeneracy: ratio-test tie between s1, z
 ratio-tie budget3 2 e3b0c44298fc1c14 degeneracy: ratio-test tie between s1, z
 ratio-tie budget12 2 e3b0c44298fc1c14 degeneracy: ratio-test tie between s1, z
@@ -259,7 +259,7 @@ ties1 budget12 0 abf237474aff3c46
 ties1 lex-budget1 1 ef525254898b84ce
 ties2 plain 0 8f8d079a87369d34
 ties2 lex 0 8f8d079a87369d34
-ties2 budget0 1 19b4113a088cdfdd
+ties2 budget0 0 8f8d079a87369d34
 ties2 budget1 0 8f8d079a87369d34
 ties2 budget3 0 8f8d079a87369d34
 ties2 budget12 0 8f8d079a87369d34
@@ -273,14 +273,14 @@ ties3 budget12 2 e3b0c44298fc1c14 degeneracy: tied minimum in q at indices 1, 5
 ties3 lex-budget1 0 afb4ce1eafdc8e92
 ties4 plain 0 4196fee4f0dd7f4d
 ties4 lex 0 4196fee4f0dd7f4d
-ties4 budget0 1 cc3e07dfb77c6f8b
+ties4 budget0 0 4196fee4f0dd7f4d
 ties4 budget1 0 4196fee4f0dd7f4d
 ties4 budget3 0 4196fee4f0dd7f4d
 ties4 budget12 0 4196fee4f0dd7f4d
 ties4 lex-budget1 0 4196fee4f0dd7f4d
 ties5 plain 0 286be1b90822f2fa
 ties5 lex 0 286be1b90822f2fa
-ties5 budget0 1 f940d15e56bf78dc
+ties5 budget0 0 286be1b90822f2fa
 ties5 budget1 0 286be1b90822f2fa
 ties5 budget3 0 286be1b90822f2fa
 ties5 budget12 0 286be1b90822f2fa
@@ -288,10 +288,10 @@ ties5 lex-budget1 0 286be1b90822f2fa
 ties6 plain 0 0cc78bc621c2c119
 ties6 lex 0 0cc78bc621c2c119
 ties6 budget0 1 532b412433aaaede
-ties6 budget1 1 1aeb1cbadf059950
+ties6 budget1 0 0cc78bc621c2c119
 ties6 budget3 0 0cc78bc621c2c119
 ties6 budget12 0 0cc78bc621c2c119
-ties6 lex-budget1 1 1aeb1cbadf059950
+ties6 lex-budget1 0 0cc78bc621c2c119
 ties7 plain 2 e3b0c44298fc1c14 degeneracy: tied minimum in q at indices 1, 3, 5
 ties7 lex 0 efbb34a21aaf1c06
 ties7 budget0 2 e3b0c44298fc1c14 degeneracy: tied minimum in q at indices 1, 3, 5
