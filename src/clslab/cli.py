@@ -2,8 +2,8 @@
 
 Exit codes are a total function of outcomes: 0 success, 1 verification
 failure, 2 degeneracy, 3 internal invariant violation, 4 usage, parse or
-shape error.  Traces stream line-buffered so an aborted run still leaves a usable
-prefix.
+shape error.  A trace prints when its walk returns: all of it on completion,
+the prefix walked when a budget runs out, and none of it on an interrupt.
 """
 
 from __future__ import annotations

@@ -292,13 +292,13 @@ class _Tableau:
         (None on a ray) and the sign of z's change along it (0 on a ray).
 
         Row i's ratio is ``rhs_i / col_e[i]``: its basic variable moves at rate
-        ``-col_e[i] / det``.  In the lexicographic mode ties fall through to the
-        s'-columns: row i of ``[rhs | s']`` holds the coefficients of (1, eps^1,
-        ..., eps^d) in the variable's value on ``q_i + eps^i``, up to a positive
-        factor per column, and a basic s'_j's column is ``det * e_k``.  z moves
-        by ``t * sigma_z``, with ``t`` signed as the blocking row's first nonzero
-        entry in those columns.  Raises DegeneracyError on a ratio-test tie, and
-        on an edge whose far end is not complementary (two duplicate labels).
+        ``-col_e[i] / det``.  The lexicographic mode breaks ties on the
+        s'-columns: row i of ``[rhs | s']`` holds, up to a positive factor per
+        column, the coefficients of (1, eps^1, ..., eps^d) in the variable's
+        value on ``q_i + eps^i`` (a basic s'_j's column is ``det * e_k``).  z
+        moves by ``t * sigma_z``, ``t`` signed as the blocking row's first
+        nonzero entry in those columns.  Raises DegeneracyError on a ratio-test
+        tie, and on an edge whose far end has two duplicate labels.
         """
         d = self.d
         col_e = self.column(e)
@@ -324,14 +324,14 @@ class _Tableau:
             raise DegeneracyError(f"ratio-test tie between {', '.join(names)}", ties=names)
         r = cand[0]
         b = self.basis[r]
-        far = set(self.cobasis) - {e} | {b}  # the tight set past the edge
-        dups = tuple(i + 1 for i in range(d) if i in far and d + i in far)
-        if len(dups) > 1:
+        try:
+            _dup_of_tight(set(self.cobasis) - {e} | {b}, d)  # the tight set past the edge
+        except DegeneracyError as exc:
             raise DegeneracyError(
                 f"the edge relaxing {_var_name(e, d)} leaves the complementary vertices: "
-                f"{_var_name(b, d)} blocks it at duplicate labels {', '.join(map(str, dups))}",
-                ties=dups,
-            )
+                f"{_var_name(b, d)} blocks it at duplicate labels {', '.join(map(str, exc.ties))}",
+                ties=exc.ties,
+            ) from None
         z = 2 * d
         if e == z:
             rate = 1
@@ -466,9 +466,8 @@ def _path_edges(tab: _Tableau, calibration: Optional[int]) -> tuple[Optional[int
     """The vertex read: the entering ids (forward, backward) of the path's
     edges at ``tab``'s vertex.  Off z = 0 they relax y_l and s_l at the
     duplicate label l and point opposite ways, so one orientation read orders
-    them against ``calibration``, the raw sign that reads forward; None reads
-    the start, where y_l's edge is forward by definition.  At z = 0 the one
-    edge relaxes z, and the other side is None."""
+    them by ``calibration``, the raw sign that reads forward; None reads the
+    start, whose forward edge relaxes y_l.  At z = 0 only z's edge exists."""
     d = tab.d
     tight = tab.tight()
     if 2 * d in tight:
@@ -660,8 +659,7 @@ def lemke_solve(
     while True:
         r, z_trend = tab.step(entering, lexicographic)
         if r is None or z_trend >= 0:
-            outcome = q2_witness_at(inst, trace[-1].y)
-            return LemkeResult(outcome, tuple(trace))
+            return LemkeResult(q2_witness_at(inst, trace[-1].y), tuple(trace))
         if len(trace) > budget:  # the path needs another pivot
             raise BudgetExceededError(f"no solution within {budget} pivots", trace=tuple(trace))
         blocker = tab.basis[r]
