@@ -6,22 +6,22 @@ driven to zero by the pivoting path.  The positive-principal-minor property
 of the stored ``M`` is what makes ``z`` strictly decrease along that path.
 
 Every pivot runs on one fraction-free integer dictionary (``_Tableau``),
-condensed as in lrs (Avis 2000, "lrs: A revised implementation of the reverse
-search vertex enumeration algorithm"): the rows are scaled to integers and
-hold only the d+1 nonbasic columns and the right-hand side, as integers over
-the basis determinant.  A basic variable's column is ``det * e_k`` and stays
-implicit; after a pivot the leaving variable takes the entering one's column.
-So a pivot is O(d^2) exact integer updates over d+2 columns.  One step,
-``_Tableau.step``, answers an edge's ratio test and z's trend for the solver,
-``lemke_pivot`` and the P-LCP line alike.  Lemke's path keeps one integer
-snapshot of the dictionary per pivot (basis, tight set, a copy of the rhs, det
-and the row scales), and a :class:`LemkeVertex` builds its exact rationals
-from it on first read, so a solve turns into Fractions only the vertices its
-caller looks at.  The optional lexicographic mode runs the same pivot rules as
-if the right-hand side were ``q_i + eps^i``: ratio-test ties are broken by
-comparing the tableau rows of ``[q | B^-1]`` lexicographically, reading
-``det * e_k`` for a basic s'_j, so exact ties cannot occur, and the answer is
-the vertex at ``eps = 0``.
+condensed as in lrs (Avis 2000, "lrs: A revised implementation of the
+reverse search vertex enumeration algorithm"): the rows are scaled to
+integers and hold only the d+1 nonbasic columns and the right-hand side, as
+integers over the basis determinant.  A basic variable's column is
+``det * e_k`` and stays implicit; after a pivot the leaving variable takes
+the entering one's column.  So a pivot is O(d^2) exact integer updates over
+d+2 columns.  One step, ``_Tableau.step``, answers an edge's ratio test and
+z's trend for the solver, ``lemke_pivot`` and the P-LCP line alike.  Lemke's
+path keeps one integer snapshot of the dictionary per pivot (basis, tight
+set, a copy of the rhs, det and the row scales), and a
+:class:`LemkeVertex` builds its exact rationals from it on first read, so a
+solve turns into Fractions only the vertices its caller looks at.  The optional
+lexicographic mode runs the same pivot rules as if the right-hand side were
+``q_i + eps^i``: ratio-test ties are broken by comparing the tableau rows of
+``[q | B^-1]`` lexicographically, reading ``det * e_k`` for a basic s'_j,
+so exact ties cannot occur, and the answer is the vertex at ``eps = 0``.
 """
 
 from __future__ import annotations

@@ -32,13 +32,13 @@ another order, and no output depends on that order: the potential,
 Every memo keeps only its last entry (``lru_cache(maxsize=1)``).  The only
 hit of the context and reduced-instance memos is a back-map rebuilding its
 caller's target; the separate S, P, V and validity oracles are not called
-by the line readers, which read ``node``; S and P each take their side of
-the node.  The keys hold the context (and
-through it the instance and its slot), so a dropped reduction lives on only
-until each memo that saw it sees another.  Since every key holds a context,
-``PlcpEoplContext`` and ``LcpInstance`` each compute their hash on first use
-and keep it: a fresh hash runs ``Fraction.__hash__`` (a modular inverse)
-over every entry of M and q, and every memo lookup asks for one.
+by the line readers, which read ``node`` (S and P take their side of it).
+The keys hold the context (and through it the instance and its slot), so a
+dropped reduction lives on only until each memo that saw it sees another.
+Since every key holds a context, ``PlcpEoplContext`` and ``LcpInstance``
+each compute their hash on first use and keep it: a fresh hash runs
+``Fraction.__hash__`` (a modular inverse) over every entry of M and q, and
+every memo lookup asks for one.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ from ..lcp import (
     LcpOutcome,
     Q1,
     _path_edges,
-    _pivot_onto,
     _start_tableau,
     _Tableau,
+    _pivot_onto,
     q2_witness_at,
     verify_lcp_solution,
 )

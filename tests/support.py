@@ -417,12 +417,8 @@ class FullTableau:
         try:
             _dup_of_tight(self.tight() - {e} | {b}, self.d)
         except DegeneracyError as exc:
-            labels = ", ".join(map(str, exc.ties))
-            raise DegeneracyError(
-                f"the edge relaxing {_var_name(e, self.d)} leaves the complementary vertices: "
-                f"{_var_name(b, self.d)} blocks it at duplicate labels {labels}",
-                ties=exc.ties,
-            ) from None
+            text = off_path_text(_var_name(e, self.d), _var_name(b, self.d), exc.ties)
+            raise DegeneracyError(text, ties=exc.ties) from None
         return r, self.z_trend(r, e, lexicographic)
 
     def orientation(self, e: int) -> int:
@@ -433,6 +429,14 @@ class FullTableau:
                 return -1
             if col.get(var, 0) != 0:
                 return 1 if col[var] > 0 else -1
+
+
+def off_path_text(edge: str, blocker: str, labels: tuple[int, ...]) -> str:
+    """The step's refusal of an edge whose far vertex has the duplicate ``labels``."""
+    return (
+        f"the edge relaxing {edge} leaves the complementary vertices: "
+        f"{blocker} blocks it at duplicate labels {', '.join(map(str, labels))}"
+    )
 
 
 def full_tableau_of_tight(inst: LcpInstance, tight: frozenset[int]) -> Optional[FullTableau]:

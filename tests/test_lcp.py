@@ -50,6 +50,7 @@ from support import (
     gen_p_lcp,
     make_lcp,
     murty_lcp,
+    off_path_text,
     oracle_orientation,
     random_lcp,
     tight_direction,
@@ -700,12 +701,7 @@ def _ref_step(inst, tight, e, lex):
     try:
         ref.vertex()
     except DegeneracyError as exc:
-        labels = ", ".join(map(str, exc.ties))
-        text = (
-            f"the edge relaxing {_var_name(e, inst.d)} leaves the complementary vertices: "
-            f"{blocker} blocks it at duplicate labels {labels}"
-        )
-        return "raises", text, exc.ties
+        return "raises", off_path_text(_var_name(e, inst.d), blocker, exc.ties), exc.ties
     return r, trend
 
 
@@ -922,11 +918,7 @@ def _eager_pivot(inst, ref, name):
     try:
         return tab.vertex()
     except DegeneracyError as exc:
-        labels = ", ".join(map(str, exc.ties))
-        return (
-            f"the edge relaxing {name} leaves the complementary vertices: "
-            f"{blocker} blocks it at duplicate labels {labels}"
-        )
+        return off_path_text(name, blocker, exc.ties)
 
 
 def test_start_and_pivot_vertices_equal_eager_ones():
